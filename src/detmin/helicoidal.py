@@ -16,7 +16,7 @@ the certificates here therefore speak about every smooth point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -31,7 +31,6 @@ class Reflection:
     """B = 2 Q Q^T - I with Q spanning the column space of the base point."""
 
     matrix: np.ndarray
-    column_basis: np.ndarray
     r: int
 
     def invariant_residuals(self, x):
@@ -67,7 +66,7 @@ def reflection(x, r=None):
             f"(singular values {rr.singular_values})")
     q = np.linalg.svd(x, full_matrices=False)[0][:, :r]
     b = 2.0 * q @ q.T - np.eye(x.shape[0])
-    return Reflection(b, q, r)
+    return Reflection(b, r)
 
 
 def isometry_check(a, q, rng, samples=8):
@@ -133,12 +132,17 @@ def normal_basis(x, r):
     return np.linalg.qr(frame.flat().T)[0]
 
 
+def _off_span(basis, y):
+    """Relative norm of the part of ``y`` outside the span of ``basis``."""
+    v = np.asarray(y, dtype=float).ravel()
+    return float(np.linalg.norm(v - basis @ (basis.T @ v))
+                 / max(1.0, np.linalg.norm(v)))
+
+
 def tangent_membership(x, y, r, tol=1e-9):
     """Does ``y`` lie in the stratum tangent space at ``x``?"""
-    basis = tangent_basis(x, r)
-    v = np.asarray(y, dtype=float).ravel()
-    resid = np.linalg.norm(v - basis @ (basis.T @ v)) / max(1.0, np.linalg.norm(v))
-    return resid <= tol, float(resid)
+    resid = _off_span(tangent_basis(x, r), y)
+    return resid <= tol, resid
 
 
 def sample_tangent_family(x, r, rng, kind="column"):
@@ -157,15 +161,19 @@ def sample_tangent_family(x, r, rng, kind="column"):
     raise ValueError(f"unknown tangent family {kind!r}")
 
 
-def normal_reversal(x, r):
-    """Worst residual of B W = -W over an orthonormal normal basis at ``x``."""
-    b = reflection(x, r).matrix
-    basis = normal_basis(x, r)
+def _reversal(b, normals, shape):
+    """Worst max-norm of B W + W over the columns W of ``normals``."""
     worst = 0.0
-    for k in range(basis.shape[1]):
-        w = basis[:, k].reshape(np.asarray(x).shape)
+    for k in range(normals.shape[1]):
+        w = normals[:, k].reshape(shape)
         worst = max(worst, max_abs(b @ w + w))
     return worst
+
+
+def normal_reversal(x, r):
+    """Worst residual of B W = -W over an orthonormal normal basis at ``x``."""
+    return _reversal(reflection(x, r).matrix, normal_basis(x, r),
+                     np.asarray(x).shape)
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,6 @@ class Certificate:
     tangent_residuals: dict
     normal_reversal: float
     counter_control: float
-    tolerances: dict = field(default_factory=dict)
 
     def ok(self, reflection_tol=1e-12, reversal_tol=1e-10, tangent_tol=1e-9):
         if max(self.reflection_residuals.values()) > reflection_tol:
@@ -204,17 +211,14 @@ def helicoidal_certificate(x, r, rng):
     z = chart_map(ChartPoint(rng.normal(size=(x.shape[0], r)),
                              rng.uniform(-2, 2, size=(r, x.shape[1] - r))))
     rank_preserved = svd_rank(refl.matrix @ z).rank == r == svd_rank(z).rank
-    tangents = {
-        "cone_direction": tangent_membership(x, x, r)[1],
-        "column_family": tangent_membership(
-            x, sample_tangent_family(x, r, rng, "column"), r)[1],
-        "row_family": tangent_membership(
-            x, sample_tangent_family(x, r, rng, "row"), r)[1],
-    }
-    reversal = normal_reversal(x, r)
+    tb = tangent_basis(x, r)
     nb = normal_basis(x, r)
-    if nb.shape[1]:
-        counter = tangent_membership(x, nb[:, 0].reshape(x.shape), r)[1]
-    else:
-        counter = 1.0
+    tangents = {
+        "cone_direction": _off_span(tb, x),
+        "column_family": _off_span(
+            tb, sample_tangent_family(x, r, rng, "column")),
+        "row_family": _off_span(tb, sample_tangent_family(x, r, rng, "row")),
+    }
+    reversal = _reversal(refl.matrix, nb, x.shape)
+    counter = _off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0
     return Certificate(residuals, iso, rank_preserved, tangents, reversal, counter)

@@ -24,12 +24,12 @@ codimension two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import InvalidChartPoint, SingularGram
-from .linalg import max_abs, svd_rank
+from .linalg import (ProjectedTraces, cofactors, gradient_projector, max_abs,
+                     projected_traces, second_cofactors, svd_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -206,42 +206,13 @@ class TwinHarmonicPair:
         det = complex(np.linalg.det(unflatten(self.n, point)))
         return det.real, det.imag
 
-    def _cofactors(self, z):
-        """Complex gradient: cof[i, j] = d det / d z_{ij}, by row replacement."""
-        n = self.n
-        stacked = np.repeat(z[None, :, :], n * n, axis=0)
-        for idx, (i, j) in enumerate(product(range(n), range(n))):
-            stacked[idx, i, :] = 0.0
-            stacked[idx, i, j] = 1.0
-        return np.linalg.det(stacked).reshape(n, n)
-
-    def _second_cofactors(self, z):
-        """Complex Hessian c2[i, j, k, l] = d2 det / (d z_{ij} d z_{kl})."""
-        n = self.n
-        c2 = np.zeros((n, n, n, n), dtype=complex)
-        pairs = [(i, j, k, l)
-                 for i in range(n) for j in range(n)
-                 for k in range(i + 1, n) for l in range(n)]
-        if pairs:
-            stacked = np.repeat(z[None, :, :], len(pairs), axis=0)
-            for idx, (i, j, k, l) in enumerate(pairs):
-                stacked[idx, i, :] = 0.0
-                stacked[idx, i, j] = 1.0
-                stacked[idx, k, :] = 0.0
-                stacked[idx, k, l] = 1.0
-            dets = np.linalg.det(stacked)
-            for (i, j, k, l), val in zip(pairs, dets):
-                c2[i, j, k, l] = val
-                c2[k, l, i, j] = val
-        return c2
-
     def gradients(self, point):
         """Real gradients of u and v from the complex cofactor matrix.
 
         d det = sum cof_{ij} dz_{ij} splits as du = Re(cof) dx - Im(cof) dy
         and dv = Im(cof) dx + Re(cof) dy.
         """
-        cof = self._cofactors(unflatten(self.n, point))
+        cof = cofactors(unflatten(self.n, point))
         re = cof.real.ravel(order="F")
         im = cof.imag.ravel(order="F")
         gu = np.concatenate([re, -im])
@@ -250,7 +221,7 @@ class TwinHarmonicPair:
 
     def hessians(self, point):
         n = self.n
-        c2 = self._second_cofactors(unflatten(self.n, point))
+        c2 = second_cofactors(unflatten(self.n, point))
         # flatten complex index pairs column-major to match the layout
         c2 = c2.transpose(1, 0, 3, 2).reshape(n * n, n * n)
         re, im = c2.real, c2.imag
@@ -349,22 +320,13 @@ def rho_value(n, point):
 
 
 @dataclass(frozen=True)
-class ZetaMinimality:
+class ZetaMinimality(ProjectedTraces):
     """Minimality residuals of the det = 0 locus as a real submanifold."""
 
-    traces: np.ndarray
-    hessian_norms: np.ndarray
     gram_conformality: float
 
-    def residuals(self):
-        return np.abs(self.traces) / np.maximum(self.hessian_norms, 1.0)
 
-    @property
-    def max_residual(self):
-        return float(self.residuals().max())
-
-
-def zeta_minimality(n, point, cond_limit=1e8):
+def zeta_minimality(n, point):
     """tr(P d2 u) and tr(P d2 v) at a point of the realified det = 0 locus.
 
     P projects off the two constraint gradients.  Their Gram matrix is
@@ -373,18 +335,11 @@ def zeta_minimality(n, point, cond_limit=1e8):
     :class:`SingularGram` is raised.
     """
     pair = TwinHarmonicPair(n)
-    gu, gv = pair.gradients(point)
-    grads = np.stack([gu, gv])
-    gram = grads @ grads.T
-    scale = max(gram[0, 0], gram[1, 1])
-    if scale < 1e-16 or np.linalg.cond(gram) > cond_limit:
-        raise SingularGram("constraint gradients are numerically dependent")
-    conf = max(abs(gram[0, 1]), abs(gram[0, 0] - gram[1, 1])) / scale
-    proj = np.eye(pair.ambient_dim) - grads.T @ np.linalg.solve(gram, grads)
-    hu, hv = pair.hessians(point)
-    traces = np.array([float((proj * hu).sum()), float((proj * hv).sum())])
-    norms = np.array([np.linalg.norm(hu), np.linalg.norm(hv)])
-    return ZetaMinimality(traces, norms, conf)
+    proj, gram = gradient_projector(np.stack(pair.gradients(point)))
+    conf = (max(abs(gram[0, 1]), abs(gram[0, 0] - gram[1, 1]))
+            / max(gram[0, 0], gram[1, 1]))
+    minim = projected_traces(proj, pair.hessians(point))
+    return ZetaMinimality(minim.traces, minim.hessian_norms, conf)
 
 
 def sample_zeta_point(n, rng, tol=1e-12, max_tries=100):

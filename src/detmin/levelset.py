@@ -32,14 +32,10 @@ from itertools import product
 
 import numpy as np
 
-from . import dual
-from .errors import ConventionFailure, InvalidChartPoint, SingularGram
-from .linalg import max_abs, svd_rank
+from .errors import ConventionFailure, InvalidChartPoint
+from .linalg import (cofactors, gradient_projector, max_abs, projected_traces,
+                     second_cofactors, svd_rank)
 from .parametric import ChartPoint, chart_map
-
-
-def _det_batch(mats):
-    return np.linalg.det(np.asarray(mats)) if len(mats) else np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -90,14 +86,9 @@ class ConstraintSystem:
         a = np.asarray(a, dtype=float)
         n = self.n
         out = []
-        for which, row0, sign in ((1, 0, 1.0), (2, 1, self.sign2)):
-            block = self._block(a, which)
-            stacked = np.repeat(block[None, :, :], n * n, axis=0)
-            for idx, (k, col) in enumerate(product(range(n), range(n))):
-                stacked[idx, k, :] = 0.0
-                stacked[idx, k, col] = 1.0
+        for row0, sign in ((0, 1.0), (1, self.sign2)):
             grad = np.zeros((n + 1, n))
-            grad[row0:row0 + n, :] = sign * _det_batch(stacked).reshape(n, n)
+            grad[row0:row0 + n, :] = sign * cofactors(a[row0:row0 + n])
             out.append(grad)
         return out[0], out[1]
 
@@ -105,26 +96,12 @@ class ConstraintSystem:
         """Flat Hessians; each nonzero entry is a two-row-replaced determinant."""
         a = np.asarray(a, dtype=float)
         n = self.n
-        dim = self.ambient_dim
         out = []
-        for which, row0, sign in ((1, 0, 1.0), (2, 1, self.sign2)):
-            block = self._block(a, which)
-            pairs = [(k, i, l, j)
-                     for k in range(n) for i in range(n)
-                     for l in range(k + 1, n) for j in range(n)]
-            stacked = np.repeat(block[None, :, :], len(pairs), axis=0)
-            for idx, (k, i, l, j) in enumerate(pairs):
-                stacked[idx, k, :] = 0.0
-                stacked[idx, k, i] = 1.0
-                stacked[idx, l, :] = 0.0
-                stacked[idx, l, j] = 1.0
-            dets = sign * _det_batch(stacked)
-            hess = np.zeros((dim, dim))
-            for (k, i, l, j), val in zip(pairs, dets):
-                r = (row0 + k) * n + i
-                c = (row0 + l) * n + j
-                hess[r, c] = val
-                hess[c, r] = val
+        for row0, sign in ((0, 1.0), (1, self.sign2)):
+            c2 = second_cofactors(a[row0:row0 + n]).reshape(n * n, n * n)
+            hess = np.zeros((self.ambient_dim, self.ambient_dim))
+            block = slice(row0 * n, (row0 + n) * n)
+            hess[block, block] = sign * c2
             out.append(hess)
         return out[0], out[1]
 
@@ -182,19 +159,12 @@ class GramProjector:
     rank: int
 
 
-def tangent_projector(a, system=None, cond_limit=1e8):
+def tangent_projector(a, system=None):
     """P = I - grad_alpha (M^{-1})^{alpha beta} grad_beta at an on-variety point."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[1]
-    system = system or ConstraintSystem(n)
-    g1, g2 = system.gradients(a)
-    grads = np.stack([g1.ravel(), g2.ravel()])
-    gram = grads @ grads.T
-    scale = max(gram[0, 0], gram[1, 1])
-    if scale <= 0 or np.linalg.cond(gram) > cond_limit:
-        raise SingularGram(
-            f"constraint-gradient Gram is numerically singular (scale {scale:.3e})")
-    p = np.eye(system.ambient_dim) - grads.T @ np.linalg.solve(gram, grads)
+    system = system or ConstraintSystem(a.shape[1])
+    p, gram = gradient_projector(np.stack(
+        [g.ravel() for g in system.gradients(a)]))
     # for an idempotent matrix the eigenvalues cluster at 0 and 1, so the
     # robust rank is the count above 1/2; a raw singular-value cutoff can
     # miscount when the Gram solve leaves noise above machine precision
@@ -202,30 +172,12 @@ def tangent_projector(a, system=None, cond_limit=1e8):
     return GramProjector(p, gram, rank)
 
 
-@dataclass(frozen=True)
-class MinimalityResidual:
-    """tr(P d2chi_alpha) normalised by the Hessian norms."""
-
-    traces: np.ndarray
-    hessian_norms: np.ndarray
-
-    def residuals(self):
-        return np.abs(self.traces) / np.maximum(self.hessian_norms, 1.0)
-
-    @property
-    def max_residual(self):
-        return float(self.residuals().max())
-
-
 def levelset_mean_curvature(a, system=None):
     """Minimality residuals of both constraints at an on-variety point."""
     a = np.asarray(a, dtype=float)
     system = system or ConstraintSystem(a.shape[1])
     proj = tangent_projector(a, system).projector
-    h1, h2 = system.hessians(a)
-    traces = np.array([float((proj * h1).sum()), float((proj * h2).sum())])
-    norms = np.array([np.linalg.norm(h1), np.linalg.norm(h2)])
-    return MinimalityResidual(traces, norms)
+    return projected_traces(proj, system.hessians(a))
 
 
 @dataclass(frozen=True)
@@ -400,11 +352,7 @@ def gradient_rank_one(m, tol_pivot=1e-8):
     k = m.shape[0]
     if m.shape != (k, k):
         raise ValueError("square matrix required")
-    stacked = np.repeat(m[None, :, :], k * k, axis=0)
-    for idx, (i, j) in enumerate(product(range(k), range(k))):
-        stacked[idx, i, :] = 0.0
-        stacked[idx, i, j] = 1.0
-    cof = _det_batch(stacked).reshape(k, k)
+    cof = cofactors(m)
     s = np.linalg.svd(cof, compute_uv=False)
     ratio = float(s[1] / s[0]) if s[0] > 0 else 0.0
 

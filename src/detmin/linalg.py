@@ -1,9 +1,11 @@
-"""Shared numerical substrate: rank decisions, block inversion, seeded RNG.
+"""Shared numerical substrate: rank decisions, block inversion, cofactor
+determinants, constraint projectors, seeded RNG.
 
 Every pipeline routes its rank questions through :func:`svd_rank` so that a
 single tolerance policy governs the whole package, and its partitioned
 inversions through :func:`block_inverse` so that condition-number guards are
-applied uniformly.
+applied uniformly.  Cofactors and the codimension-k trace tr(P d2 chi) live
+here as substrate only; each pipeline keeps its own closed forms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric
+from .errors import DegenerateMetric, SingularGram
 
 # Multiplier on the usual sigma_max * max(shape) * eps rank threshold.
 RANK_TOL_FACTOR = 4.0
@@ -20,6 +22,12 @@ RANK_TOL_FACTOR = 4.0
 # Condition-number guard applied before any block inversion.  Beyond this
 # the point is treated as near-boundary and reported, not inverted.
 COND_LIMIT = 1e6
+
+# Condition-number guard on the Gram matrix of constraint gradients, and
+# the floor under its largest diagonal entry below which the gradients
+# count as collapsed.
+GRAM_COND_LIMIT = 1e8
+GRAM_SCALE_FLOOR = 1e-16
 
 
 def make_rng(seed):
@@ -97,16 +105,13 @@ def spectral_cond(m):
 
 @dataclass(frozen=True)
 class BlockInverse:
-    """Inverse of ``[[G, B], [B^T, D]]`` with the pivot Schur complement kept.
+    """Inverse of ``[[G, B], [B^T, D]]`` by one Schur elimination.
 
-    ``schur_inv`` is the inverse Schur complement of the pivot block:
-    ``(D - B^T G^{-1} B)^{-1}`` for the leading pivot, ``(G - B D^{-1} B^T)^{-1}``
-    for the trailing one.  Both factorizations yield the same ``full`` matrix
-    in exact arithmetic; keeping them separate lets callers cross-check.
+    Both pivots yield the same ``full`` matrix in exact arithmetic; keeping
+    the routes separate lets callers cross-check them.
     """
 
     full: np.ndarray
-    schur_inv: np.ndarray
     pivot: str
     cond_g: float
     cond_d: float
@@ -135,14 +140,11 @@ def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
             f"(cond G = {cond_g:.3e}, cond D = {cond_d:.3e})")
 
     if ng == 0 and nd == 0:
-        z = np.zeros((0, 0))
-        return BlockInverse(z, z, pivot, cond_g, cond_d)
+        return BlockInverse(np.zeros((0, 0)), pivot, cond_g, cond_d)
     if nd == 0:
-        return BlockInverse(np.linalg.inv(g), np.zeros((0, 0)), pivot, cond_g, cond_d)
+        return BlockInverse(np.linalg.inv(g), pivot, cond_g, cond_d)
     if ng == 0:
-        inv_d = np.linalg.inv(d)
-        schur = inv_d if pivot == "leading" else np.zeros((0, 0))
-        return BlockInverse(inv_d, schur, pivot, cond_g, cond_d)
+        return BlockInverse(np.linalg.inv(d), pivot, cond_g, cond_d)
 
     if pivot == "leading":
         gi_b = np.linalg.solve(g, b)
@@ -156,7 +158,7 @@ def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
         top_left = gi + gi_b @ rho @ gi_b.T
         top_right = -gi_b @ rho
         full = np.block([[top_left, top_right], [top_right.T, rho]])
-        return BlockInverse(full, rho, pivot, cond_g, cond_d)
+        return BlockInverse(full, pivot, cond_g, cond_d)
 
     di_bt = np.linalg.solve(d, b.T)
     schur = g - b @ di_bt
@@ -169,7 +171,7 @@ def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
     top_right = -gp_inv @ di_bt.T
     bottom_right = di + di_bt @ gp_inv @ di_bt.T
     full = np.block([[gp_inv, top_right], [top_right.T, bottom_right]])
-    return BlockInverse(full, gp_inv, pivot, cond_g, cond_d)
+    return BlockInverse(full, pivot, cond_g, cond_d)
 
 
 def max_abs(m):
@@ -178,10 +180,84 @@ def max_abs(m):
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def relative_residual(err, *factors):
-    """Residual normalised by the product of factor norms, floored at 1."""
-    den = 1.0
-    for f in factors:
-        den *= max(np.linalg.norm(np.asarray(f, dtype=float).ravel()), 1e-300)
-    err = np.linalg.norm(np.asarray(err, dtype=float).ravel())
-    return float(err) / max(1.0, den)
+def _float_or_complex(m):
+    m = np.asarray(m)
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
+def _row_replaced(m, rows, cols):
+    """Copies of ``m``; in copy t, row rows[s][t] becomes e_{cols[s][t]} for each s."""
+    stacked = np.repeat(m[None, :, :], len(rows[0]), axis=0)
+    idx = np.arange(len(rows[0]))
+    for row, col in zip(rows, cols):
+        stacked[idx, row, :] = 0.0
+        stacked[idx, row, col] = 1.0
+    return stacked
+
+
+def cofactors(m):
+    """Cofactor matrix cof[i, j] = d det / d m_{ij} of a real or complex matrix.
+
+    Entry (i, j) is the determinant of ``m`` with row i replaced by the unit
+    row e_j: an exact multilinear evaluation, one batched determinant call.
+    """
+    m = _float_or_complex(m)
+    k = m.shape[0]
+    i, j = np.indices((k, k)).reshape(2, -1)
+    return np.linalg.det(_row_replaced(m, [i], [j])).reshape(k, k)
+
+
+def second_cofactors(m):
+    """Second derivatives c2[i, j, k, l] = d2 det / (d m_{ij} d m_{kl}).
+
+    For i < k the entry is the determinant of ``m`` with rows i and k
+    replaced by e_j and e_l; it is mirrored to (k, l, i, j), and entries
+    with i == k vanish exactly, since det is linear in each row.
+    """
+    m = _float_or_complex(m)
+    n = m.shape[0]
+    idx = np.indices((n,) * 4).reshape(4, -1)
+    i, j, k, l = idx[:, idx[0] < idx[2]]
+    dets = np.linalg.det(_row_replaced(m, [i, k], [j, l]))
+    c2 = np.zeros((n, n, n, n), dtype=dets.dtype)
+    c2[i, j, k, l] = dets
+    c2[k, l, i, j] = dets
+    return c2
+
+
+def gradient_projector(grads):
+    """Orthoprojector off the rows of ``grads``, and their Gram matrix.
+
+    P = I - grads^T (grads grads^T)^{-1} grads projects onto the common
+    tangent space of the level sets whose gradients are the rows.  Raises
+    :class:`SingularGram` when the gradients are collapsed or dependent.
+    """
+    gram = grads @ grads.T
+    scale = gram.diagonal().max()
+    if scale < GRAM_SCALE_FLOOR or np.linalg.cond(gram) > GRAM_COND_LIMIT:
+        raise SingularGram(
+            f"constraint-gradient Gram is numerically singular (scale {scale:.3e})")
+    proj = np.eye(grads.shape[1]) - grads.T @ np.linalg.solve(gram, grads)
+    return proj, gram
+
+
+@dataclass(frozen=True)
+class ProjectedTraces:
+    """tr(P d2chi_alpha) per constraint, normalised by the Hessian norms."""
+
+    traces: np.ndarray
+    hessian_norms: np.ndarray
+
+    def residuals(self):
+        return np.abs(self.traces) / np.maximum(self.hessian_norms, 1.0)
+
+    @property
+    def max_residual(self):
+        return float(self.residuals().max())
+
+
+def projected_traces(proj, hessians):
+    """Minimality traces of each Hessian against the tangent projector."""
+    return ProjectedTraces(
+        np.array([float((proj * h).sum()) for h in hessians]),
+        np.array([np.linalg.norm(h) for h in hessians]))

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import dual
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import (COND_LIMIT, BlockInverse, block_inverse, max_abs,
-                     spectral_cond, svd_rank)
+from .linalg import (COND_LIMIT, block_inverse, max_abs, spectral_cond,
+                     svd_rank)
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,6 @@ def chart_derivative(cp, c, mu, col_perm=None):
     return _place_columns(dx, col_perm)
 
 
-def coords_to_blocks(cp, vec):
-    """Split a length-dim coordinate vector into (c, mu) blocks."""
-    p, q, r = cp.p, cp.q, cp.r
-    c = vec[:p * r].reshape(p, r)
-    mu = vec[p * r:].reshape(r, q - r)
-    return c, mu
-
-
 def chart_jacobian(cp, col_perm=None):
     """Ambient Jacobian, shape (pq, dim); columns follow (a, lam) row-major order."""
     p, q, r = cp.p, cp.q, cp.r
@@ -205,26 +197,24 @@ def chart_hessian_autodiff(cp):
 
 @dataclass(frozen=True)
 class MetricBlocks:
-    """Pullback metric blocks in chart coordinates, plus the Schur inverse."""
+    """Pullback metric blocks in chart coordinates."""
 
     g: np.ndarray
     b: np.ndarray
     d: np.ndarray
-    schur_inv: np.ndarray
 
     @property
     def assembled(self):
         return np.block([[self.g, self.b], [self.b.T, self.d]])
 
 
-def induced_metric(cp, cond_limit=COND_LIMIT):
+def induced_metric(cp):
     """Metric blocks G, B, D as Kronecker forms of the defining operators."""
     p, q, r = cp.p, cp.q, cp.r
     g = np.kron(np.eye(p), np.eye(r) + cp.lam @ cp.lam.T)
     b = np.kron(cp.a, cp.lam)
     d = np.kron(cp.a.T @ cp.a, np.eye(q - r))
-    rho = block_inverse(g, b, d, pivot="leading", cond_limit=cond_limit).schur_inv
-    return MetricBlocks(g, b, d, rho)
+    return MetricBlocks(g, b, d)
 
 
 def operator_form_inverse(cp, bottom_left_sign=-1.0):
@@ -286,7 +276,7 @@ class MetricInverse:
 
 def metric_inverse(cp, cond_limit=COND_LIMIT):
     """Invert the induced metric three ways; callers compare, never trust one."""
-    mb = induced_metric(cp, cond_limit=cond_limit)
+    mb = induced_metric(cp)
     lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading",
                          cond_limit=cond_limit).full
     trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing",
@@ -429,6 +419,17 @@ class MeanCurvature:
         return self.max_component <= tol * self.metric_scale
 
 
+def _guarded_metric_inverse(cp, cond_limit):
+    """LU inverse of the assembled metric, refused beyond ``cond_limit``."""
+    metric = induced_metric(cp).assembled
+    if metric.size == 0:
+        return metric
+    if spectral_cond(metric) > cond_limit:
+        raise DegenerateMetric(
+            f"assembled metric condition exceeds {cond_limit:.1e}")
+    return np.linalg.inv(metric)
+
+
 def mean_curvature(cp, col_perm=None, cond_limit=COND_LIMIT, use_autodiff=False):
     """Mean-curvature components against the normal frame.
 
@@ -438,15 +439,7 @@ def mean_curvature(cp, col_perm=None, cond_limit=COND_LIMIT, use_autodiff=False)
     is slower but shares no code with the primary path.
     """
     p, q, r = cp.p, cp.q, cp.r
-    mb = induced_metric(cp, cond_limit=cond_limit)
-    metric = mb.assembled
-    if metric.size:
-        if spectral_cond(metric) > cond_limit:
-            raise DegenerateMetric(
-                f"assembled metric condition exceeds {cond_limit:.1e}")
-        ginv = np.linalg.inv(metric)
-    else:
-        ginv = metric
+    ginv = _guarded_metric_inverse(cp, cond_limit)
     frame = normal_frame(cp, col_perm)
 
     if use_autodiff:
@@ -497,10 +490,7 @@ def o_p_structure_check(cp, cond_limit=COND_LIMIT):
     lam_{s s'} entrywise.  Both residuals are relative, floored at scale 1.
     """
     p, q, r = cp.p, cp.q, cp.r
-    metric = induced_metric(cp, cond_limit=cond_limit).assembled
-    if metric.size == 0:
-        return StructureCheck(0.0, 0.0)
-    ginv = np.linalg.inv(metric)
+    ginv = _guarded_metric_inverse(cp, cond_limit)
     off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
     if off.size == 0:
         return StructureCheck(0.0, 0.0)

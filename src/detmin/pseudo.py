@@ -343,7 +343,6 @@ def form_normal_basis(x, eta, zeta):
 @dataclass(frozen=True)
 class FormReflection:
     matrix: np.ndarray
-    column_basis: np.ndarray
 
     def invariant_residuals(self, x, eta):
         b, k = self.matrix, eta.matrix
@@ -376,7 +375,7 @@ def form_reflection(x, eta, r=None, band=INERTIA_BAND):
         proj = basis @ np.linalg.solve(gram, basis.T * eta.signs[None, :])
     else:
         proj = np.zeros((x.shape[0], x.shape[0]))
-    return FormReflection(2.0 * proj - np.eye(x.shape[0]), basis)
+    return FormReflection(2.0 * proj - np.eye(x.shape[0]))
 
 
 def normal_reversal(x, eta, zeta, r=None, band=INERTIA_BAND):

@@ -603,6 +603,8 @@ def config_from_mapping(raw):
                                else _as_values(raw["r"]))
     if "samples" in raw:
         updates["samples"] = int(raw["samples"])
+        if updates["samples"] < 1:
+            raise ValueError(f"samples must be at least 1, got {raw['samples']}")
     if "seed" in raw:
         updates["seed"] = int(raw["seed"])
     if "tol" in raw or "tolerances" in raw:

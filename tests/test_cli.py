@@ -134,6 +134,17 @@ def test_config_rejects_unknown_keys():
         config_from_mapping({"pipeline": "all", "bogus": 1})
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_nonpositive_samples_is_a_config_error(samples, capsys):
+    with pytest.raises(ValueError):
+        config_from_mapping({"samples": samples})
+    code = main(["verify", "parametric", "--samples", str(samples)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "samples" in captured.err
+    assert captured.out == ""
+
+
 def test_parse_range_forms():
     assert parse_range("2..5") == (2, 3, 4, 5)
     assert parse_range("3") == (3,)

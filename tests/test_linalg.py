@@ -1,4 +1,4 @@
-"""Rank, kernel and block-inverse helpers against exact oracles."""
+"""Rank, kernel, block-inverse and cofactor helpers against exact oracles."""
 
 from fractions import Fraction
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmin.errors import DegenerateMetric
-from detmin.linalg import (block_inverse, derived_rng, make_rng, max_abs,
-                           relative_residual, require_finite, spectral_cond,
-                           svd_rank)
+from detmin.linalg import (block_inverse, cofactors, derived_rng, make_rng,
+                           max_abs, require_finite, second_cofactors,
+                           spectral_cond, svd_rank)
 
 
 def rational_rank(m_int):
@@ -99,11 +99,40 @@ def test_require_finite():
     require_finite(np.ones(3))
 
 
-def test_relative_residual_floors_small_scales():
-    assert relative_residual(np.array([1e-12]), np.array([1e-8])) == \
-        pytest.approx(1e-12)
-    assert relative_residual(np.array([1.0]), np.array([100.0])) == \
-        pytest.approx(0.01)
+def _real_and_complex(n, seed):
+    rng = make_rng(seed)
+    real = rng.normal(size=(n, n))
+    return real, real + 1j * rng.normal(size=(n, n))
+
+
+def _replaced_det(m, *row_cols):
+    """Determinant of ``m`` with each listed row replaced by a unit row."""
+    m = m.copy()
+    for row, col in row_cols:
+        m[row] = 0.0
+        m[row, col] = 1.0
+    return np.linalg.det(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cofactors_invert_up_to_the_determinant(n):
+    for m in _real_and_complex(n, 50 + n):
+        cof = cofactors(m)
+        assert cof.dtype == m.dtype
+        assert cof[n - 1, 0] == _replaced_det(m, (n - 1, 0))
+        scale = np.linalg.norm(m) * np.linalg.norm(cof)
+        assert max_abs(m @ cof.T - np.linalg.det(m) * np.eye(n)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_second_cofactors_symmetric_and_zero_on_a_shared_row(n):
+    for m in _real_and_complex(n, 60 + n):
+        c2 = second_cofactors(m)
+        assert c2.shape == (n,) * 4 and c2.dtype == m.dtype
+        assert np.array_equal(c2, c2.transpose(2, 3, 0, 1))
+        assert c2[0, 1, n - 1, 0] == _replaced_det(m, (0, 1), (n - 1, 0))
+        for i in range(n):
+            assert not c2[i, :, i, :].any()
 
 
 def test_make_rng_is_reproducible():
