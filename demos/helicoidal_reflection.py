@@ -11,10 +11,10 @@ script checks each ingredient numerically at a sample point.
 
 import numpy as np
 
-from detmin.helicoidal import (align_chart, helicoidal_certificate,
-                               normal_basis, normal_reversal, reflection,
-                               sample_tangent_family, tangent_membership)
-from detmin.linalg import make_rng
+from detmin.helicoidal import (helicoidal_certificate, normal_reversal,
+                               reflection, sample_tangent_family,
+                               tangent_membership)
+from detmin.linalg import make_rng, stratum_bases
 from detmin.parametric import chart_map, sample_chart_point
 
 rng = make_rng(13)
@@ -40,24 +40,25 @@ for kind in ("column", "row"):
         x, sample_tangent_family(x, r, rng, kind), r)
     print(f"{kind:>6}-family tangent vector: residual {resid:.2e}")
 
-# every normal has its columns in the orthocomplement of col(x), so B
-# multiplies it by -1; a generic normal is nowhere near tangent
+# the tangent space is spanned by the orbit directions A X + X B and the
+# normal space is its orthocomplement.  Every normal has its columns in
+# the orthocomplement of col(x), so B multiplies it by -1; a generic
+# normal is nowhere near tangent
 print(f"\nnormal reversal |B W + W|      = {normal_reversal(x, r):.2e}")
-w = normal_basis(x, r)[:, 0].reshape(p, q)
+w = stratum_bases(x)[1][:, 0].reshape(p, q)
 print(f"same normal tested as tangent = "
       f"{tangent_membership(x, w, r)[1]:.2f}  (should be order one)")
 
 cert = helicoidal_certificate(x, r, rng)
 print(f"\nfull certificate passes: {cert.ok()}")
 
-# the chart recovered from a bare matrix reproduces it even when the
-# leading columns are dependent and a permuted patch is needed
+# the orbit description needs no chart, so a point whose leading pair of
+# columns is dependent (out of reach of the leading-columns chart) is
+# certified like any other
 degenerate = x.copy()
 degenerate[:, 0] = degenerate[:, 1]  # leading pair now rank one
-cp, col_perm = align_chart(degenerate, r)
-print(f"chart alignment with a dependent leading pair: placement "
-      f"{col_perm}, residual "
-      f"{np.abs(chart_map(cp, col_perm) - degenerate).max():.2e}")
+print(f"certificate with a dependent leading pair passes: "
+      f"{helicoidal_certificate(degenerate, r, rng).ok()}")
 
 # the origin is the whole rank-0 stratum; the reflection degenerates to
 # minus the identity and still reverses everything

@@ -23,20 +23,20 @@ n = 3
 system = ConstraintSystem(n)
 
 a = sample_on_variety(n, rng)
-chi1, chi2 = system.values(a)
+# values, cofactor gradients and Hessians of both minors, evaluated once
+cv = system.evaluate(a)
 print(f"n = {n}: ambient dimension {(n + 1) * n}, "
-      f"constraint values ({chi1:.1e}, {chi2:.1e})")
+      f"constraint values ({cv.chi1:.1e}, {cv.chi2:.1e})")
 
 # both constraints are harmonic everywhere, not just on the variety,
 # because no matrix entry appears twice in any monomial of a determinant
-h1, h2 = system.hessians(a)
 print(f"Hessian diagonals identically zero: "
-      f"{not h1.diagonal().any() and not h2.diagonal().any()}")
+      f"{not cv.hess1.diagonal().any() and not cv.hess2.diagonal().any()}")
 
-proj = tangent_projector(a)
+proj = tangent_projector(cv)
 print(f"tangent projector rank {proj.rank} = n^2 + n - 2")
 
-mc = levelset_mean_curvature(a, system)
+mc = levelset_mean_curvature(cv, proj)
 print(f"max |tr(P d2 chi)| = {mc.max_residual:.2e}")
 
 # the middle rows span everything, so the first and last row are linear
@@ -44,7 +44,7 @@ print(f"max |tr(P d2 chi)| = {mc.max_residual:.2e}")
 rc = row_coefficients(a)
 print(f"row coefficient residuals = {rc.residuals.max():.2e}")
 
-rep = identity_suite(a, system, on_variety=True)
+rep = identity_suite(cv, on_variety=True)
 print(f"on-variety contractions   = {rep.contractions.max():.2e} "
       f"(four-term {rep.four_term.max():.2e})")
 
@@ -60,6 +60,6 @@ print(f"\ncofactor rank-1 on a singular 4 x 4: "
 # as evidence; it never gates anything.
 print("\nconjectured identity, 5 ambient points:")
 for k in range(5):
-    ev = conjecture_evidence(rng.normal(size=(n + 1, n)))
+    ev = conjecture_evidence(system.evaluate(rng.normal(size=(n + 1, n))))
     print(f"  stated {ev.printed_residual:.3e}   "
           f"swapped {ev.swapped_residual:.3e}")

@@ -68,7 +68,7 @@ refl = form_reflection(x, eta)
 res = refl.invariant_residuals(x, eta)
 print(f"  reflection: isometry {res['isometry']:.2e}, involution "
       f"{res['involution']:.2e}, fixes point {res['fixes_point']:.2e}")
-print(f"  normal reversal = {normal_reversal(x, eta, zeta):.2e}")
+print(f"  normal reversal = {normal_reversal(x, eta, zeta, refl):.2e}")
 
 # identity forms reduce everything to the euclidean pipeline
 cp = sample_chart_point(3, 2, 1, rng)

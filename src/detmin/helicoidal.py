@@ -9,6 +9,14 @@ fixed point of an isometry that reverses all normals cannot have a mean
 curvature vector, which is the synthetic (derivative-free) minimality
 argument this module certifies numerically.
 
+The tangent and normal spaces the certificate tests against come from the
+orbit description of the stratum, not from a chart: the rank-r matrices are
+one orbit of X -> g X h^-1, so the tangent space at X is spanned by the
+matrices A X + X B, and the normal space is its orthocomplement, read off
+one rank decision in :func:`detmin.linalg.stratum_bases`.  No chart search
+or column placement is involved, so a point whose leading r columns are
+dependent is certified like any other.
+
 Everything below the top stratum of the rank-bounded variety is a union of
 lower strata of strictly smaller dimension, hence has measure zero in it;
 the certificates here therefore speak about every smooth point.
@@ -17,13 +25,12 @@ the certificates here therefore speak about every smooth point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidChartPoint
-from .linalg import max_abs, svd_rank
-from .parametric import ChartPoint, chart_jacobian, chart_map, normal_frame
+from .linalg import max_abs, stratum_bases, svd_rank
+from .parametric import ChartPoint, chart_map
 
 
 @dataclass(frozen=True)
@@ -87,49 +94,15 @@ def isometry_check(a, q, rng, samples=8):
     return worst <= 1e-12, worst
 
 
-def align_chart(x, r, tol=1e-10):
-    """Chart data for an ambient rank-r matrix.
-
-    Picks the first column set (lexicographic order) that has full rank,
-    solves for the dependent columns, and returns (chart point, column
-    placement) such that ``chart_map(cp, col_perm)`` reproduces ``x``.
-    """
-    x = np.asarray(x, dtype=float)
-    p, q = x.shape
-    if svd_rank(x).rank != r:
-        raise InvalidChartPoint(f"matrix is not rank {r}")
-    if r == 0:
-        return ChartPoint(np.zeros((p, 0)), np.zeros((0, q))), tuple(range(q))
-    for cols in combinations(range(q), r):
-        a = x[:, list(cols)]
-        if svd_rank(a).rank != r:
-            continue
-        rest = [j for j in range(q) if j not in cols]
-        lam, *_ = np.linalg.lstsq(a, x[:, rest], rcond=None)
-        cp = ChartPoint(a, lam)
-        col_perm = tuple(cols) + tuple(rest)
-        resid = max_abs(chart_map(cp, col_perm) - x) / max(1.0, max_abs(x))
-        if resid <= tol:
-            return cp, col_perm
-    raise InvalidChartPoint("no admissible column patch reproduces the matrix")
-
-
-def tangent_basis(x, r):
-    """Orthonormal basis (columns) of the stratum tangent space at ``x``."""
-    cp, col_perm = align_chart(x, r)
-    jac = chart_jacobian(cp, col_perm)
-    if jac.size == 0:
-        return np.zeros((x.size, 0))
-    return np.linalg.qr(jac)[0]
-
-
-def normal_basis(x, r):
-    """Orthonormalised frame of the normal space at ``x``."""
-    cp, col_perm = align_chart(x, r)
-    frame = normal_frame(cp, col_perm)
-    if frame.frame_size == 0:
-        return np.zeros((x.size, 0))
-    return np.linalg.qr(frame.flat().T)[0]
+def _stratum_bases(x, r):
+    """Tangent and normal bases at ``x``, checked against the declared rank."""
+    tangent, normal = stratum_bases(x)
+    p, q = np.asarray(x).shape
+    if tangent.shape[1] != r * (p + q - r):
+        raise InvalidChartPoint(
+            f"declared rank {r} but the tangent space has dimension "
+            f"{tangent.shape[1]}, not r(p + q - r) = {r * (p + q - r)}")
+    return tangent, normal
 
 
 def _off_span(basis, y):
@@ -141,7 +114,7 @@ def _off_span(basis, y):
 
 def tangent_membership(x, y, r, tol=1e-9):
     """Does ``y`` lie in the stratum tangent space at ``x``?"""
-    resid = _off_span(tangent_basis(x, r), y)
+    resid = _off_span(_stratum_bases(x, r)[0], y)
     return resid <= tol, resid
 
 
@@ -172,7 +145,7 @@ def _reversal(b, normals, shape):
 
 def normal_reversal(x, r):
     """Worst residual of B W = -W over an orthonormal normal basis at ``x``."""
-    return _reversal(reflection(x, r).matrix, normal_basis(x, r),
+    return _reversal(reflection(x, r).matrix, _stratum_bases(x, r)[1],
                      np.asarray(x).shape)
 
 
@@ -211,8 +184,7 @@ def helicoidal_certificate(x, r, rng):
     z = chart_map(ChartPoint(rng.normal(size=(x.shape[0], r)),
                              rng.uniform(-2, 2, size=(r, x.shape[1] - r))))
     rank_preserved = svd_rank(refl.matrix @ z).rank == r == svd_rank(z).rank
-    tb = tangent_basis(x, r)
-    nb = normal_basis(x, r)
+    tb, nb = _stratum_bases(x, r)
     tangents = {
         "cone_direction": _off_span(tb, x),
         "column_family": _off_span(

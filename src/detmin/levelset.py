@@ -159,12 +159,12 @@ class GramProjector:
     rank: int
 
 
-def tangent_projector(a, system=None):
-    """P = I - grad_alpha (M^{-1})^{alpha beta} grad_beta at an on-variety point."""
-    a = np.asarray(a, dtype=float)
-    system = system or ConstraintSystem(a.shape[1])
-    p, gram = gradient_projector(np.stack(
-        [g.ravel() for g in system.gradients(a)]))
+def tangent_projector(cv):
+    """P = I - grad_alpha (M^{-1})^{alpha beta} grad_beta at an on-variety point.
+
+    ``cv`` holds the constraint values there.
+    """
+    p, gram = gradient_projector(np.stack(cv.grads_flat()))
     # for an idempotent matrix the eigenvalues cluster at 0 and 1, so the
     # robust rank is the count above 1/2; a raw singular-value cutoff can
     # miscount when the Gram solve leaves noise above machine precision
@@ -172,12 +172,12 @@ def tangent_projector(a, system=None):
     return GramProjector(p, gram, rank)
 
 
-def levelset_mean_curvature(a, system=None):
-    """Minimality residuals of both constraints at an on-variety point."""
-    a = np.asarray(a, dtype=float)
-    system = system or ConstraintSystem(a.shape[1])
-    proj = tangent_projector(a, system).projector
-    return projected_traces(proj, system.hessians(a))
+def levelset_mean_curvature(cv, proj):
+    """Minimality residuals of both constraints at an on-variety point.
+
+    ``proj`` is the :func:`tangent_projector` built from the same ``cv``.
+    """
+    return projected_traces(proj.projector, (cv.hess1, cv.hess2))
 
 
 @dataclass(frozen=True)
@@ -197,11 +197,8 @@ class IdentityReport:
     harmonicity: np.ndarray
 
 
-def identity_suite(a, system=None, on_variety=True):
-    a = np.asarray(a, dtype=float)
-    system = system or ConstraintSystem(a.shape[1])
-    n = system.n
-    cv = system.evaluate(a)
+def identity_suite(cv, on_variety=True):
+    n = cv.grad1.shape[1]
     g = cv.grads_flat()
     h = (cv.hess1, cv.hess2)
     chi = (cv.chi1, cv.chi2)
@@ -275,17 +272,15 @@ def row_coefficients(a, tol=1e-9):
     return RowCoefficients(lam, mu, res)
 
 
-def gradient_proportionality(a, system=None, coeffs=None):
+def gradient_proportionality(cv, coeffs):
     """Relative residuals of the gradient row structure.
 
     Checks, entrywise: grad chi_1 row K = -lam_K * (row 1 of grad chi_1),
     grad chi_2 row K = -mu_K * (last row of grad chi_2), and the exact
-    shared-cofactor equality of those two reference rows.
+    shared-cofactor equality of those two reference rows.  ``coeffs`` are
+    the :func:`row_coefficients` of the point ``cv`` was evaluated at.
     """
-    a = np.asarray(a, dtype=float)
-    system = system or ConstraintSystem(a.shape[1])
-    coeffs = coeffs or row_coefficients(a)
-    g1, g2 = system.gradients(a)
+    g1, g2 = cv.grad1, cv.grad2
     scale = max(1.0, max_abs(g1), max_abs(g2))
     res1 = max_abs(g1 + np.outer(coeffs.lam, g1[0]))
     res2 = max_abs(g2 + np.outer(coeffs.mu, g2[-1]))
@@ -319,15 +314,15 @@ def minor_inverses(a):
     return MinorInverses(m1, m2)
 
 
-def logarithmic_gradient_residual(a, system=None):
-    """max | grad chi_alpha - chi_alpha * padded-inverse | relative, both alpha."""
-    a = np.asarray(a, dtype=float)
-    system = system or ConstraintSystem(a.shape[1])
-    chi1, chi2 = system.values(a)
-    g1, g2 = system.gradients(a)
+def logarithmic_gradient_residual(a, cv):
+    """max | grad chi_alpha - chi_alpha * padded-inverse | relative, both alpha.
+
+    ``cv`` holds the constraint values of ``a``.
+    """
+    g1, g2 = cv.grad1, cv.grad2
     mi = minor_inverses(a)
-    r1 = max_abs(g1 - chi1 * mi.m1.T)
-    r2 = max_abs(g2 - chi2 * mi.m2.T)
+    r1 = max_abs(g1 - cv.chi1 * mi.m1.T)
+    r2 = max_abs(g2 - cv.chi2 * mi.m2.T)
     return max(r1, r2) / max(1.0, max_abs(g1), max_abs(g2))
 
 
@@ -398,10 +393,7 @@ class ConjectureEvidence:
     swapped_residual: float
 
 
-def conjecture_evidence(a, system=None):
-    a = np.asarray(a, dtype=float)
-    system = system or ConstraintSystem(a.shape[1])
-    cv = system.evaluate(a)
+def conjecture_evidence(cv):
     g1, g2 = cv.grads_flat()
     h1, h2 = cv.hess1, cv.hess2
     lhs = float(g2 @ h1 @ g1)

@@ -1,5 +1,6 @@
 """Shared numerical substrate: rank decisions, block inversion, cofactor
-determinants, constraint projectors, seeded RNG.
+determinants, constraint projectors, stratum tangent/normal bases, seeded
+RNG.
 
 Every pipeline routes its rank questions through :func:`svd_rank` so that a
 single tolerance policy governs the whole package, and its partitioned
@@ -65,13 +66,15 @@ def require_finite(m, name="matrix"):
 class RankResult:
     """Numerical rank together with the evidence for it.
 
-    ``kernel_basis`` holds orthonormal columns spanning the kernel of the
-    transpose of the input, i.e. the orthogonal complement of the input's
-    column space; its column count plus ``rank`` equals the row count.
+    ``range_basis`` holds ``rank`` orthonormal columns spanning the input's
+    column space; ``kernel_basis`` holds orthonormal columns spanning the
+    kernel of the transpose of the input, i.e. the orthogonal complement of
+    that column space.  Together they fill the row count.
     """
 
     rank: int
     singular_values: np.ndarray
+    range_basis: np.ndarray
     kernel_basis: np.ndarray
     tolerance: float
 
@@ -80,16 +83,36 @@ def svd_rank(m, tol_factor=RANK_TOL_FACTOR):
     """Rank decision via singular values, with an explicit tolerance policy.
 
     The threshold is ``sigma_max * max(m.shape) * eps * tol_factor``; the
-    kernel basis is read off the left singular vectors beyond the rank.
+    range and kernel bases are the left singular vectors up to and beyond
+    the rank.
     """
     m = require_finite(m, "svd_rank input")
     rows = m.shape[0]
     if m.size == 0:
-        return RankResult(0, np.zeros(0), np.eye(rows), 0.0)
+        return RankResult(0, np.zeros(0), np.zeros((rows, 0)), np.eye(rows),
+                          0.0)
     u, s, _ = np.linalg.svd(m, full_matrices=True)
     tol = s[0] * max(m.shape) * np.finfo(float).eps * tol_factor
     rank = int((s > tol).sum())
-    return RankResult(rank, s, u[:, rank:], tol)
+    return RankResult(rank, s, u[:, :rank], u[:, rank:], tol)
+
+
+def stratum_bases(x):
+    """Orthonormal tangent and normal bases of the rank stratum at ``x``.
+
+    The stratum through a p x q matrix X is the orbit of X under
+    X -> g X h^-1, so its tangent space is {A X + X B} (Vandereycken, SIAM
+    J. Optim. 2013).  In row-major flat coordinates the generators
+    A = E_ij and B = E_ij are the columns of kron(I_p, X^T) and
+    kron(X, I_q); one rank decision on them splits the ambient space into
+    the tangent span and its orthocomplement.  Returns (tangent, normal)
+    as column matrices with r(p + q - r) and (p - r)(q - r) columns.
+    """
+    x = np.asarray(x, dtype=float)
+    p, q = x.shape
+    gens = np.hstack([np.kron(np.eye(p), x.T), np.kron(x, np.eye(q))])
+    rank = svd_rank(gens)
+    return rank.range_basis, rank.kernel_basis
 
 
 def spectral_cond(m):
@@ -117,12 +140,12 @@ class BlockInverse:
     cond_d: float
 
 
-def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
+def block_inverse(g, b, d, pivot="leading"):
     """Invert a symmetric 2x2 block matrix by Schur complement.
 
     ``pivot="leading"`` eliminates through ``G`` first, ``pivot="trailing"``
     through ``D``.  Raises :class:`DegenerateMetric` when the pivot block's
-    condition number exceeds ``cond_limit``.
+    or the Schur complement's condition number exceeds ``COND_LIMIT``.
     """
     g = require_finite(g, "G block")
     d = require_finite(d, "D block")
@@ -134,9 +157,9 @@ def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
     if pivot not in ("leading", "trailing"):
         raise ValueError(f"unknown pivot {pivot!r}")
     primary = cond_g if pivot == "leading" else cond_d
-    if primary > cond_limit:
+    if primary > COND_LIMIT:
         raise DegenerateMetric(
-            f"{pivot} pivot block condition {primary:.3e} exceeds {cond_limit:.1e} "
+            f"{pivot} pivot block condition {primary:.3e} exceeds {COND_LIMIT:.1e} "
             f"(cond G = {cond_g:.3e}, cond D = {cond_d:.3e})")
 
     if ng == 0 and nd == 0:
@@ -149,10 +172,10 @@ def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
     if pivot == "leading":
         gi_b = np.linalg.solve(g, b)
         schur = d - b.T @ gi_b
-        if spectral_cond(schur) > cond_limit:
+        if spectral_cond(schur) > COND_LIMIT:
             raise DegenerateMetric(
                 f"Schur complement condition {spectral_cond(schur):.3e} "
-                f"exceeds {cond_limit:.1e}")
+                f"exceeds {COND_LIMIT:.1e}")
         rho = np.linalg.inv(schur)
         gi = np.linalg.inv(g)
         top_left = gi + gi_b @ rho @ gi_b.T
@@ -162,10 +185,10 @@ def block_inverse(g, b, d, pivot="leading", cond_limit=COND_LIMIT):
 
     di_bt = np.linalg.solve(d, b.T)
     schur = g - b @ di_bt
-    if spectral_cond(schur) > cond_limit:
+    if spectral_cond(schur) > COND_LIMIT:
         raise DegenerateMetric(
             f"Schur complement condition {spectral_cond(schur):.3e} "
-            f"exceeds {cond_limit:.1e}")
+            f"exceeds {COND_LIMIT:.1e}")
     gp_inv = np.linalg.inv(schur)
     di = np.linalg.inv(d)
     top_right = -gp_inv @ di_bt.T

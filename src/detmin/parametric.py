@@ -117,18 +117,9 @@ def sample_chart_point(p, q, r, rng, cond_limit=1e4, lam_bound=2.0,
         f"after {max_tries} draws")
 
 
-def _place_columns(x_chart, col_perm):
-    if col_perm is None:
-        return x_chart
-    out = np.empty_like(x_chart)
-    out[:, list(col_perm)] = x_chart
-    return out
-
-
-def chart_map(cp, col_perm=None):
-    """Ambient p x q matrix (a, a lam); chart column j lands at col_perm[j]."""
-    x = np.concatenate([cp.a, cp.a @ cp.lam], axis=1)
-    return _place_columns(x, col_perm)
+def chart_map(cp):
+    """Ambient p x q matrix (a, a lam)."""
+    return np.concatenate([cp.a, cp.a @ cp.lam], axis=1)
 
 
 def chart_map_generic(a, lam):
@@ -136,15 +127,14 @@ def chart_map_generic(a, lam):
     return np.concatenate([a, np.dot(a, lam)], axis=1)
 
 
-def chart_derivative(cp, c, mu, col_perm=None):
+def chart_derivative(cp, c, mu):
     """Directional derivative DX(c, mu) = (c, c lam + a mu)."""
     c = np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    dx = np.concatenate([c, c @ cp.lam + cp.a @ mu], axis=1)
-    return _place_columns(dx, col_perm)
+    return np.concatenate([c, c @ cp.lam + cp.a @ mu], axis=1)
 
 
-def chart_jacobian(cp, col_perm=None):
+def chart_jacobian(cp):
     """Ambient Jacobian, shape (pq, dim); columns follow (a, lam) row-major order."""
     p, q, r = cp.p, cp.q, cp.r
     cols = np.zeros((cp.dim, p * q))
@@ -152,16 +142,16 @@ def chart_jacobian(cp, col_perm=None):
         c = np.zeros(p * r)
         c[k] = 1.0
         cols[k] = chart_derivative(cp, c.reshape(p, r),
-                                   np.zeros((r, q - r)), col_perm).ravel()
+                                   np.zeros((r, q - r))).ravel()
     for k in range(r * (q - r)):
         mu = np.zeros(r * (q - r))
         mu[k] = 1.0
         cols[p * r + k] = chart_derivative(cp, np.zeros((p, r)),
-                                           mu.reshape(r, q - r), col_perm).ravel()
+                                           mu.reshape(r, q - r)).ravel()
     return cols.T
 
 
-def chart_second_derivatives(cp, col_perm=None):
+def chart_second_derivatives(cp):
     """Second-derivative tensor of the chart map, shape (pq, dim, dim).
 
     Only mixed a/lam entries are nonzero: pairing a_{Js} with lam_{s s'}
@@ -176,7 +166,7 @@ def chart_second_derivatives(cp, col_perm=None):
                 il = p * r + s * (q - r) + sp
                 amb = np.zeros((p, q))
                 amb[j, r + sp] = 1.0
-                flat = _place_columns(amb, col_perm).ravel()
+                flat = amb.ravel()
                 d2[:, ia, il] += flat
                 d2[:, il, ia] += flat
     return d2
@@ -274,13 +264,11 @@ class MetricInverse:
         return worst / scale
 
 
-def metric_inverse(cp, cond_limit=COND_LIMIT):
+def metric_inverse(cp):
     """Invert the induced metric three ways; callers compare, never trust one."""
     mb = induced_metric(cp)
-    lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading",
-                         cond_limit=cond_limit).full
-    trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing",
-                          cond_limit=cond_limit).full
+    lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading").full
+    trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing").full
     op = operator_form_inverse(cp)
     return MetricInverse(lead, trail, op, mb.assembled)
 
@@ -338,7 +326,7 @@ class NormalFrame:
         return np.kron(blk, np.eye(p_r))
 
 
-def normal_frame(cp, col_perm=None):
+def normal_frame(cp):
     """Normal frame of size (q - r)(p - r); see :class:`NormalFrame`."""
     p, q, r = cp.p, cp.q, cp.r
     kernel = svd_rank(cp.a).kernel_basis
@@ -350,7 +338,7 @@ def normal_frame(cp, col_perm=None):
             n = np.zeros((p, q))
             n[:, :r] = np.outer(kernel[:, spp], cp.lam[:, sp])
             n[:, r + sp] = -kernel[:, spp]
-            frames[idx] = gamma[sp] * _place_columns(n, col_perm)
+            frames[idx] = gamma[sp] * n
             idx += 1
     return NormalFrame(frames, gamma, kernel)
 
@@ -419,18 +407,18 @@ class MeanCurvature:
         return self.max_component <= tol * self.metric_scale
 
 
-def _guarded_metric_inverse(cp, cond_limit):
-    """LU inverse of the assembled metric, refused beyond ``cond_limit``."""
+def _guarded_metric_inverse(cp):
+    """LU inverse of the assembled metric, refused beyond ``COND_LIMIT``."""
     metric = induced_metric(cp).assembled
     if metric.size == 0:
         return metric
-    if spectral_cond(metric) > cond_limit:
+    if spectral_cond(metric) > COND_LIMIT:
         raise DegenerateMetric(
-            f"assembled metric condition exceeds {cond_limit:.1e}")
+            f"assembled metric condition exceeds {COND_LIMIT:.1e}")
     return np.linalg.inv(metric)
 
 
-def mean_curvature(cp, col_perm=None, cond_limit=COND_LIMIT, use_autodiff=False):
+def mean_curvature(cp, use_autodiff=False):
     """Mean-curvature components against the normal frame.
 
     The metric inverse is generic (LU solve of the assembled metric); the
@@ -439,25 +427,24 @@ def mean_curvature(cp, col_perm=None, cond_limit=COND_LIMIT, use_autodiff=False)
     is slower but shares no code with the primary path.
     """
     p, q, r = cp.p, cp.q, cp.r
-    ginv = _guarded_metric_inverse(cp, cond_limit)
-    frame = normal_frame(cp, col_perm)
+    ginv = _guarded_metric_inverse(cp)
+    frame = normal_frame(cp)
 
     if use_autodiff:
         h = second_fundamental_form_autodiff(cp)
         comps = np.einsum("abmn,mn->ab", h, ginv)
         d2x = chart_hessian_autodiff(cp)
         trace_flat = np.einsum("fmn,mn->f", d2x, ginv)
-        trace = _place_columns(trace_flat.reshape(p, q), col_perm)
+        trace = trace_flat.reshape(p, q)
     else:
         off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
         contracted = np.einsum("jsst->jt", off)       # (p, q - r)
         comps = -2.0 * frame.gamma[:, None] * (contracted.T @ frame.kernel_basis)
         trace = np.zeros((p, q))
         trace[:, r:] = 2.0 * contracted
-        trace = _place_columns(trace, col_perm)
 
     tangent_target = -2.0 * chart_derivative(
-        cp, np.zeros((p, r)), cp.a_gram_inv @ cp.lam, col_perm)
+        cp, np.zeros((p, r)), cp.a_gram_inv @ cp.lam)
     tangency = float(np.linalg.norm(trace - tangent_target))
 
     flat = frame.flat()
@@ -481,7 +468,7 @@ class StructureCheck:
                 and self.closed_form_residual <= tol)
 
 
-def o_p_structure_check(cp, cond_limit=COND_LIMIT):
+def o_p_structure_check(cp):
     """Verify the mixed block of the inverse metric lives in span(columns of a).
 
     Each p-vector slice (fixed chart indices s, t, s') of the numerically
@@ -490,7 +477,7 @@ def o_p_structure_check(cp, cond_limit=COND_LIMIT):
     lam_{s s'} entrywise.  Both residuals are relative, floored at scale 1.
     """
     p, q, r = cp.p, cp.q, cp.r
-    ginv = _guarded_metric_inverse(cp, cond_limit)
+    ginv = _guarded_metric_inverse(cp)
     off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
     if off.size == 0:
         return StructureCheck(0.0, 0.0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import max_abs, svd_rank
+from .linalg import max_abs, stratum_bases, svd_rank
 from .parametric import (ChartPoint, chart_jacobian, chart_map,
                          chart_second_derivatives, sample_chart_point)
 
@@ -85,10 +85,10 @@ def ambient_gram(eta, zeta):
     return np.kron(eta.signs, zeta.signs)
 
 
-def inertia(eigenvalues, band=INERTIA_BAND):
-    """(n_plus, n_minus, n_zero) with a relative zero band."""
+def inertia(eigenvalues):
+    """(n_plus, n_minus, n_zero) with the relative zero band INERTIA_BAND."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    tol = band * max(1.0, max_abs(eigenvalues))
+    tol = INERTIA_BAND * max(1.0, max_abs(eigenvalues))
     n_pos = int((eigenvalues > tol).sum())
     n_neg = int((eigenvalues < -tol).sum())
     return n_pos, n_neg, eigenvalues.shape[0] - n_pos - n_neg
@@ -143,11 +143,11 @@ class DegeneracyReport:
         return self.signature[2] > 0
 
 
-def degeneracy_scan(cp, eta, zeta, band=INERTIA_BAND):
+def degeneracy_scan(cp, eta, zeta):
     gram = induced_gram(cp, eta, zeta)
     eig = np.linalg.eigvalsh(gram)
     det = float(np.prod(eig)) if eig.size else 1.0
-    return DegeneracyReport(gram, det, inertia(eig, band))
+    return DegeneracyReport(gram, det, inertia(eig))
 
 
 def hyperbolic_det_residual(a, lam):
@@ -169,13 +169,13 @@ def hyperbolic_det_residual(a, lam):
 # the nondegenerate open piece
 
 
-def restricted_signature(subspace_basis, form, band=INERTIA_BAND):
+def restricted_signature(subspace_basis, form):
     """Signature of the form restricted to the span of the given columns."""
     gram = subspace_basis.T @ (form.signs[:, None] * subspace_basis)
-    return inertia(np.linalg.eigvalsh(gram), band)
+    return inertia(np.linalg.eigvalsh(gram))
 
 
-def zprime_membership(x, eta, zeta, r=None, band=INERTIA_BAND):
+def zprime_membership(x, eta, zeta, r=None):
     """Restricted signatures of column and row space of a rank-r matrix.
 
     Membership in the open piece requires both restrictions to be
@@ -187,8 +187,8 @@ def zprime_membership(x, eta, zeta, r=None, band=INERTIA_BAND):
         raise InvalidChartPoint(f"rank {rank.rank}, expected {r}")
     r = rank.rank
     u, _, vt = np.linalg.svd(x)
-    col = restricted_signature(u[:, :r], eta, band)
-    row = restricted_signature(vt[:r, :].T, zeta, band)
+    col = restricted_signature(u[:, :r], eta)
+    row = restricted_signature(vt[:r, :].T, zeta)
     return {
         "column_signature": col,
         "row_signature": row,
@@ -218,12 +218,12 @@ def induced_signature_readings(col_signature, row_signature, eta, zeta):
     }
 
 
-def induced_signature_check(cp, eta, zeta, band=INERTIA_BAND):
+def induced_signature_check(cp, eta, zeta):
     """Eigenvalue inertia of G-hat vs both closed-form readings."""
-    report = degeneracy_scan(cp, eta, zeta, band)
+    report = degeneracy_scan(cp, eta, zeta)
     if report.degenerate:
         raise DegenerateMetric("induced metric is degenerate at this point")
-    membership = zprime_membership(chart_map(cp), eta, zeta, r=cp.r, band=band)
+    membership = zprime_membership(chart_map(cp), eta, zeta, r=cp.r)
     if not membership["member"]:
         raise DegenerateMetric("column or row space restriction degenerate")
     readings = induced_signature_readings(
@@ -242,7 +242,7 @@ def induced_signature_check(cp, eta, zeta, band=INERTIA_BAND):
 
 
 def sample_pseudo_point(p, q, r, eta, zeta, rng, cond_limit=1e6,
-                        band=INERTIA_BAND, max_tries=200):
+                        max_tries=200):
     """Chart point whose induced indefinite metric is safely nondegenerate."""
     for _ in range(max_tries):
         cp = sample_chart_point(p, q, r, rng)
@@ -250,7 +250,7 @@ def sample_pseudo_point(p, q, r, eta, zeta, rng, cond_limit=1e6,
         eig = np.linalg.eigvalsh(gram)
         if eig.size == 0:
             return cp
-        if inertia(eig, band)[2] > 0:
+        if inertia(eig)[2] > 0:
             continue
         small, big = np.abs(eig).min(), np.abs(eig).max()
         if big / small <= cond_limit:
@@ -288,13 +288,13 @@ class PseudoMinimality:
         return self.max_component <= tol * self.metric_scale
 
 
-def pseudo_minimality(cp, eta, zeta, band=INERTIA_BAND):
+def pseudo_minimality(cp, eta, zeta):
     _check_shapes(cp, eta, zeta)
     kdiag = ambient_gram(eta, zeta)
     jac = chart_jacobian(cp)
     gram = jac.T @ (kdiag[:, None] * jac)
     eig = np.linalg.eigvalsh(gram)
-    sig = inertia(eig, band)
+    sig = inertia(eig)
     if sig[2] > 0:
         raise DegenerateMetric("degenerate induced metric; no projector")
     ginv = np.linalg.inv(gram)
@@ -312,32 +312,13 @@ def pseudo_minimality(cp, eta, zeta, band=INERTIA_BAND):
 # form-compatible reflection
 
 
-def tangent_space_basis(x):
-    """Orthonormal basis of span{A x + x B} as flat row-major vectors."""
-    x = np.asarray(x, dtype=float)
-    p, q = x.shape
-    gens = []
-    for i in range(p):
-        for j in range(p):
-            m = np.zeros((p, q))
-            m[i, :] = x[j, :]
-            gens.append(m.ravel())
-    for i in range(q):
-        for j in range(q):
-            m = np.zeros((p, q))
-            m[:, j] = x[:, i]
-            gens.append(m.ravel())
-    gens = np.array(gens).T  # (pq, p^2 + q^2)
-    rank = svd_rank(gens)
-    u, _, _ = np.linalg.svd(gens, full_matrices=False)
-    return u[:, :rank.rank]
-
-
 def form_normal_basis(x, eta, zeta):
-    """Basis of the K-orthocomplement of the tangent space at x."""
-    basis = tangent_space_basis(x)
-    kdiag = ambient_gram(eta, zeta)
-    return svd_rank(kdiag[:, None] * basis).kernel_basis
+    """Orthonormal basis of the K-orthocomplement of the tangent space at x.
+
+    K = kron(eta, zeta) is a +-1 diagonal, so K maps the euclidean normal
+    space onto the K-orthocomplement and keeps the basis orthonormal.
+    """
+    return ambient_gram(eta, zeta)[:, None] * stratum_bases(x)[1]
 
 
 @dataclass(frozen=True)
@@ -353,7 +334,7 @@ class FormReflection:
         }
 
 
-def form_reflection(x, eta, r=None, band=INERTIA_BAND):
+def form_reflection(x, eta, r=None):
     """B = 2 P_V - I with P_V the eta-orthogonal projection onto col(x).
 
     Requires the restriction of eta to the column space to be
@@ -364,11 +345,10 @@ def form_reflection(x, eta, r=None, band=INERTIA_BAND):
     rank = svd_rank(x)
     if r is not None and rank.rank != r:
         raise InvalidChartPoint(f"rank {rank.rank}, expected {r}")
-    u, _, _ = np.linalg.svd(x)
-    basis = u[:, :rank.rank]
+    basis = rank.range_basis
     gram = basis.T @ (eta.signs[:, None] * basis)
     eig = np.linalg.eigvalsh(gram) if gram.size else np.array([])
-    if gram.size and inertia(eig, band)[2] > 0:
+    if gram.size and inertia(eig)[2] > 0:
         raise DegenerateMetric("eta restricted to the column space "
                                "is degenerate; no reflection")
     if gram.size:
@@ -378,9 +358,11 @@ def form_reflection(x, eta, r=None, band=INERTIA_BAND):
     return FormReflection(2.0 * proj - np.eye(x.shape[0]))
 
 
-def normal_reversal(x, eta, zeta, r=None, band=INERTIA_BAND):
-    """Worst relative norm of B W + W over a basis of form-normals at x."""
-    refl = form_reflection(x, eta, r=r, band=band)
+def normal_reversal(x, eta, zeta, refl):
+    """Worst norm of B W + W over an orthonormal basis of form-normals at x.
+
+    ``refl`` is the :func:`form_reflection` of ``x``.
+    """
     kernel = form_normal_basis(x, eta, zeta)
     p, q = np.asarray(x).shape
     worst = 0.0

@@ -284,11 +284,12 @@ def run_levelset(config, report):
             point = f"n={n} i={i}"
             try:
                 on = levelset.sample_on_variety(n, rng)
-                proj = levelset.tangent_projector(on, system)
-                minim = levelset.levelset_mean_curvature(on, system)
-                ids_on = levelset.identity_suite(on, system, on_variety=True)
+                cv_on = system.evaluate(on)
+                proj = levelset.tangent_projector(cv_on)
+                minim = levelset.levelset_mean_curvature(cv_on, proj)
+                ids_on = levelset.identity_suite(cv_on, on_variety=True)
                 rows = levelset.row_coefficients(on)
-                grads = levelset.gradient_proportionality(on, system, rows)
+                grads = levelset.gradient_proportionality(cv_on, rows)
             except SKIP_ERRORS as exc:
                 _skip_all(report, config, point, _LEVELSET_ON, exc)
             else:
@@ -304,10 +305,10 @@ def run_levelset(config, report):
                 ])
             try:
                 off = _generic_nonsingular(system, rng)
-                ids_off = levelset.identity_suite(off, system,
-                                                  on_variety=False)
-                logres = levelset.logarithmic_gradient_residual(off, system)
-                conj = levelset.conjecture_evidence(off, system)
+                cv_off = system.evaluate(off)
+                ids_off = levelset.identity_suite(cv_off, on_variety=False)
+                logres = levelset.logarithmic_gradient_residual(off, cv_off)
+                conj = levelset.conjecture_evidence(cv_off)
             except SKIP_ERRORS as exc:
                 _skip_all(report, config, point, _LEVELSET_OFF, exc)
             else:
@@ -490,7 +491,7 @@ def run_pseudo(config, report):
                     pm = pseudo.pseudo_minimality(cp, eta, zeta)
                     x = parametric.chart_map(cp)
                     refl = pseudo.form_reflection(x, eta, r=r)
-                    reversal = pseudo.normal_reversal(x, eta, zeta, r=r)
+                    reversal = pseudo.normal_reversal(x, eta, zeta, refl)
                     sig = pseudo.induced_signature_check(cp, eta, zeta)
                 except SKIP_ERRORS as exc:
                     _skip_all(report, config, point, _PSEUDO_PER_SAMPLE, exc)

@@ -10,16 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from detmin.helicoidal import align_chart, helicoidal_certificate
+from detmin.helicoidal import helicoidal_certificate
 from detmin.kahler import (TwinHarmonicPair, complex_chart_geometry,
                            rho_value, sample_complex_chart_point,
                            twin_harmonic_suite)
 from detmin.levelset import (ConstraintSystem, gradient_rank_one,
                              identity_suite, levelset_mean_curvature,
-                             sample_on_variety, sample_singular_matrix)
+                             sample_on_variety, sample_singular_matrix,
+                             tangent_projector)
 from detmin.linalg import make_rng, max_abs
-from detmin.parametric import (chart_map, mean_curvature, metric_inverse,
-                               sample_chart_point, stratum_dimension_check)
+from detmin.parametric import (ChartPoint, chart_map, mean_curvature,
+                               metric_inverse, sample_chart_point,
+                               stratum_dimension_check)
 from detmin.pseudo import (IndefiniteForm, hyperbolic_det_residual,
                            pseudo_minimality, sample_pseudo_point,
                            signature_adjudication)
@@ -114,14 +116,14 @@ def test_criterion_05_levelset_minimality_and_identities():
         rng = make_rng(50 + n)
         system = ConstraintSystem(n)
         for _ in range(50):
-            a = sample_on_variety(n, rng)
-            worst_min = max(worst_min,
-                            levelset_mean_curvature(a, system).max_residual)
-            rep = identity_suite(a, system, on_variety=True)
+            cv = system.evaluate(sample_on_variety(n, rng))
+            mc = levelset_mean_curvature(cv, tangent_projector(cv))
+            worst_min = max(worst_min, mc.max_residual)
+            rep = identity_suite(cv, on_variety=True)
             worst_contr = max(worst_contr, rep.contractions.max(),
                               rep.four_term.max())
         for _ in range(50):
-            rep = identity_suite(rng.normal(size=(n + 1, n)), system,
+            rep = identity_suite(system.evaluate(rng.normal(size=(n + 1, n))),
                                  on_variety=False)
             worst_ident = max(worst_ident, rep.square.max(),
                               rep.mixed.max())
@@ -253,14 +255,21 @@ def test_criterion_10_cross_pipeline_agreement():
     worst_level = 0.0
     for n in (2, 3):
         rng = make_rng(100 + n)
+        system = ConstraintSystem(n)
         for _ in range(10):
             x = sample_on_variety(n, rng)
-            cp, col_perm = align_chart(x, n - 1)
-            mc = mean_curvature(cp, col_perm)
+            # chart over the leading n - 1 columns, which span the column
+            # space here; the chart must reproduce the sampled matrix
+            lead = x[:, :n - 1]
+            lam = np.linalg.lstsq(lead, x[:, n - 1:], rcond=None)[0]
+            cp = ChartPoint(lead, lam)
+            assert max_abs(chart_map(cp) - x) <= 1e-10
+            mc = mean_curvature(cp)
             assert mc.verdict(1e-9)
             worst_param = max(worst_param, mc.max_component)
-            worst_level = max(worst_level,
-                              levelset_mean_curvature(x).max_residual)
+            cv = system.evaluate(x)
+            worst_level = max(worst_level, levelset_mean_curvature(
+                cv, tangent_projector(cv)).max_residual)
             assert helicoidal_certificate(x, n - 1, rng).ok()
 
     worst_fd = 0.0

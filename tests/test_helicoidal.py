@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from detmin.errors import InvalidChartPoint
-from detmin.helicoidal import (align_chart, helicoidal_certificate,
-                               isometry_check, normal_basis, normal_reversal,
-                               reflection, sample_tangent_family,
-                               tangent_basis, tangent_membership)
-from detmin.linalg import make_rng, max_abs
-from detmin.parametric import ChartPoint, chart_map, sample_chart_point
+from detmin.helicoidal import (helicoidal_certificate, isometry_check,
+                               normal_reversal, reflection,
+                               sample_tangent_family, tangent_membership)
+from detmin.linalg import make_rng, max_abs, stratum_bases
+from detmin.parametric import chart_map, sample_chart_point
 
 TRIPLES = [(2, 2, 1), (3, 2, 1), (4, 3, 2), (5, 5, 3), (6, 4, 1), (3, 3, 0)]
 
@@ -32,7 +31,7 @@ class TestFrozenRankOnePoint:
         assert np.linalg.det(reflection(self.x, 1).matrix) == pytest.approx(-1.0)
 
     def test_normal_space_is_bottom_right_corner(self):
-        nb = normal_basis(self.x, 1)
+        nb = stratum_bases(self.x)[1]
         assert nb.shape == (4, 1)
         w = nb[:, 0].reshape(2, 2)
         assert abs(w[1, 1]) == pytest.approx(1.0)
@@ -48,44 +47,8 @@ class TestFrozenRankOnePoint:
 def test_reflection_rejects_rank_mismatch():
     with pytest.raises(InvalidChartPoint):
         reflection(np.eye(3), 1)
-
-
-def test_align_chart_plain_and_permuted():
-    # same geometry, second copy has its independent column in slot 2
-    plain = np.array([[1.0, 2.0], [3.0, 6.0]])
-    cp, perm = align_chart(plain, 1)
-    assert perm == (0, 1)
-    assert max_abs(chart_map(cp, perm) - plain) < 1e-12
-
-    swapped = np.array([[2.0, 1.0], [6.0, 3.0]])
-    cp, perm = align_chart(swapped, 1)
-    assert max_abs(chart_map(cp, perm) - swapped) < 1e-12
-
-    degenerate_first = np.array([[0.0, 1.0], [0.0, 0.0]])
-    cp, perm = align_chart(degenerate_first, 1)
-    assert perm == (1, 0)
-    assert max_abs(chart_map(cp, perm) - degenerate_first) < 1e-12
-
-
-def test_align_chart_skips_dependent_leading_pair():
-    rng = make_rng(5)
-    c0 = rng.normal(size=3)
-    c2 = rng.normal(size=3)
-    x = np.column_stack([c0, 2.0 * c0, c2])
-    cp, perm = align_chart(x, 2)
-    assert perm == (0, 2, 1)
-    assert max_abs(chart_map(cp, perm) - x) < 1e-10
-
-
-def test_align_chart_rejects_wrong_rank():
     with pytest.raises(InvalidChartPoint):
-        align_chart(np.eye(3), 1)
-
-
-def test_align_chart_rank_zero():
-    cp, perm = align_chart(np.zeros((3, 2)), 0)
-    assert cp.a.shape == (3, 0) and cp.lam.shape == (0, 2)
-    assert perm == (0, 1)
+        tangent_membership(np.eye(3), np.eye(3), 1)
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (5, 4, 2)])
@@ -106,7 +69,7 @@ def test_tangent_families_are_tangent(p, q, r):
 def test_generic_normal_is_not_tangent(p, q, r):
     rng = make_rng(200 + p + q + r)
     x = chart_map(sample_chart_point(p, q, r, rng))
-    nb = normal_basis(x, r)
+    nb = stratum_bases(x)[1]
     for k in range(nb.shape[1]):
         ok, resid = tangent_membership(x, nb[:, k].reshape(p, q), r)
         assert not ok and resid > 0.9  # orthonormal normal: residual is 1
@@ -116,8 +79,7 @@ def test_tangent_basis_dimension():
     rng = make_rng(7)
     for p, q, r in TRIPLES:
         x = chart_map(sample_chart_point(p, q, r, rng))
-        tb = tangent_basis(x, r)
-        nb = normal_basis(x, r)
+        tb, nb = stratum_bases(x)
         assert tb.shape[1] == r * (p - r) + q * r
         assert nb.shape[1] == (q - r) * (p - r)
         assert tb.shape[1] + nb.shape[1] == p * q - (p - r) * (q - r) \
@@ -138,8 +100,16 @@ def test_isometry_check_accepts_orthogonal_rejects_other():
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_certificate_passes_on_stratum(p, q, r):
     rng = make_rng(300 + 10 * p + q + r)
-    for _ in range(5):
-        x = chart_map(sample_chart_point(p, q, r, rng))
+    points = [chart_map(sample_chart_point(p, q, r, rng)) for _ in range(5)]
+    if 0 < r < q:
+        # zeroing a leading column keeps the rank (it lies in the span of
+        # the others) but makes the leading r columns dependent, so the
+        # leading-columns chart does not reach this point
+        dependent = points[-1].copy()
+        dependent[:, 0] = 0.0
+        assert np.linalg.matrix_rank(dependent) == r
+        points.append(dependent)
+    for x in points:
         cert = helicoidal_certificate(x, r, rng)
         assert cert.ok(), cert
         assert max(cert.reflection_residuals.values()) < 1e-12
@@ -154,4 +124,4 @@ def test_certificate_rank_zero_reflects_through_origin():
     cert = helicoidal_certificate(x, 0, rng)
     assert cert.ok()
     # every ambient direction is normal at the origin of the cone
-    assert normal_basis(x, 0).shape == (6, 6)
+    assert stratum_bases(x)[1].shape == (6, 6)

@@ -30,7 +30,7 @@ class TestFrozenRepeatedRow:
         assert np.array_equal(g2.ravel(), [0, 0, 0, 1, 0, -1])
 
     def test_gram_matrix(self):
-        proj = tangent_projector(self.A)
+        proj = tangent_projector(ConstraintSystem(2).evaluate(self.A))
         assert np.array_equal(proj.gram, [[2.0, 1.0], [1.0, 2.0]])
         assert proj.rank == 4  # n^2 + n - 2
 
@@ -40,7 +40,9 @@ class TestFrozenRepeatedRow:
         assert np.allclose(rc.mu, [0.0, 1.0, -1.0])
 
     def test_minimality(self):
-        assert levelset_mean_curvature(self.A).max_residual < 1e-15
+        cv = ConstraintSystem(2).evaluate(self.A)
+        mc = levelset_mean_curvature(cv, tangent_projector(cv))
+        assert mc.max_residual < 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -87,9 +89,9 @@ def test_minimality_on_variety(n):
     rng = make_rng(20 + n)
     system = ConstraintSystem(n)
     for _ in range(10):
-        a = sample_on_variety(n, rng)
-        assert levelset_mean_curvature(a, system).max_residual < 1e-9
-        proj = tangent_projector(a, system)
+        cv = system.evaluate(sample_on_variety(n, rng))
+        proj = tangent_projector(cv)
+        assert levelset_mean_curvature(cv, proj).max_residual < 1e-9
         assert proj.rank == n * n + n - 2
 
 
@@ -98,13 +100,13 @@ def test_identities_everywhere_and_on_variety(n):
     rng = make_rng(30 + n)
     system = ConstraintSystem(n)
     off = rng.normal(size=(n + 1, n))
-    rep = identity_suite(off, system, on_variety=False)
+    rep = identity_suite(system.evaluate(off), on_variety=False)
     assert rep.square.max() < 1e-10
     assert rep.mixed.max() < 1e-10
     assert max_abs(rep.harmonicity) == 0.0
 
     on = sample_on_variety(n, rng)
-    rep_on = identity_suite(on, system, on_variety=True)
+    rep_on = identity_suite(system.evaluate(on), on_variety=True)
     assert rep_on.contractions.max() < 1e-9
     assert rep_on.four_term.max() < 1e-9
 
@@ -112,9 +114,10 @@ def test_identities_everywhere_and_on_variety(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gradient_proportionality_on_variety(n):
     rng = make_rng(40 + n)
+    system = ConstraintSystem(n)
     for _ in range(5):
         a = sample_on_variety(n, rng)
-        rep = gradient_proportionality(a)
+        rep = gradient_proportionality(system.evaluate(a), row_coefficients(a))
         assert max(rep.values()) < 1e-9
 
 
@@ -127,7 +130,7 @@ def test_minor_inverse_identity_off_variety(n):
         chi1, chi2 = system.values(a)
         if min(abs(chi1), abs(chi2)) < 1e-2:
             continue
-        assert logarithmic_gradient_residual(a, system) < 1e-10
+        assert logarithmic_gradient_residual(a, system.evaluate(a)) < 1e-10
         mi = minor_inverses(a)
         assert np.allclose(a[:n] @ mi.m1[:, :n], np.eye(n), atol=1e-10)
 
@@ -170,19 +173,21 @@ class TestConjecture:
 
     def test_printed_reading_fails_generically(self):
         rng = make_rng(71)
+        system = ConstraintSystem(2)
         worst = 0.0
         for _ in range(20):
             a = rng.normal(size=(3, 2))
-            ev = conjecture_evidence(a)
+            ev = conjecture_evidence(system.evaluate(a))
             worst = max(worst, ev.printed_residual)
         assert worst > 1e-3
 
     def test_swapped_reading_holds(self):
         rng = make_rng(72)
         for n in (2, 3, 4):
+            system = ConstraintSystem(n)
             for _ in range(10):
-                a = rng.normal(size=(n + 1, n))
-                assert conjecture_evidence(a).swapped_residual < 1e-12
+                cv = system.evaluate(rng.normal(size=(n + 1, n)))
+                assert conjecture_evidence(cv).swapped_residual < 1e-12
 
     def test_n2_closed_form_collapse(self):
         # for n = 2 the Hessians are constant with tr(H1 H2) = 0 and
@@ -209,7 +214,7 @@ def test_tangent_projector_rejects_collapsed_gradients():
     # a rank-1 matrix kills every 2 x 2 minor, hence both gradients
     a = np.outer(np.arange(1.0, 5.0), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(SingularGram):
-        tangent_projector(a)
+        tangent_projector(ConstraintSystem(3).evaluate(a))
 
 
 def test_sample_on_variety_contract():

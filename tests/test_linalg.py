@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from detmin.errors import DegenerateMetric
 from detmin.linalg import (block_inverse, cofactors, derived_rng, make_rng,
                            max_abs, require_finite, second_cofactors,
-                           spectral_cond, svd_rank)
+                           spectral_cond, stratum_bases, svd_rank)
 
 
 def rational_rank(m_int):
@@ -57,12 +57,50 @@ def test_kernel_basis_spans_the_cokernel():
     assert kern.shape == (5, 3)
     assert np.allclose(kern.T @ kern, np.eye(3), atol=1e-12)
     assert max_abs(m.T @ kern) < 1e-12
+    # the range basis spans the column space and completes the kernel
+    span = res.range_basis
+    assert span.shape == (5, 2)
+    assert max_abs(m - span @ (span.T @ m)) < 1e-12
+    assert max_abs(span.T @ kern) < 1e-12
 
 
 def test_rank_result_of_zero_and_empty():
     assert svd_rank(np.zeros((4, 3))).rank == 0
     assert svd_rank(np.zeros((4, 0))).rank == 0
+    assert svd_rank(np.zeros((4, 0))).range_basis.shape == (4, 0)
     assert spectral_cond(np.zeros((0, 0))) == 1.0
+
+
+def _orbit_generators(x):
+    """Flat matrices E_ij X and X E_ij, built entry by entry."""
+    p, q = x.shape
+    gens = []
+    for i in range(p):
+        for j in range(p):
+            m = np.zeros((p, q))
+            m[i, :] = x[j, :]
+            gens.append(m.ravel())
+    for i in range(q):
+        for j in range(q):
+            m = np.zeros((p, q))
+            m[:, j] = x[:, i]
+            gens.append(m.ravel())
+    return np.array(gens).T
+
+
+@pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 2), (4, 3, 1),
+                                   (5, 4, 3), (3, 3, 0)])
+def test_stratum_bases_split_off_the_orbit_generators(p, q, r):
+    rng = make_rng(70 + 10 * p + q + r)
+    x = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
+    tangent, normal = stratum_bases(x)
+    assert tangent.shape == (p * q, r * (p + q - r))
+    assert normal.shape == (p * q, (p - r) * (q - r))
+    both = np.hstack([tangent, normal])
+    assert max_abs(both.T @ both - np.eye(p * q)) < 1e-12
+    gens = _orbit_generators(x)
+    assert max_abs(gens - tangent @ (tangent.T @ gens)) < 1e-12
+    assert max_abs(normal.T @ gens) < 1e-12
 
 
 def test_block_inverse_agrees_with_dense_inverse():

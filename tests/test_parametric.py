@@ -165,19 +165,6 @@ def test_autodiff_route_agrees_with_analytic():
     assert slow.max_component < 1e-11
 
 
-def test_column_permutation_gauge_invariance():
-    # placing the chart columns elsewhere in the ambient matrix must not
-    # change any verdict; components are computed in the permuted frame
-    rng = make_rng(29)
-    cp = sample_chart_point(4, 3, 1, rng)
-    perms = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
-    for perm in perms:
-        mc = mean_curvature(cp, col_perm=perm)
-        assert mc.max_component < 1e-12
-        x = chart_map(cp, col_perm=perm)
-        assert np.linalg.matrix_rank(x) == 1
-
-
 def test_cone_scaling_preserves_minimality():
     # the stratum is a cone: scaling a scales the point, and the scaled
     # point is again a chart point with the same lam

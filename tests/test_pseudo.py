@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detmin.errors import DegenerateMetric, InvalidChartPoint
-from detmin.linalg import make_rng, max_abs
+from detmin.linalg import make_rng, max_abs, stratum_bases
 from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
 from detmin.pseudo import (IndefiniteForm, ambient_gram, degeneracy_scan,
@@ -14,7 +14,7 @@ from detmin.pseudo import (IndefiniteForm, ambient_gram, degeneracy_scan,
                            induced_signature_readings, inertia,
                            normal_reversal, pseudo_minimality,
                            sample_pseudo_point, signature_adjudication,
-                           tangent_space_basis, zprime_membership)
+                           zprime_membership)
 
 EYE2 = IndefiniteForm.from_counts(2, 0)
 HYP = IndefiniteForm.from_string("+-")
@@ -210,17 +210,23 @@ class TestTangentAndNormal:
     def test_tangent_dimension(self, p, q, r):
         rng = make_rng(300 + 10 * p + q + r)
         x = chart_map(sample_chart_point(p, q, r, rng))
-        basis = tangent_space_basis(x)
+        basis = stratum_bases(x)[0]
         dim = r * (p - r) + q * r
         assert basis.shape == (p * q, dim)
-        nb = form_normal_basis(x, EYE2 if p == 2 else
-                               IndefiniteForm.from_counts(p, 0),
-                               IndefiniteForm.from_counts(q, 0))
-        assert nb.shape[1] == p * q - dim
+        forms = [(IndefiniteForm.from_counts(p, 0),
+                  IndefiniteForm.from_counts(q, 0)),
+                 (IndefiniteForm.from_counts(p - 1, 1),
+                  IndefiniteForm.from_counts(1, q - 1))]
+        for eta, zeta in forms:
+            nb = form_normal_basis(x, eta, zeta)
+            assert nb.shape == (p * q, (p - r) * (q - r))
+            assert max_abs(nb.T @ nb - np.eye(nb.shape[1])) < 1e-12
+            k_tangent = ambient_gram(eta, zeta)[:, None] * basis
+            assert max_abs(nb.T @ k_tangent) < 1e-12
 
     def test_normal_reversal_frozen(self):
         x = chart_map(ChartPoint(np.array([[1.0], [0.0]]), np.array([[2.0]])))
-        assert normal_reversal(x, EYE2, HYP) < 1e-12
+        assert normal_reversal(x, EYE2, HYP, form_reflection(x, EYE2)) < 1e-12
 
     @pytest.mark.parametrize("p,q,r,es,zs", CASES)
     def test_normal_reversal_sampled(self, p, q, r, es, zs):
@@ -230,7 +236,8 @@ class TestTangentAndNormal:
         for _ in range(3):
             x = chart_map(sample_pseudo_point(p, q, r, eta, zeta, rng))
             try:
-                assert normal_reversal(x, eta, zeta) < 1e-10
+                refl = form_reflection(x, eta)
+                assert normal_reversal(x, eta, zeta, refl) < 1e-10
             except DegenerateMetric:
                 continue
 
