@@ -64,7 +64,7 @@ print(f"  max normal component of the trace = {pm.max_component:.2e}")
 # the form-compatible reflection still fixes the point, preserves the
 # form, and reverses the form-normals
 x = chart_map(cp)
-refl = form_reflection(x, eta)
+refl = form_reflection(cp.x_rank, eta)
 res = refl.invariant_residuals(x, eta)
 print(f"  reflection: isometry {res['isometry']:.2e}, involution "
       f"{res['involution']:.2e}, fixes point {res['fixes_point']:.2e}")

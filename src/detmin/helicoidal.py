@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChartPoint
-from .linalg import max_abs, stratum_bases, svd_rank
+from .linalg import declared_rank, max_abs, stratum_bases, svd_rank
 from .parametric import ChartPoint, chart_map
 
 
@@ -63,17 +63,13 @@ def reflection(x, r=None):
     :class:`InvalidChartPoint` rather than silently reflecting through the
     wrong subspace.
     """
-    x = np.asarray(x, dtype=float)
-    rr = svd_rank(x)
-    if r is None:
-        r = rr.rank
-    elif rr.rank != r:
-        raise InvalidChartPoint(
-            f"declared rank {r} but numerical rank is {rr.rank} "
-            f"(singular values {rr.singular_values})")
-    q = np.linalg.svd(x, full_matrices=False)[0][:, :r]
-    b = 2.0 * q @ q.T - np.eye(x.shape[0])
-    return Reflection(b, r)
+    return _reflection(declared_rank(x, r))
+
+
+def _reflection(x_rank):
+    q = x_rank.range_basis
+    b = 2.0 * q @ q.T - np.eye(q.shape[0])
+    return Reflection(b, x_rank.rank)
 
 
 def isometry_check(a, q, rng, samples=8):
@@ -124,13 +120,16 @@ def sample_tangent_family(x, r, rng, kind="column"):
     Such matrices are tangent to the stratum at ``x``; they are the
     derivative-free tangent vectors the synthetic argument is built on.
     """
-    x = np.asarray(x, dtype=float)
-    p, q = x.shape
-    u, s, vt = np.linalg.svd(x)
+    return _tangent_family(declared_rank(x, r), rng, kind)
+
+
+def _tangent_family(x_rank, rng, kind):
+    p, r = x_rank.range_basis.shape
+    q = x_rank.row_basis.shape[0]
     if kind == "column":
-        return u[:, :r] @ rng.normal(size=(r, q))
+        return x_rank.range_basis @ rng.normal(size=(r, q))
     if kind == "row":
-        return rng.normal(size=(p, r)) @ vt[:r, :]
+        return rng.normal(size=(p, r)) @ x_rank.row_basis.T
     raise ValueError(f"unknown tangent family {kind!r}")
 
 
@@ -178,7 +177,8 @@ class Certificate:
 def helicoidal_certificate(x, r, rng):
     """Run the full synthetic-minimality checklist at one stratum point."""
     x = np.asarray(x, dtype=float)
-    refl = reflection(x, r)
+    x_rank = declared_rank(x, r)
+    refl = _reflection(x_rank)
     residuals = refl.invariant_residuals(x)
     _, iso = isometry_check(refl.matrix, x.shape[1], rng)
     z = chart_map(ChartPoint(rng.normal(size=(x.shape[0], r)),
@@ -188,8 +188,8 @@ def helicoidal_certificate(x, r, rng):
     tangents = {
         "cone_direction": _off_span(tb, x),
         "column_family": _off_span(
-            tb, sample_tangent_family(x, r, rng, "column")),
-        "row_family": _off_span(tb, sample_tangent_family(x, r, rng, "row")),
+            tb, _tangent_family(x_rank, rng, "column")),
+        "row_family": _off_span(tb, _tangent_family(x_rank, rng, "row")),
     }
     reversal = _reversal(refl.matrix, nb, x.shape)
     counter = _off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0

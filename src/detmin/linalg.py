@@ -1,6 +1,6 @@
-"""Shared numerical substrate: rank decisions, block inversion, cofactor
-determinants, constraint projectors, stratum tangent/normal bases, seeded
-RNG.
+"""Shared numerical substrate: rank decisions, block inversion, Kronecker
+products, cofactor determinants, constraint projectors, stratum
+tangent/normal bases, seeded RNG.
 
 Every pipeline routes its rank questions through :func:`svd_rank` so that a
 single tolerance policy governs the whole package, and its partitioned
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetric, SingularGram
+from .errors import DegenerateMetric, InvalidChartPoint, SingularGram
 
 # Multiplier on the usual sigma_max * max(shape) * eps rank threshold.
 RANK_TOL_FACTOR = 4.0
@@ -69,13 +69,15 @@ class RankResult:
     ``range_basis`` holds ``rank`` orthonormal columns spanning the input's
     column space; ``kernel_basis`` holds orthonormal columns spanning the
     kernel of the transpose of the input, i.e. the orthogonal complement of
-    that column space.  Together they fill the row count.
+    that column space.  Together they fill the row count.  ``row_basis``
+    holds ``rank`` orthonormal columns spanning the input's row space.
     """
 
     rank: int
     singular_values: np.ndarray
     range_basis: np.ndarray
     kernel_basis: np.ndarray
+    row_basis: np.ndarray
     tolerance: float
 
 
@@ -84,17 +86,43 @@ def svd_rank(m, tol_factor=RANK_TOL_FACTOR):
 
     The threshold is ``sigma_max * max(m.shape) * eps * tol_factor``; the
     range and kernel bases are the left singular vectors up to and beyond
-    the rank.
+    the rank, the row basis the right singular vectors up to it.
     """
     m = require_finite(m, "svd_rank input")
-    rows = m.shape[0]
+    rows, cols = m.shape
     if m.size == 0:
         return RankResult(0, np.zeros(0), np.zeros((rows, 0)), np.eye(rows),
-                          0.0)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
+                          np.zeros((cols, 0)), 0.0)
+    u, s, vt = np.linalg.svd(m, full_matrices=True)
     tol = s[0] * max(m.shape) * np.finfo(float).eps * tol_factor
     rank = int((s > tol).sum())
-    return RankResult(rank, s, u[:, :rank], u[:, rank:], tol)
+    return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T, tol)
+
+
+def declared_rank(m, r=None):
+    """:func:`svd_rank` of ``m``, refused when it contradicts a declared rank.
+
+    ``r`` declares the stratum ``m`` should lie on; a different numerical
+    rank raises :class:`InvalidChartPoint` rather than letting a caller
+    work with the wrong column space.
+    """
+    rank = svd_rank(m)
+    if r is not None and rank.rank != r:
+        raise InvalidChartPoint(
+            f"declared rank {r} but numerical rank is {rank.rank} "
+            f"(singular values {rank.singular_values})")
+    return rank
+
+
+def kron(a, b):
+    """Kronecker product of two matrices as one broadcast multiply.
+
+    The same products in the same C layout as ``np.kron`` on 2-d operands,
+    without its general-dimension bookkeeping.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def stratum_bases(x):
@@ -110,7 +138,7 @@ def stratum_bases(x):
     """
     x = np.asarray(x, dtype=float)
     p, q = x.shape
-    gens = np.hstack([np.kron(np.eye(p), x.T), np.kron(x, np.eye(q))])
+    gens = np.hstack([kron(np.eye(p), x.T), kron(x, np.eye(q))])
     rank = svd_rank(gens)
     return rank.range_basis, rank.kernel_basis
 
@@ -131,13 +159,13 @@ class BlockInverse:
     """Inverse of ``[[G, B], [B^T, D]]`` by one Schur elimination.
 
     Both pivots yield the same ``full`` matrix in exact arithmetic; keeping
-    the routes separate lets callers cross-check them.
+    the routes separate lets callers cross-check them.  ``cond`` is the
+    condition number of the pivot block eliminated through.
     """
 
     full: np.ndarray
     pivot: str
-    cond_g: float
-    cond_d: float
+    cond: float
 
 
 def block_inverse(g, b, d, pivot="leading"):
@@ -153,21 +181,19 @@ def block_inverse(g, b, d, pivot="leading"):
     ng, nd = g.shape[0], d.shape[0]
     if b.shape != (ng, nd):
         raise ValueError(f"off-diagonal block has shape {b.shape}, expected {(ng, nd)}")
-    cond_g, cond_d = spectral_cond(g), spectral_cond(d)
     if pivot not in ("leading", "trailing"):
         raise ValueError(f"unknown pivot {pivot!r}")
-    primary = cond_g if pivot == "leading" else cond_d
-    if primary > COND_LIMIT:
+    cond = spectral_cond(g if pivot == "leading" else d)
+    if cond > COND_LIMIT:
         raise DegenerateMetric(
-            f"{pivot} pivot block condition {primary:.3e} exceeds {COND_LIMIT:.1e} "
-            f"(cond G = {cond_g:.3e}, cond D = {cond_d:.3e})")
+            f"{pivot} pivot block condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
 
     if ng == 0 and nd == 0:
-        return BlockInverse(np.zeros((0, 0)), pivot, cond_g, cond_d)
+        return BlockInverse(np.zeros((0, 0)), pivot, cond)
     if nd == 0:
-        return BlockInverse(np.linalg.inv(g), pivot, cond_g, cond_d)
+        return BlockInverse(np.linalg.inv(g), pivot, cond)
     if ng == 0:
-        return BlockInverse(np.linalg.inv(d), pivot, cond_g, cond_d)
+        return BlockInverse(np.linalg.inv(d), pivot, cond)
 
     if pivot == "leading":
         gi_b = np.linalg.solve(g, b)
@@ -181,7 +207,7 @@ def block_inverse(g, b, d, pivot="leading"):
         top_left = gi + gi_b @ rho @ gi_b.T
         top_right = -gi_b @ rho
         full = np.block([[top_left, top_right], [top_right.T, rho]])
-        return BlockInverse(full, pivot, cond_g, cond_d)
+        return BlockInverse(full, pivot, cond)
 
     di_bt = np.linalg.solve(d, b.T)
     schur = g - b @ di_bt
@@ -194,7 +220,7 @@ def block_inverse(g, b, d, pivot="leading"):
     top_right = -gp_inv @ di_bt.T
     bottom_right = di + di_bt @ gp_inv @ di_bt.T
     full = np.block([[gp_inv, top_right], [top_right.T, bottom_right]])
-    return BlockInverse(full, pivot, cond_g, cond_d)
+    return BlockInverse(full, pivot, cond)
 
 
 def max_abs(m):

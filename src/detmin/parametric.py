@@ -30,14 +30,19 @@ vanishes; the functions below verify that numerically rather than assume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import dual
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import (COND_LIMIT, block_inverse, max_abs, spectral_cond,
-                     svd_rank)
+from .linalg import (COND_LIMIT, block_inverse, declared_rank, kron, max_abs,
+                     spectral_cond, svd_rank)
+
+
+def _read_only(m):
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -47,14 +52,19 @@ class ChartPoint:
     ``a`` must have full column rank r; ``lam`` is unconstrained.  The
     ambient shape is p x q with q = r + lam.shape[1], and p >= q is
     required so the leading-columns chart convention makes sense.
+
+    The point carries its geometry: the Jacobian, metric, guarded inverse,
+    normal frame and rank of the ambient point are each computed on first
+    use and kept as long as the point.  ``a`` and ``lam`` are stored as
+    read-only copies, so none of it can go stale.
     """
 
     a: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
+        a = _read_only(np.array(self.a, dtype=float))
+        lam = _read_only(np.array(self.lam, dtype=float))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "lam", lam)
         if a.ndim != 2 or lam.ndim != 2:
@@ -67,7 +77,7 @@ class ChartPoint:
         if not (0 <= r < q <= p):
             raise InvalidChartPoint(
                 f"need 0 <= r < q <= p, got p={p}, q={q}, r={r}")
-        if r > 0 and svd_rank(a).rank != r:
+        if r > 0 and self.a_rank.rank != r:
             raise InvalidChartPoint("a is column-rank deficient")
 
     @property
@@ -88,8 +98,82 @@ class ChartPoint:
         return self.r * (self.p - self.r) + self.q * self.r
 
     @cached_property
+    def memo(self):
+        """Where other modules keep what they derive from this point, under
+        their own keys; it lives exactly as long as the point."""
+        return {}
+
+    @cached_property
     def a_gram_inv(self):
         return np.linalg.inv(self.a.T @ self.a)
+
+    @cached_property
+    def a_rank(self):
+        """Rank decision on ``a``; its kernel basis spans ker(a^T)."""
+        return svd_rank(self.a)
+
+    @cached_property
+    def x_rank(self):
+        """Rank decision on the ambient point, refused unless it is r."""
+        return declared_rank(chart_map(self), self.r)
+
+    @cached_property
+    def jacobian(self):
+        """Ambient Jacobian, shape (pq, dim); see :func:`chart_jacobian`.
+
+        The closed form is [kron(I_p, [I_r | lam]^T), kron(a, [0; I_{q-r}])].
+        It is stored Fortran-ordered, as the transpose of a C-ordered
+        (dim, pq) array: a C-ordered copy has the same entries, but BLAS
+        then sums J^T K J and its kin in another order and the residuals
+        built on them move in their last bits.
+        """
+        p, q, r = self.p, self.q, self.r
+        rows = np.concatenate([
+            kron(np.eye(p), np.hstack([np.eye(r), self.lam])),
+            kron(self.a.T, np.hstack([np.zeros((q - r, r)), np.eye(q - r)]))])
+        return _read_only(rows.T)
+
+    @cached_property
+    def metric(self):
+        """Metric blocks G, B, D as Kronecker forms; see :func:`induced_metric`."""
+        p, q, r = self.p, self.q, self.r
+        return MetricBlocks(
+            _read_only(kron(np.eye(p), np.eye(r) + self.lam @ self.lam.T)),
+            _read_only(kron(self.a, self.lam)),
+            _read_only(kron(self.a.T @ self.a, np.eye(q - r))))
+
+    @cached_property
+    def metric_cond(self):
+        return spectral_cond(self.metric.assembled)
+
+    @cached_property
+    def metric_inv(self):
+        """LU inverse of the assembled metric, refused beyond ``COND_LIMIT``."""
+        metric = self.metric.assembled
+        if metric.size == 0:
+            return metric
+        if self.metric_cond > COND_LIMIT:
+            raise DegenerateMetric(
+                f"assembled metric condition exceeds {COND_LIMIT:.1e}")
+        return _read_only(np.linalg.inv(metric))
+
+    @cached_property
+    def frame(self):
+        """Normal frame; see :class:`NormalFrame`."""
+        p, q, r = self.p, self.q, self.r
+        kernel = self.a_rank.kernel_basis
+        gamma = 1.0 / np.sqrt(1.0 + (self.lam ** 2).sum(axis=0))
+        frames = np.zeros(((q - r) * (p - r), p, q))
+        idx = 0
+        for sp in range(q - r):
+            for spp in range(p - r):
+                n = np.zeros((p, q))
+                n[:, :r] = np.outer(kernel[:, spp], self.lam[:, sp])
+                n[:, r + sp] = -kernel[:, spp]
+                frames[idx] = gamma[sp] * n
+                idx += 1
+        return NormalFrame(_read_only(frames), _read_only(gamma),
+                           _read_only(kernel))
 
 
 def sample_chart_point(p, q, r, rng, cond_limit=1e4, lam_bound=2.0,
@@ -108,7 +192,7 @@ def sample_chart_point(p, q, r, rng, cond_limit=1e4, lam_bound=2.0,
             if spectral_cond(a.T @ a) > cond_limit:
                 continue
             cp = ChartPoint(a, lam)
-            if spectral_cond(induced_metric(cp).assembled) > metric_cond_limit:
+            if cp.metric_cond > metric_cond_limit:
                 continue
             return cp
         return ChartPoint(a, lam)
@@ -136,29 +220,25 @@ def chart_derivative(cp, c, mu):
 
 def chart_jacobian(cp):
     """Ambient Jacobian, shape (pq, dim); columns follow (a, lam) row-major order."""
-    p, q, r = cp.p, cp.q, cp.r
-    cols = np.zeros((cp.dim, p * q))
-    for k in range(p * r):
-        c = np.zeros(p * r)
-        c[k] = 1.0
-        cols[k] = chart_derivative(cp, c.reshape(p, r),
-                                   np.zeros((r, q - r))).ravel()
-    for k in range(r * (q - r)):
-        mu = np.zeros(r * (q - r))
-        mu[k] = 1.0
-        cols[p * r + k] = chart_derivative(cp, np.zeros((p, r)),
-                                           mu.reshape(r, q - r)).ravel()
-    return cols.T
+    return cp.jacobian
 
 
 def chart_second_derivatives(cp):
     """Second-derivative tensor of the chart map, shape (pq, dim, dim).
 
     Only mixed a/lam entries are nonzero: pairing a_{Js} with lam_{s s'}
-    contributes the ambient elementary matrix at (J, r + s').
+    contributes the ambient elementary matrix at (J, r + s').  The tensor
+    depends on the shape alone and is shared read-only.
     """
-    p, q, r = cp.p, cp.q, cp.r
-    d2 = np.zeros((p * q, cp.dim, cp.dim))
+    return _second_derivatives(cp.p, cp.q, cp.r)
+
+
+# Sweeps visit one shape at a time, so one entry serves a whole cell;
+# keeping every shape would hold megabytes for the run's lifetime.
+@lru_cache(maxsize=1)
+def _second_derivatives(p, q, r):
+    dim = r * (p - r) + q * r
+    d2 = np.zeros((p * q, dim, dim))
     for j in range(p):
         for s in range(r):
             ia = j * r + s
@@ -169,7 +249,7 @@ def chart_second_derivatives(cp):
                 flat = amb.ravel()
                 d2[:, ia, il] += flat
                 d2[:, il, ia] += flat
-    return d2
+    return _read_only(d2)
 
 
 def chart_hessian_autodiff(cp):
@@ -193,18 +273,14 @@ class MetricBlocks:
     b: np.ndarray
     d: np.ndarray
 
-    @property
+    @cached_property
     def assembled(self):
-        return np.block([[self.g, self.b], [self.b.T, self.d]])
+        return _read_only(np.block([[self.g, self.b], [self.b.T, self.d]]))
 
 
 def induced_metric(cp):
     """Metric blocks G, B, D as Kronecker forms of the defining operators."""
-    p, q, r = cp.p, cp.q, cp.r
-    g = np.kron(np.eye(p), np.eye(r) + cp.lam @ cp.lam.T)
-    b = np.kron(cp.a, cp.lam)
-    d = np.kron(cp.a.T @ cp.a, np.eye(q - r))
-    return MetricBlocks(g, b, d)
+    return cp.metric
 
 
 def operator_form_inverse(cp, bottom_left_sign=-1.0):
@@ -226,10 +302,10 @@ def operator_form_inverse(cp, bottom_left_sign=-1.0):
     iata = cp.a_gram_inv
     proj_out = np.eye(p) - cp.a @ iata @ cp.a.T
     m = cp.lam @ cp.lam.T @ np.linalg.inv(np.eye(r) + cp.lam @ cp.lam.T)
-    top_left = np.eye(p * r) - np.kron(proj_out, m)
-    top_right = -np.kron(cp.a @ iata, cp.lam)
-    bottom_left = bottom_left_sign * np.kron(iata @ cp.a.T, cp.lam.T)
-    bottom_right = np.kron(iata, np.eye(q - r) + cp.lam.T @ cp.lam)
+    top_left = np.eye(p * r) - kron(proj_out, m)
+    top_right = -kron(cp.a @ iata, cp.lam)
+    bottom_left = bottom_left_sign * kron(iata @ cp.a.T, cp.lam.T)
+    bottom_right = kron(iata, np.eye(q - r) + cp.lam.T @ cp.lam)
     return np.block([[top_left, top_right], [bottom_left, bottom_right]])
 
 
@@ -266,7 +342,7 @@ class MetricInverse:
 
 def metric_inverse(cp):
     """Invert the induced metric three ways; callers compare, never trust one."""
-    mb = induced_metric(cp)
+    mb = cp.metric
     lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading").full
     trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing").full
     op = operator_form_inverse(cp)
@@ -279,7 +355,7 @@ def operator_sign_adjudication(cp):
     Returns ``{-1.0: residual, +1.0: residual}`` of ``route @ metric - I``;
     the reading that inverts the metric is the negative one.
     """
-    metric = induced_metric(cp).assembled
+    metric = cp.metric.assembled
     eye = np.eye(metric.shape[0])
     out = {}
     for sign in (-1.0, +1.0):
@@ -323,24 +399,12 @@ class NormalFrame:
         qr = len(self.gamma)
         blk = np.diag(self.gamma) @ (np.eye(qr) + lam.T @ lam) @ np.diag(self.gamma)
         p_r = self.kernel_basis.shape[1]
-        return np.kron(blk, np.eye(p_r))
+        return kron(blk, np.eye(p_r))
 
 
 def normal_frame(cp):
     """Normal frame of size (q - r)(p - r); see :class:`NormalFrame`."""
-    p, q, r = cp.p, cp.q, cp.r
-    kernel = svd_rank(cp.a).kernel_basis
-    gamma = 1.0 / np.sqrt(1.0 + (cp.lam ** 2).sum(axis=0))
-    frames = np.zeros(((q - r) * (p - r), p, q))
-    idx = 0
-    for sp in range(q - r):
-        for spp in range(p - r):
-            n = np.zeros((p, q))
-            n[:, :r] = np.outer(kernel[:, spp], cp.lam[:, sp])
-            n[:, r + sp] = -kernel[:, spp]
-            frames[idx] = gamma[sp] * n
-            idx += 1
-    return NormalFrame(frames, gamma, kernel)
+    return cp.frame
 
 
 def second_fundamental_form(cp, frame=None):
@@ -352,7 +416,7 @@ def second_fundamental_form(cp, frame=None):
     """
     p, q, r = cp.p, cp.q, cp.r
     if frame is None:
-        frame = normal_frame(cp)
+        frame = cp.frame
     h = np.zeros((q - r, p - r, cp.dim, cp.dim))
     for sp in range(q - r):
         for spp in range(p - r):
@@ -373,7 +437,7 @@ def second_fundamental_form_autodiff(cp, frame=None):
     structure is assumed, the full (pq, dim, dim) Hessian is contracted.
     """
     if frame is None:
-        frame = normal_frame(cp)
+        frame = cp.frame
     d2x = chart_hessian_autodiff(cp)
     flat = frame.flat()
     return np.einsum("af,fmn->amn", flat, d2x).reshape(
@@ -407,17 +471,6 @@ class MeanCurvature:
         return self.max_component <= tol * self.metric_scale
 
 
-def _guarded_metric_inverse(cp):
-    """LU inverse of the assembled metric, refused beyond ``COND_LIMIT``."""
-    metric = induced_metric(cp).assembled
-    if metric.size == 0:
-        return metric
-    if spectral_cond(metric) > COND_LIMIT:
-        raise DegenerateMetric(
-            f"assembled metric condition exceeds {COND_LIMIT:.1e}")
-    return np.linalg.inv(metric)
-
-
 def mean_curvature(cp, use_autodiff=False):
     """Mean-curvature components against the normal frame.
 
@@ -427,8 +480,8 @@ def mean_curvature(cp, use_autodiff=False):
     is slower but shares no code with the primary path.
     """
     p, q, r = cp.p, cp.q, cp.r
-    ginv = _guarded_metric_inverse(cp)
-    frame = normal_frame(cp)
+    ginv = cp.metric_inv
+    frame = cp.frame
 
     if use_autodiff:
         h = second_fundamental_form_autodiff(cp)
@@ -477,7 +530,7 @@ def o_p_structure_check(cp):
     lam_{s s'} entrywise.  Both residuals are relative, floored at scale 1.
     """
     p, q, r = cp.p, cp.q, cp.r
-    ginv = _guarded_metric_inverse(cp)
+    ginv = cp.metric_inv
     off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
     if off.size == 0:
         return StructureCheck(0.0, 0.0)
@@ -494,10 +547,10 @@ def o_p_structure_check(cp):
 
 def stratum_dimension_check(cp):
     """Jacobian rank and frame size versus the closed-form dimension counts."""
-    jac = chart_jacobian(cp)
+    jac = cp.jacobian
     rank = svd_rank(jac).rank if jac.size else 0
     expected_dim = cp.r * (cp.p - cp.r) + cp.q * cp.r
-    frame_size = normal_frame(cp).frame_size
+    frame_size = cp.frame.frame_size
     expected_frame = (cp.q - cp.r) * (cp.p - cp.r)
     return {
         "jacobian_rank": rank,

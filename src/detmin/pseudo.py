@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import max_abs, stratum_bases, svd_rank
-from .parametric import (ChartPoint, chart_jacobian, chart_map,
-                         chart_second_derivatives, sample_chart_point)
+from .linalg import max_abs, stratum_bases
+from .parametric import (ChartPoint, chart_second_derivatives,
+                         sample_chart_point)
 
 INERTIA_BAND = 1e-10
 
@@ -82,7 +82,7 @@ class IndefiniteForm:
 
 def ambient_gram(eta, zeta):
     """Gram diagonal of tr(zeta A^T eta B) in row-major flat coordinates."""
-    return np.kron(eta.signs, zeta.signs)
+    return np.outer(eta.signs, zeta.signs).ravel()
 
 
 def inertia(eigenvalues):
@@ -127,14 +127,20 @@ def _check_shapes(cp, eta, zeta):
 
 def induced_gram(cp, eta, zeta):
     """G-hat = J^T K J for the rank-r chart in the indefinite ambient."""
-    _check_shapes(cp, eta, zeta)
-    jac = chart_jacobian(cp)
-    return jac.T @ (ambient_gram(eta, zeta)[:, None] * jac)
+    return degeneracy_scan(cp, eta, zeta).gram
 
 
 @dataclass(frozen=True)
 class DegeneracyReport:
+    """G-hat = J^T K J at one chart point with its spectrum.
+
+    ``kdiag`` is the ambient Gram diagonal K; ``eigenvalues`` are those of
+    G-hat, whose inertia is ``signature``.
+    """
+
+    kdiag: np.ndarray
     gram: np.ndarray
+    eigenvalues: np.ndarray
     determinant: float
     signature: tuple
 
@@ -144,10 +150,25 @@ class DegeneracyReport:
 
 
 def degeneracy_scan(cp, eta, zeta):
-    gram = induced_gram(cp, eta, zeta)
-    eig = np.linalg.eigvalsh(gram)
-    det = float(np.prod(eig)) if eig.size else 1.0
-    return DegeneracyReport(gram, det, inertia(eig))
+    """K, G-hat and its eigenvalues at ``cp``, once per form pair.
+
+    The report is kept in the chart point's memo, so the sampler's
+    acceptance test, the minimality trace and the signature check all read
+    the one G-hat the sampler accepted.
+    """
+    key = ("pseudo.degeneracy_scan", str(eta), str(zeta))
+    report = cp.memo.get(key)
+    if report is None:
+        _check_shapes(cp, eta, zeta)
+        kdiag = ambient_gram(eta, zeta)
+        jac = cp.jacobian
+        gram = jac.T @ (kdiag[:, None] * jac)
+        gram.setflags(write=False)
+        eig = np.linalg.eigvalsh(gram)
+        det = float(np.prod(eig)) if eig.size else 1.0
+        report = cp.memo[key] = DegeneracyReport(kdiag, gram, eig, det,
+                                                 inertia(eig))
+    return report
 
 
 def hyperbolic_det_residual(a, lam):
@@ -175,20 +196,16 @@ def restricted_signature(subspace_basis, form):
     return inertia(np.linalg.eigvalsh(gram))
 
 
-def zprime_membership(x, eta, zeta, r=None):
-    """Restricted signatures of column and row space of a rank-r matrix.
+def zprime_membership(x_rank, eta, zeta):
+    """Restricted signatures of column and row space of a matrix.
 
-    Membership in the open piece requires both restrictions to be
-    nondegenerate; the returned signatures identify which piece.
+    ``x_rank`` is the matrix's :func:`~detmin.linalg.svd_rank` result (or
+    :func:`~detmin.linalg.declared_rank`, to pin the stratum).  Membership
+    in the open piece requires both restrictions to be nondegenerate; the
+    returned signatures identify which piece.
     """
-    x = np.asarray(x, dtype=float)
-    rank = svd_rank(x)
-    if r is not None and rank.rank != r:
-        raise InvalidChartPoint(f"rank {rank.rank}, expected {r}")
-    r = rank.rank
-    u, _, vt = np.linalg.svd(x)
-    col = restricted_signature(u[:, :r], eta)
-    row = restricted_signature(vt[:r, :].T, zeta)
+    col = restricted_signature(x_rank.range_basis, eta)
+    row = restricted_signature(x_rank.row_basis, zeta)
     return {
         "column_signature": col,
         "row_signature": row,
@@ -223,7 +240,7 @@ def induced_signature_check(cp, eta, zeta):
     report = degeneracy_scan(cp, eta, zeta)
     if report.degenerate:
         raise DegenerateMetric("induced metric is degenerate at this point")
-    membership = zprime_membership(chart_map(cp), eta, zeta, r=cp.r)
+    membership = zprime_membership(cp.x_rank, eta, zeta)
     if not membership["member"]:
         raise DegenerateMetric("column or row space restriction degenerate")
     readings = induced_signature_readings(
@@ -246,11 +263,11 @@ def sample_pseudo_point(p, q, r, eta, zeta, rng, cond_limit=1e6,
     """Chart point whose induced indefinite metric is safely nondegenerate."""
     for _ in range(max_tries):
         cp = sample_chart_point(p, q, r, rng)
-        gram = induced_gram(cp, eta, zeta)
-        eig = np.linalg.eigvalsh(gram)
+        report = degeneracy_scan(cp, eta, zeta)
+        eig = report.eigenvalues
         if eig.size == 0:
             return cp
-        if inertia(eig)[2] > 0:
+        if report.degenerate:
             continue
         small, big = np.abs(eig).min(), np.abs(eig).max()
         if big / small <= cond_limit:
@@ -289,15 +306,13 @@ class PseudoMinimality:
 
 
 def pseudo_minimality(cp, eta, zeta):
-    _check_shapes(cp, eta, zeta)
-    kdiag = ambient_gram(eta, zeta)
-    jac = chart_jacobian(cp)
-    gram = jac.T @ (kdiag[:, None] * jac)
-    eig = np.linalg.eigvalsh(gram)
-    sig = inertia(eig)
-    if sig[2] > 0:
+    report = degeneracy_scan(cp, eta, zeta)
+    if report.degenerate:
         raise DegenerateMetric("degenerate induced metric; no projector")
-    ginv = np.linalg.inv(gram)
+    kdiag, sig, jac = report.kdiag, report.signature, cp.jacobian
+    # pseudo inverts its own G-hat, so the euclidean reduction compares two
+    # independent inverses of the same metric
+    ginv = np.linalg.inv(report.gram)
     trace = np.einsum("fab,ab->f", chart_second_derivatives(cp), ginv)
     tangent_part = jac @ (ginv @ (jac.T @ (kdiag * trace)))
     normal = trace - tangent_part
@@ -334,18 +349,17 @@ class FormReflection:
         }
 
 
-def form_reflection(x, eta, r=None):
+def form_reflection(x_rank, eta):
     """B = 2 P_V - I with P_V the eta-orthogonal projection onto col(x).
 
-    Requires the restriction of eta to the column space to be
-    nondegenerate, otherwise the eta-complement fails to be a complement
-    and no such reflection exists (raises :class:`DegenerateMetric`).
+    ``x_rank`` is the :func:`~detmin.linalg.svd_rank` (or
+    :func:`~detmin.linalg.declared_rank`) result of x.  Requires the
+    restriction of eta to the column space to be nondegenerate, otherwise
+    the eta-complement fails to be a complement and no such reflection
+    exists (raises :class:`DegenerateMetric`).
     """
-    x = np.asarray(x, dtype=float)
-    rank = svd_rank(x)
-    if r is not None and rank.rank != r:
-        raise InvalidChartPoint(f"rank {rank.rank}, expected {r}")
-    basis = rank.range_basis
+    basis = x_rank.range_basis
+    n = basis.shape[0]
     gram = basis.T @ (eta.signs[:, None] * basis)
     eig = np.linalg.eigvalsh(gram) if gram.size else np.array([])
     if gram.size and inertia(eig)[2] > 0:
@@ -354,8 +368,8 @@ def form_reflection(x, eta, r=None):
     if gram.size:
         proj = basis @ np.linalg.solve(gram, basis.T * eta.signs[None, :])
     else:
-        proj = np.zeros((x.shape[0], x.shape[0]))
-    return FormReflection(2.0 * proj - np.eye(x.shape[0]))
+        proj = np.zeros((n, n))
+    return FormReflection(2.0 * proj - np.eye(n))
 
 
 def normal_reversal(x, eta, zeta, refl):

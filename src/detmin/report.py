@@ -26,7 +26,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 VERDICTS = ("PASS", "FAIL", "EVIDENCE", "SKIPPED-DEGENERATE")
 SCHEMA_VERSION = "1"
@@ -98,7 +98,10 @@ class VerificationReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "meta": dict(self.meta),
-            "records": [asdict(r) for r in self.records],
+            "records": [{"check": r.check, "anchor": r.anchor,
+                         "point": r.point, "residual": r.residual,
+                         "tolerance": r.tolerance, "verdict": r.verdict}
+                        for r in self.records],
             "summary": self.summary(),
         }
 

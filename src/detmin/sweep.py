@@ -490,7 +490,7 @@ def run_pseudo(config, report):
                     cp = pseudo.sample_pseudo_point(p, q, r, eta, zeta, rng)
                     pm = pseudo.pseudo_minimality(cp, eta, zeta)
                     x = parametric.chart_map(cp)
-                    refl = pseudo.form_reflection(x, eta, r=r)
+                    refl = pseudo.form_reflection(cp.x_rank, eta)
                     reversal = pseudo.normal_reversal(x, eta, zeta, refl)
                     sig = pseudo.induced_signature_check(cp, eta, zeta)
                 except SKIP_ERRORS as exc:

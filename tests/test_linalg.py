@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmin.errors import DegenerateMetric
-from detmin.linalg import (block_inverse, cofactors, derived_rng, make_rng,
-                           max_abs, require_finite, second_cofactors,
-                           spectral_cond, stratum_bases, svd_rank)
+from detmin.errors import DegenerateMetric, InvalidChartPoint
+from detmin.linalg import (block_inverse, cofactors, declared_rank,
+                           derived_rng, kron, make_rng, max_abs,
+                           require_finite, second_cofactors, spectral_cond,
+                           stratum_bases, svd_rank)
 
 
 def rational_rank(m_int):
@@ -68,7 +69,48 @@ def test_rank_result_of_zero_and_empty():
     assert svd_rank(np.zeros((4, 3))).rank == 0
     assert svd_rank(np.zeros((4, 0))).rank == 0
     assert svd_rank(np.zeros((4, 0))).range_basis.shape == (4, 0)
+    assert svd_rank(np.zeros((4, 0))).row_basis.shape == (0, 0)
     assert spectral_cond(np.zeros((0, 0))) == 1.0
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 4, 2), (5, 3, 3)])
+def test_row_basis_spans_the_row_space(p, q, r):
+    rng = make_rng(50 + 10 * p + q + r)
+    m = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
+    res = svd_rank(m)
+    rows = res.row_basis
+    assert rows.shape == (q, r)
+    assert max_abs(rows.T @ rows - np.eye(r)) < 1e-12
+    assert max_abs(m - (m @ rows) @ rows.T) < 1e-12
+
+
+def test_declared_rank_refuses_a_mismatch():
+    assert declared_rank(np.eye(3), 3).rank == 3
+    assert declared_rank(np.eye(3)).rank == 3
+    with pytest.raises(InvalidChartPoint):
+        declared_rank(np.eye(3), 1)
+
+
+# operand shapes of every Kronecker product in detmin, at p, q, r = 5, 3, 2
+# and at the r = 0 edge: chart Jacobian, metric blocks, closed-form inverse,
+# frame Gram, orbit generators
+KRON_SHAPES = [((5, 5), (2, 3)), ((2, 5), (1, 3)), ((5, 5), (2, 2)),
+               ((5, 2), (2, 1)), ((2, 2), (1, 1)), ((5, 5), (0, 3)),
+               ((0, 5), (3, 3)), ((1, 1), (3, 3)), ((5, 5), (3, 5)),
+               ((5, 3), (3, 3)), ((2, 2), (0, 0))]
+
+
+@pytest.mark.parametrize("sa,sb", KRON_SHAPES)
+def test_kron_matches_numpy(sa, sb):
+    rng = make_rng(sum(sa) + 10 * sum(sb))
+    a = rng.normal(size=sa)
+    b = rng.normal(size=sb)
+    a[a < -1.0] = 0.0  # zeros times negatives: signed zeros must agree too
+    for x, y in ((a, b), (np.eye(sa[0])[:, :sa[1]], b), (a, -np.abs(b))):
+        got, want = kron(x, y), np.kron(x, y)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _orbit_generators(x):

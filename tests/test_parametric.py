@@ -9,8 +9,9 @@ from detmin import parametric
 from detmin.dual import gradient_of
 from detmin.errors import InvalidChartPoint
 from detmin.linalg import make_rng, max_abs
-from detmin.parametric import (ChartPoint, chart_jacobian, chart_map,
-                               chart_second_derivatives, induced_metric,
+from detmin.parametric import (ChartPoint, chart_derivative, chart_jacobian,
+                               chart_map, chart_second_derivatives,
+                               induced_metric,
                                mean_curvature, metric_inverse, normal_frame,
                                o_p_structure_check,
                                operator_sign_adjudication, sample_chart_point,
@@ -72,6 +73,49 @@ def test_jacobian_matches_dual_numbers(p, q, r):
     vec = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
     jac_ad = gradient_of(flat_chart, vec)
     assert np.allclose(chart_jacobian(cp), jac_ad, atol=1e-12)
+
+
+def _loop_jacobian(cp):
+    """Jacobian columns DX(e_k) built one chart coordinate at a time."""
+    p, q, r = cp.p, cp.q, cp.r
+    cols = np.zeros((cp.dim, p * q))
+    for k in range(p * r):
+        c = np.zeros(p * r)
+        c[k] = 1.0
+        cols[k] = chart_derivative(cp, c.reshape(p, r),
+                                   np.zeros((r, q - r))).ravel()
+    for k in range(r * (q - r)):
+        mu = np.zeros(r * (q - r))
+        mu[k] = 1.0
+        cols[p * r + k] = chart_derivative(cp, np.zeros((p, r)),
+                                           mu.reshape(r, q - r)).ravel()
+    return cols.T
+
+
+SHAPES_TO_6 = [(p, q, r) for p in range(2, 7) for q in range(2, p + 1)
+               for r in range(q)]
+
+
+@pytest.mark.parametrize("p,q,r", SHAPES_TO_6)
+def test_closed_form_jacobian_equals_the_column_built_one(p, q, r):
+    cp = sample_chart_point(p, q, r, make_rng(200 + 10 * p + q + r))
+    jac = chart_jacobian(cp)
+    assert np.array_equal(jac, _loop_jacobian(cp))
+    # the column-built layout, which fixes BLAS summation order downstream
+    assert jac.flags.f_contiguous
+
+
+def test_chart_point_geometry_cannot_go_stale():
+    a, lam = np.array([[1.0], [2.0], [0.5]]), np.array([[3.0, -1.0]])
+    cp = ChartPoint(a, lam)
+    jac = chart_jacobian(cp).copy()
+    a[0, 0] = 7.0  # the point keeps its own copy of its data
+    assert cp.a[0, 0] == 1.0
+    for arr in (cp.a, cp.lam, chart_jacobian(cp), chart_second_derivatives(cp),
+                induced_metric(cp).assembled):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert np.array_equal(chart_jacobian(cp), jac)
 
 
 @pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 1), (4, 3, 2),

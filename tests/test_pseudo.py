@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from detmin.errors import DegenerateMetric, InvalidChartPoint
-from detmin.linalg import make_rng, max_abs, stratum_bases
+from detmin.linalg import (declared_rank, make_rng, max_abs, stratum_bases,
+                           svd_rank)
 from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
 from detmin.pseudo import (IndefiniteForm, ambient_gram, degeneracy_scan,
@@ -102,18 +103,19 @@ class TestHyperbolicChart:
     def test_membership_and_row_signature(self):
         inside = chart_map(ChartPoint(np.array([[1.0], [0.0]]),
                                       np.array([[0.5]])))
-        member = zprime_membership(inside, EYE2, HYP)
+        member = zprime_membership(svd_rank(inside), EYE2, HYP)
         assert member["member"]
         assert member["column_signature"] == (1, 0, 0)
         assert member["row_signature"] == (1, 0, 0)
 
         outside = chart_map(ChartPoint(np.array([[1.0], [0.0]]),
                                        np.array([[2.0]])))
-        assert zprime_membership(outside, EYE2, HYP)["row_signature"] == (0, 1, 0)
+        member = zprime_membership(svd_rank(outside), EYE2, HYP)
+        assert member["row_signature"] == (0, 1, 0)
 
         cone = chart_map(ChartPoint(np.array([[1.0], [0.0]]),
                                     np.array([[1.0]])))
-        assert not zprime_membership(cone, EYE2, HYP)["member"]
+        assert not zprime_membership(svd_rank(cone), EYE2, HYP)["member"]
 
     def test_induced_signature_readings(self):
         inside = ChartPoint(np.array([[1.0], [0.0]]), np.array([[0.5]]))
@@ -175,7 +177,7 @@ class TestFormReflection:
         rng = make_rng(7)
         x = chart_map(sample_chart_point(3, 3, 2, rng))
         eta = IndefiniteForm.from_counts(3, 0)
-        refl = form_reflection(x, eta)
+        refl = form_reflection(svd_rank(x), eta)
         assert np.allclose(refl.matrix, reflection(x, 2).matrix, atol=1e-12)
 
     def test_invariants_on_admissible_points(self):
@@ -185,7 +187,7 @@ class TestFormReflection:
             cp = sample_pseudo_point(3, 2, 1, eta,
                                      IndefiniteForm.from_counts(2, 0), rng)
             x = chart_map(cp)
-            refl = form_reflection(x, eta)
+            refl = form_reflection(svd_rank(x), eta)
             res = refl.invariant_residuals(x, eta)
             assert max(res.values()) < 1e-10, res
 
@@ -193,14 +195,15 @@ class TestFormReflection:
         # the single column is eta-null: the complement is not a complement
         x = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateMetric):
-            form_reflection(x, HYP)
+            form_reflection(svd_rank(x), HYP)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(InvalidChartPoint):
-            form_reflection(np.eye(3), IndefiniteForm.from_counts(3, 0), r=1)
+            form_reflection(declared_rank(np.eye(3), 1),
+                            IndefiniteForm.from_counts(3, 0))
 
     def test_rank_zero_reflects_through_origin(self):
-        refl = form_reflection(np.zeros((2, 2)), HYP, r=0)
+        refl = form_reflection(declared_rank(np.zeros((2, 2)), 0), HYP)
         assert np.allclose(refl.matrix, -np.eye(2))
 
 
@@ -226,7 +229,8 @@ class TestTangentAndNormal:
 
     def test_normal_reversal_frozen(self):
         x = chart_map(ChartPoint(np.array([[1.0], [0.0]]), np.array([[2.0]])))
-        assert normal_reversal(x, EYE2, HYP, form_reflection(x, EYE2)) < 1e-12
+        refl = form_reflection(svd_rank(x), EYE2)
+        assert normal_reversal(x, EYE2, HYP, refl) < 1e-12
 
     @pytest.mark.parametrize("p,q,r,es,zs", CASES)
     def test_normal_reversal_sampled(self, p, q, r, es, zs):
@@ -236,7 +240,7 @@ class TestTangentAndNormal:
         for _ in range(3):
             x = chart_map(sample_pseudo_point(p, q, r, eta, zeta, rng))
             try:
-                refl = form_reflection(x, eta)
+                refl = form_reflection(svd_rank(x), eta)
                 assert normal_reversal(x, eta, zeta, refl) < 1e-10
             except DegenerateMetric:
                 continue

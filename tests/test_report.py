@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -62,6 +63,16 @@ def test_json_round_trip():
     assert len(back.records) == len(rep.records)
     for a, b in zip(rep.records[:3], back.records[:3]):
         assert a == b  # NaN-free records survive exactly
+
+
+def test_json_records_are_the_record_fields_in_order():
+    rep = VerificationReport()
+    rep.extend(_recs())
+    payload = json.loads(rep.to_json())
+    for rec, got in zip(rep.records, payload["records"]):
+        want = asdict(rec)
+        assert list(got) == list(want)
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_from_json_rejects_other_schema():

@@ -1,7 +1,12 @@
 """Check registry consistency and whole-sweep behavior."""
 
+from collections import Counter
+from functools import cached_property
+
+import numpy as np
 import pytest
 
+from detmin.parametric import ChartPoint, chart_map
 from detmin.report import VERDICTS
 from detmin.sweep import CHECKS, PIPELINES, RunConfig, run_sweep
 
@@ -67,3 +72,53 @@ def test_meta_holds_configuration():
     assert report.meta["pipeline"] == "levelset"
     assert report.meta["seed"] == 3
     assert report.meta["samples"] == 1
+
+
+GEOMETRY = ("jacobian", "metric", "metric_inv", "x_rank")
+
+
+@pytest.mark.parametrize("pipeline", ["parametric", "pseudo"])
+def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
+    points, builds, svd_inputs, inv_inputs = [], Counter(), [], []
+    post_init = ChartPoint.__post_init__
+
+    def recorded_post_init(self):
+        post_init(self)
+        points.append(self)
+
+    monkeypatch.setattr(ChartPoint, "__post_init__", recorded_post_init)
+    for name in GEOMETRY:
+        def counted(self, build=vars(ChartPoint)[name].func, name=name):
+            builds[name, id(self)] += 1
+            return build(self)
+        prop = cached_property(counted)
+        prop.__set_name__(ChartPoint, name)
+        monkeypatch.setattr(ChartPoint, name, prop)
+    for inputs, fn in ((svd_inputs, np.linalg.svd), (inv_inputs, np.linalg.inv)):
+        def recorded(m, *args, inputs=inputs, fn=fn, **kwargs):
+            inputs.append(np.array(m))
+            return fn(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn.__name__, recorded)
+
+    config = RunConfig(pipeline=pipeline, p_values=(3,), q_values=(3,),
+                       r_values=(2,), samples=1, seed=0)
+    report = run_sweep(config)
+    assert report.exit_status() == 0
+    assert all(n == 1 for n in builds.values())
+
+    def taken(inputs, m):
+        return sum(a.shape == m.shape and np.array_equal(a, m) for a in inputs)
+
+    x_svds = [taken(svd_inputs, chart_map(cp)) for cp in points]
+    metric_invs = [taken(inv_inputs, cp.metric.assembled) for cp in points
+                   if ("metric", id(cp)) in builds]
+    if pipeline == "parametric":
+        # the sampler, mean curvature and the o(p) check share one metric
+        assert len(points) == 1
+        assert {n for n, _ in builds} == {"jacobian", "metric", "metric_inv"}
+        assert metric_invs == [1] and x_svds == [0]
+    else:
+        # form reflection and the Z' membership share one rank decision of x
+        form_points = sum(n == "x_rank" for n, _ in builds)
+        assert form_points == 2  # one sample per default form pair
+        assert sorted(x_svds) == [0] * (len(points) - 2) + [1, 1]
