@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChartPoint
-from .linalg import declared_rank, max_abs, stratum_bases, svd_rank
+from .linalg import (column_reflection, declared_rank, max_abs, reversal,
+                     stratum_bases, svd_rank)
 from .parametric import ChartPoint, chart_map
 
 
@@ -67,21 +68,20 @@ def reflection(x, r=None):
 
 
 def _reflection(x_rank):
-    q = x_rank.range_basis
-    b = 2.0 * q @ q.T - np.eye(q.shape[0])
-    return Reflection(b, x_rank.rank)
+    signs = np.ones(x_rank.range_basis.shape[0])
+    return Reflection(column_reflection(x_rank, signs), x_rank.rank)
 
 
-def isometry_check(a, q, rng, samples=8):
+def isometry_check(a, q, rng):
     """Is left multiplication by ``a`` an isometry of the p x q trace metric?
 
-    Samples random matrix pairs and compares <aX, aY> with <X, Y>; returns
-    (verdict, worst relative deviation).  Left multiplication is an isometry
-    exactly when ``a`` is orthogonal.
+    Samples eight random matrix pairs and compares <aX, aY> with <X, Y>;
+    returns (verdict, worst relative deviation).  Left multiplication is an
+    isometry exactly when ``a`` is orthogonal.
     """
     a = np.asarray(a, dtype=float)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(8):
         x = rng.normal(size=(a.shape[1], q))
         y = rng.normal(size=(a.shape[1], q))
         lhs = float(((a @ x) * (a @ y)).sum())
@@ -108,10 +108,10 @@ def _off_span(basis, y):
                  / max(1.0, np.linalg.norm(v)))
 
 
-def tangent_membership(x, y, r, tol=1e-9):
-    """Does ``y`` lie in the stratum tangent space at ``x``?"""
+def tangent_membership(x, y, r):
+    """Does ``y`` lie in the stratum tangent space at ``x`` (to 1e-9)?"""
     resid = _off_span(_stratum_bases(x, r)[0], y)
-    return resid <= tol, resid
+    return resid <= 1e-9, resid
 
 
 def sample_tangent_family(x, r, rng, kind="column"):
@@ -133,19 +133,10 @@ def _tangent_family(x_rank, rng, kind):
     raise ValueError(f"unknown tangent family {kind!r}")
 
 
-def _reversal(b, normals, shape):
-    """Worst max-norm of B W + W over the columns W of ``normals``."""
-    worst = 0.0
-    for k in range(normals.shape[1]):
-        w = normals[:, k].reshape(shape)
-        worst = max(worst, max_abs(b @ w + w))
-    return worst
-
-
 def normal_reversal(x, r):
     """Worst residual of B W = -W over an orthonormal normal basis at ``x``."""
-    return _reversal(reflection(x, r).matrix, _stratum_bases(x, r)[1],
-                     np.asarray(x).shape)
+    return reversal(reflection(x, r).matrix, _stratum_bases(x, r)[1],
+                    np.asarray(x).shape)
 
 
 @dataclass(frozen=True)
@@ -191,6 +182,7 @@ def helicoidal_certificate(x, r, rng):
             tb, _tangent_family(x_rank, rng, "column")),
         "row_family": _off_span(tb, _tangent_family(x_rank, rng, "row")),
     }
-    reversal = _reversal(refl.matrix, nb, x.shape)
+    worst_reversal = reversal(refl.matrix, nb, x.shape)
     counter = _off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0
-    return Certificate(residuals, iso, rank_preserved, tangents, reversal, counter)
+    return Certificate(residuals, iso, rank_preserved, tangents,
+                       worst_reversal, counter)

@@ -342,10 +342,10 @@ def zeta_minimality(n, point):
     return ZetaMinimality(minim.traces, minim.hessian_norms, conf)
 
 
-def sample_zeta_point(n, rng, tol=1e-12, max_tries=100):
+def sample_zeta_point(n, rng):
     """Unit-norm flat point with det = 0 and complex rank exactly n - 1."""
     pair = TwinHarmonicPair(n)
-    for _ in range(max_tries):
+    for _ in range(100):
         a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
         lam = rng.normal(size=(n - 1,)) + 1j * rng.normal(size=(n - 1,))
         z = np.concatenate([a, (a @ lam)[:, None]], axis=1)
@@ -353,6 +353,6 @@ def sample_zeta_point(n, rng, tol=1e-12, max_tries=100):
         point = flatten(z)
         u, v = pair.values(point)
         ranks = np.linalg.matrix_rank(z)
-        if abs(u) <= tol and abs(v) <= tol and ranks == n - 1:
+        if abs(u) <= 1e-12 and abs(v) <= 1e-12 and ranks == n - 1:
             return point
     raise InvalidChartPoint(f"no admissible det = 0 point for n = {n}")

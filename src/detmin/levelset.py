@@ -37,6 +37,9 @@ from .linalg import (cofactors, gradient_projector, max_abs, projected_traces,
                      second_cofactors, svd_rank)
 from .parametric import ChartPoint, chart_map
 
+# Draws each sampler below makes before giving up.
+MAX_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class ConstraintValues:
@@ -126,16 +129,16 @@ def _det_generic(m):
     return total
 
 
-def sample_on_variety(n, rng, tol=1e-12, max_tries=100):
+def sample_on_variety(n, rng):
     """Rank-(n-1) point via the chart embedding, rescaled to unit norm.
 
     The constructed matrix is verified on-variety (both constraint values
-    below ``tol`` after normalisation) rather than projected there, and its
+    below 1e-12 after normalisation) rather than projected there, and its
     first and last rows are kept away from zero so the row-coefficient
     conventions are realisable.
     """
     system = ConstraintSystem(n)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         cp = ChartPoint(rng.normal(size=(n + 1, n - 1)),
                         rng.uniform(-2.0, 2.0, size=(n - 1, 1)))
         a = chart_map(cp)
@@ -143,11 +146,11 @@ def sample_on_variety(n, rng, tol=1e-12, max_tries=100):
         chi1, chi2 = system.values(a)
         rows_ok = (np.linalg.norm(a[0]) > 0.05 and np.linalg.norm(a[-1]) > 0.05)
         middle = a[1:n, :]
-        if (abs(chi1) <= tol and abs(chi2) <= tol and rows_ok
+        if (abs(chi1) <= 1e-12 and abs(chi2) <= 1e-12 and rows_ok
                 and svd_rank(middle).rank == n - 1):
             return a
     raise InvalidChartPoint(f"no admissible on-variety point for n={n} "
-                            f"after {max_tries} draws")
+                            f"after {MAX_DRAWS} draws")
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,7 @@ class RowCoefficients:
     residuals: np.ndarray
 
 
-def row_coefficients(a, tol=1e-9):
+def row_coefficients(a):
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
     middle = a[1:n, :]
@@ -266,9 +269,9 @@ def row_coefficients(a, tol=1e-9):
     lam = np.concatenate([[-1.0], sol_first, [0.0]])
     mu = np.concatenate([[0.0], sol_last, [-1.0]])
     res = np.array([np.linalg.norm(lam @ a), np.linalg.norm(mu @ a)]) / scale
-    if res.max() > tol:
+    if res.max() > 1e-9:
         raise ConventionFailure(
-            f"row-coefficient residuals {res} exceed {tol:.1e}")
+            f"row-coefficient residuals {res} exceed 1e-9")
     return RowCoefficients(lam, mu, res)
 
 
@@ -335,7 +338,7 @@ class RankOneReport:
     factor_residual: float
 
 
-def gradient_rank_one(m, tol_pivot=1e-8):
+def gradient_rank_one(m):
     """Rank-one structure of the cofactor matrix of a singular square matrix.
 
     cof[i, j] = d det / d m_{ij} as a matrix has rank one on det = 0; with
@@ -352,7 +355,7 @@ def gradient_rank_one(m, tol_pivot=1e-8):
     ratio = float(s[1] / s[0]) if s[0] > 0 else 0.0
 
     scale = max(1.0, max_abs(cof))
-    if abs(cof[0, 0]) < tol_pivot * scale:
+    if abs(cof[0, 0]) < 1e-8 * scale:
         raise ConventionFailure("leading cofactor too small to factor through")
     rows = m[1:, :]
     cols = m[:, 1:]
@@ -363,9 +366,9 @@ def gradient_rank_one(m, tol_pivot=1e-8):
     return RankOneReport(s, ratio, factor_residual)
 
 
-def sample_singular_matrix(n, rng, max_tries=100):
+def sample_singular_matrix(n, rng):
     """Unit-norm n x n matrix of rank exactly n-1 with a usable leading pivot."""
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         m = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
         m /= np.linalg.norm(m)
         if svd_rank(m).rank != n - 1:

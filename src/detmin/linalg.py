@@ -1,6 +1,6 @@
 """Shared numerical substrate: rank decisions, block inversion, Kronecker
 products, cofactor determinants, constraint projectors, stratum
-tangent/normal bases, seeded RNG.
+tangent/normal bases, column-space reflections, inertia, seeded RNG.
 
 Every pipeline routes its rank questions through :func:`svd_rank` so that a
 single tolerance policy governs the whole package, and its partitioned
@@ -29,6 +29,9 @@ COND_LIMIT = 1e6
 # count as collapsed.
 GRAM_COND_LIMIT = 1e8
 GRAM_SCALE_FLOOR = 1e-16
+
+# Relative band around zero inside which an eigenvalue counts as null.
+INERTIA_BAND = 1e-10
 
 
 def make_rng(seed):
@@ -81,12 +84,12 @@ class RankResult:
     tolerance: float
 
 
-def svd_rank(m, tol_factor=RANK_TOL_FACTOR):
+def svd_rank(m):
     """Rank decision via singular values, with an explicit tolerance policy.
 
-    The threshold is ``sigma_max * max(m.shape) * eps * tol_factor``; the
-    range and kernel bases are the left singular vectors up to and beyond
-    the rank, the row basis the right singular vectors up to it.
+    The threshold is ``sigma_max * max(m.shape) * eps * RANK_TOL_FACTOR``;
+    the range and kernel bases are the left singular vectors up to and
+    beyond the rank, the row basis the right singular vectors up to it.
     """
     m = require_finite(m, "svd_rank input")
     rows, cols = m.shape
@@ -94,7 +97,7 @@ def svd_rank(m, tol_factor=RANK_TOL_FACTOR):
         return RankResult(0, np.zeros(0), np.zeros((rows, 0)), np.eye(rows),
                           np.zeros((cols, 0)), 0.0)
     u, s, vt = np.linalg.svd(m, full_matrices=True)
-    tol = s[0] * max(m.shape) * np.finfo(float).eps * tol_factor
+    tol = s[0] * max(m.shape) * np.finfo(float).eps * RANK_TOL_FACTOR
     rank = int((s > tol).sum())
     return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T, tol)
 
@@ -143,6 +146,52 @@ def stratum_bases(x):
     return rank.range_basis, rank.kernel_basis
 
 
+def inertia(eigenvalues):
+    """(n_plus, n_minus, n_zero) with the relative zero band INERTIA_BAND."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    tol = INERTIA_BAND * max(1.0, max_abs(eigenvalues))
+    n_pos = int((eigenvalues > tol).sum())
+    n_neg = int((eigenvalues < -tol).sum())
+    return n_pos, n_neg, eigenvalues.shape[0] - n_pos - n_neg
+
+
+def column_reflection(x_rank, signs):
+    """B = 2 P_V - I, P_V the form-orthogonal projection onto col(x).
+
+    ``x_rank`` is the :func:`svd_rank` (or :func:`declared_rank`) result of
+    x and ``signs`` the diagonal of the form on its rows; all ones give the
+    euclidean reflection 2 Q Q^T - I.  The form restricted to the column
+    space must be nondegenerate, otherwise the form-complement fails to be
+    a complement and no such reflection exists (raises
+    :class:`DegenerateMetric`).
+    """
+    basis = x_rank.range_basis
+    n = basis.shape[0]
+    if not basis.size:
+        return -np.eye(n)
+    gram = basis.T @ (signs[:, None] * basis)
+    if inertia(np.linalg.eigvalsh(gram))[2] > 0:
+        raise DegenerateMetric("the form restricted to the column space "
+                               "is degenerate; no reflection")
+    proj = basis @ np.linalg.solve(gram, basis.T * signs[None, :])
+    return 2.0 * proj - np.eye(n)
+
+
+def reversal(b, normals, shape):
+    """Worst Frobenius norm of B W + W over the columns W of ``normals``.
+
+    Each column is a p x q matrix flattened row-major; B acts on it from
+    the left, all columns in one product.  Zero when B reverses every
+    normal direction.
+    """
+    p, q = shape
+    w = normals.reshape(p, -1)
+    if not w.size:
+        return 0.0
+    moved = (b @ w + w).reshape(p, q, -1)
+    return float(np.linalg.norm(moved, axis=(0, 1)).max())
+
+
 def spectral_cond(m):
     """2-norm condition number; empty matrices count as perfectly conditioned."""
     m = np.asarray(m, dtype=float)
@@ -164,7 +213,6 @@ class BlockInverse:
     """
 
     full: np.ndarray
-    pivot: str
     cond: float
 
 
@@ -189,11 +237,11 @@ def block_inverse(g, b, d, pivot="leading"):
             f"{pivot} pivot block condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
 
     if ng == 0 and nd == 0:
-        return BlockInverse(np.zeros((0, 0)), pivot, cond)
+        return BlockInverse(np.zeros((0, 0)), cond)
     if nd == 0:
-        return BlockInverse(np.linalg.inv(g), pivot, cond)
+        return BlockInverse(np.linalg.inv(g), cond)
     if ng == 0:
-        return BlockInverse(np.linalg.inv(d), pivot, cond)
+        return BlockInverse(np.linalg.inv(d), cond)
 
     if pivot == "leading":
         gi_b = np.linalg.solve(g, b)
@@ -207,7 +255,7 @@ def block_inverse(g, b, d, pivot="leading"):
         top_left = gi + gi_b @ rho @ gi_b.T
         top_right = -gi_b @ rho
         full = np.block([[top_left, top_right], [top_right.T, rho]])
-        return BlockInverse(full, pivot, cond)
+        return BlockInverse(full, cond)
 
     di_bt = np.linalg.solve(d, b.T)
     schur = g - b @ di_bt
@@ -220,7 +268,7 @@ def block_inverse(g, b, d, pivot="leading"):
     top_right = -gp_inv @ di_bt.T
     bottom_right = di + di_bt @ gp_inv @ di_bt.T
     full = np.block([[gp_inv, top_right], [top_right.T, bottom_right]])
-    return BlockInverse(full, pivot, cond)
+    return BlockInverse(full, cond)
 
 
 def max_abs(m):

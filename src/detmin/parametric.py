@@ -40,6 +40,14 @@ from .linalg import (COND_LIMIT, block_inverse, declared_rank, kron, max_abs,
                      spectral_cond, svd_rank)
 
 
+# Sampler limits: sample_chart_point keeps cond(a^T a) <= A_COND_LIMIT and
+# the assembled metric's condition <= METRIC_COND_LIMIT, within MAX_DRAWS
+# draws.
+A_COND_LIMIT = 1e4
+METRIC_COND_LIMIT = 1e5
+MAX_DRAWS = 200
+
+
 def _read_only(m):
     m.setflags(write=False)
     return m
@@ -176,29 +184,28 @@ class ChartPoint:
                            _read_only(kernel))
 
 
-def sample_chart_point(p, q, r, rng, cond_limit=1e4, lam_bound=2.0,
-                       metric_cond_limit=1e5, max_tries=200):
-    """Draw a chart point: a ~ iid standard normal, lam ~ uniform[-b, b].
+def sample_chart_point(p, q, r, rng):
+    """Draw a chart point: a ~ iid standard normal, lam ~ uniform[-2, 2].
 
-    Rejection keeps cond(a^T a) <= cond_limit and the assembled metric's
-    condition below ``metric_cond_limit``.  The metric bound sits a decade
+    Rejection keeps cond(a^T a) <= A_COND_LIMIT and the assembled metric's
+    condition below METRIC_COND_LIMIT.  The metric bound sits a decade
     under the evaluation guard COND_LIMIT: inverse residuals scale like
     eps * cond, and 1e5 keeps them clear of the 1e-10 identity tolerance.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         a = rng.normal(size=(p, r))
-        lam = rng.uniform(-lam_bound, lam_bound, size=(r, q - r))
+        lam = rng.uniform(-2.0, 2.0, size=(r, q - r))
         if r > 0:
-            if spectral_cond(a.T @ a) > cond_limit:
+            if spectral_cond(a.T @ a) > A_COND_LIMIT:
                 continue
             cp = ChartPoint(a, lam)
-            if cp.metric_cond > metric_cond_limit:
+            if cp.metric_cond > METRIC_COND_LIMIT:
                 continue
             return cp
         return ChartPoint(a, lam)
     raise DegenerateMetric(
         f"no well-conditioned chart point for (p,q,r)=({p},{q},{r}) "
-        f"after {max_tries} draws")
+        f"after {MAX_DRAWS} draws")
 
 
 def chart_map(cp):
@@ -534,7 +541,7 @@ def o_p_structure_check(cp):
     off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
     if off.size == 0:
         return StructureCheck(0.0, 0.0)
-    basis = np.linalg.svd(cp.a, full_matrices=False)[0]  # orthonormal, spans C(a)
+    basis = cp.a_rank.range_basis
     slices = off.transpose(1, 2, 3, 0).reshape(-1, p)    # rows indexed by (s,t,s')
     resid = slices - (slices @ basis) @ basis.T
     num = np.linalg.norm(resid, axis=1)

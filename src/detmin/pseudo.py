@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import max_abs, stratum_bases
-from .parametric import (ChartPoint, chart_second_derivatives,
+from .linalg import (COND_LIMIT, column_reflection, inertia, max_abs,
+                     reversal, stratum_bases)
+from .parametric import (MAX_DRAWS, ChartPoint, chart_second_derivatives,
                          sample_chart_point)
-
-INERTIA_BAND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,15 +82,6 @@ class IndefiniteForm:
 def ambient_gram(eta, zeta):
     """Gram diagonal of tr(zeta A^T eta B) in row-major flat coordinates."""
     return np.outer(eta.signs, zeta.signs).ravel()
-
-
-def inertia(eigenvalues):
-    """(n_plus, n_minus, n_zero) with the relative zero band INERTIA_BAND."""
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    tol = INERTIA_BAND * max(1.0, max_abs(eigenvalues))
-    n_pos = int((eigenvalues > tol).sum())
-    n_neg = int((eigenvalues < -tol).sum())
-    return n_pos, n_neg, eigenvalues.shape[0] - n_pos - n_neg
 
 
 def signature_adjudication(eta, zeta):
@@ -258,10 +248,13 @@ def induced_signature_check(cp, eta, zeta):
     }
 
 
-def sample_pseudo_point(p, q, r, eta, zeta, rng, cond_limit=1e6,
-                        max_tries=200):
-    """Chart point whose induced indefinite metric is safely nondegenerate."""
-    for _ in range(max_tries):
+def sample_pseudo_point(p, q, r, eta, zeta, rng):
+    """Chart point whose induced indefinite metric is safely nondegenerate.
+
+    G-hat must have no null eigenvalue and an eigenvalue-modulus ratio of
+    at most COND_LIMIT, since the minimality trace inverts it.
+    """
+    for _ in range(MAX_DRAWS):
         cp = sample_chart_point(p, q, r, rng)
         report = degeneracy_scan(cp, eta, zeta)
         eig = report.eigenvalues
@@ -270,7 +263,7 @@ def sample_pseudo_point(p, q, r, eta, zeta, rng, cond_limit=1e6,
         if report.degenerate:
             continue
         small, big = np.abs(eig).min(), np.abs(eig).max()
-        if big / small <= cond_limit:
+        if big / small <= COND_LIMIT:
             return cp
     raise InvalidChartPoint(
         f"no nondegenerate point found for ({p}, {q}, {r}) "
@@ -353,23 +346,11 @@ def form_reflection(x_rank, eta):
     """B = 2 P_V - I with P_V the eta-orthogonal projection onto col(x).
 
     ``x_rank`` is the :func:`~detmin.linalg.svd_rank` (or
-    :func:`~detmin.linalg.declared_rank`) result of x.  Requires the
-    restriction of eta to the column space to be nondegenerate, otherwise
-    the eta-complement fails to be a complement and no such reflection
-    exists (raises :class:`DegenerateMetric`).
+    :func:`~detmin.linalg.declared_rank`) result of x; see
+    :func:`~detmin.linalg.column_reflection`, which raises
+    :class:`DegenerateMetric` when eta is degenerate on the column space.
     """
-    basis = x_rank.range_basis
-    n = basis.shape[0]
-    gram = basis.T @ (eta.signs[:, None] * basis)
-    eig = np.linalg.eigvalsh(gram) if gram.size else np.array([])
-    if gram.size and inertia(eig)[2] > 0:
-        raise DegenerateMetric("eta restricted to the column space "
-                               "is degenerate; no reflection")
-    if gram.size:
-        proj = basis @ np.linalg.solve(gram, basis.T * eta.signs[None, :])
-    else:
-        proj = np.zeros((n, n))
-    return FormReflection(2.0 * proj - np.eye(n))
+    return FormReflection(column_reflection(x_rank, eta.signs))
 
 
 def normal_reversal(x, eta, zeta, refl):
@@ -377,10 +358,5 @@ def normal_reversal(x, eta, zeta, refl):
 
     ``refl`` is the :func:`form_reflection` of ``x``.
     """
-    kernel = form_normal_basis(x, eta, zeta)
-    p, q = np.asarray(x).shape
-    worst = 0.0
-    for k in range(kernel.shape[1]):
-        w = kernel[:, k].reshape(p, q)
-        worst = max(worst, float(np.linalg.norm(refl.matrix @ w + w)))
-    return worst
+    return reversal(refl.matrix, form_normal_basis(x, eta, zeta),
+                    np.asarray(x).shape)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import helicoidal, kahler, levelset, parametric, pseudo
 from .errors import (ConventionFailure, DegenerateMetric, InvalidChartPoint,
                      SingularGram)
@@ -207,68 +205,63 @@ def n_values(config):
     return [q for q in sorted(set(config.q_values)) if q >= 2]
 
 
-def _emit(report, config, point, items):
-    """items: (check name, residual) pairs; gating from the registry."""
-    for name, residual in items:
+def _checked(report, config, point, names, residuals):
+    """Record ``residuals()`` under ``names``, or skip every name.
+
+    ``residuals`` computes one sample point's residuals in the order of
+    ``names``; gating and anchors come from the registry.  A degenerate
+    sample (any of ``SKIP_ERRORS``) writes one ``SKIPPED-DEGENERATE``
+    record per name instead.  Returns whether the residuals were recorded.
+    """
+    try:
+        values = residuals()
+    except SKIP_ERRORS as exc:
+        for name in names:
+            report.add(skipped(name, CHECKS[name].anchor, point,
+                               type(exc).__name__, config.tol(name)))
+        return False
+    for name, residual in zip(names, values, strict=True):
         info = CHECKS[name]
         report.add(record(name, info.anchor, point, residual,
                           config.tol(name), gate=info.gate))
+    return True
 
 
-def _skip_all(report, config, point, names, exc):
-    for name in names:
-        report.add(skipped(name, CHECKS[name].anchor, point,
-                           type(exc).__name__, config.tol(name)))
+def _flag(ok):
+    return 0.0 if ok else 1.0
 
 
 # ---------------------------------------------------------------------------
 # pipeline runners
 
 
-_PARAMETRIC_PER_SAMPLE = [
-    "parametric.mean-curvature", "parametric.tangency",
-    "parametric.inverse-routes", "parametric.route-agreement",
-    "parametric.dimension", "parametric.o-p-structure"]
-
-
 def run_parametric(config, report):
     for p, q, r in shape_triples(config):
         rng = derived_rng(config.seed, 1, p, q, r)
         for i in range(config.samples):
-            point = f"p={p} q={q} r={r} i={i}"
-            try:
-                cp = parametric.sample_chart_point(p, q, r, rng)
-                mc = parametric.mean_curvature(cp)
-                inv = parametric.metric_inverse(cp)
-                struct = parametric.o_p_structure_check(cp)
-                dims = parametric.stratum_dimension_check(cp)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _PARAMETRIC_PER_SAMPLE, exc)
-                continue
-            _emit(report, config, point, [
-                ("parametric.mean-curvature",
-                 mc.max_component / mc.metric_scale),
-                ("parametric.tangency",
-                 mc.tangency_residual / mc.metric_scale),
-                ("parametric.inverse-routes",
-                 max(inv.identity_residuals().values())),
-                ("parametric.route-agreement", inv.pairwise_disagreement()),
-                ("parametric.dimension", 0.0 if dims["ok"] else 1.0),
-                ("parametric.o-p-structure",
-                 max(struct.projection_residual,
-                     struct.closed_form_residual)),
-            ])
+            _checked(report, config, f"p={p} q={q} r={r} i={i}", (
+                "parametric.mean-curvature", "parametric.tangency",
+                "parametric.inverse-routes", "parametric.route-agreement",
+                "parametric.dimension", "parametric.o-p-structure"),
+                lambda: _parametric_point(p, q, r, rng))
 
 
-_LEVELSET_ON = ["levelset.minimality", "levelset.projector-rank",
-                "levelset.contractions", "levelset.row-coefficients"]
-_LEVELSET_OFF = ["levelset.identities", "levelset.harmonicity",
-                 "levelset.minor-inverse", "levelset.conjecture-printed",
-                 "levelset.conjecture-swapped"]
+def _parametric_point(p, q, r, rng):
+    cp = parametric.sample_chart_point(p, q, r, rng)
+    mc = parametric.mean_curvature(cp)
+    inv = parametric.metric_inverse(cp)
+    struct = parametric.o_p_structure_check(cp)
+    dims = parametric.stratum_dimension_check(cp)
+    return (mc.max_component / mc.metric_scale,
+            mc.tangency_residual / mc.metric_scale,
+            max(inv.identity_residuals().values()),
+            inv.pairwise_disagreement(),
+            _flag(dims["ok"]),
+            max(struct.projection_residual, struct.closed_form_residual))
 
 
-def _generic_nonsingular(system, rng, max_tries=50):
-    for _ in range(max_tries):
+def _generic_nonsingular(system, rng):
+    for _ in range(50):
         a = rng.normal(size=(system.n + 1, system.n))
         chi1, chi2 = system.values(a)
         if min(abs(chi1), abs(chi2)) > 1e-3:
@@ -282,96 +275,77 @@ def run_levelset(config, report):
         rng = derived_rng(config.seed, 2, n)
         for i in range(config.samples):
             point = f"n={n} i={i}"
-            try:
-                on = levelset.sample_on_variety(n, rng)
-                cv_on = system.evaluate(on)
-                proj = levelset.tangent_projector(cv_on)
-                minim = levelset.levelset_mean_curvature(cv_on, proj)
-                ids_on = levelset.identity_suite(cv_on, on_variety=True)
-                rows = levelset.row_coefficients(on)
-                grads = levelset.gradient_proportionality(cv_on, rows)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _LEVELSET_ON, exc)
-            else:
-                _emit(report, config, point, [
-                    ("levelset.minimality", minim.max_residual),
-                    ("levelset.projector-rank",
-                     0.0 if proj.rank == n * n + n - 2 else 1.0),
-                    ("levelset.contractions",
-                     max(ids_on.contractions.max(), ids_on.four_term.max())),
-                    ("levelset.row-coefficients",
-                     max(float(rows.residuals.max()),
-                         max(grads.values()))),
-                ])
-            try:
-                off = _generic_nonsingular(system, rng)
-                cv_off = system.evaluate(off)
-                ids_off = levelset.identity_suite(cv_off, on_variety=False)
-                logres = levelset.logarithmic_gradient_residual(off, cv_off)
-                conj = levelset.conjecture_evidence(cv_off)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _LEVELSET_OFF, exc)
-            else:
-                _emit(report, config, point, [
-                    ("levelset.identities",
-                     max(ids_off.square.max(), ids_off.mixed.max())),
-                    ("levelset.harmonicity",
-                     max_abs(ids_off.harmonicity)),
-                    ("levelset.minor-inverse", logres),
-                    ("levelset.conjecture-printed", conj.printed_residual),
-                    ("levelset.conjecture-swapped", conj.swapped_residual),
-                ])
-            try:
-                singular = levelset.sample_singular_matrix(n, rng)
-                rank_one = levelset.gradient_rank_one(singular)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, ["levelset.rank-one"], exc)
-            else:
-                _emit(report, config, point, [
-                    ("levelset.rank-one",
-                     max(rank_one.sigma_ratio, rank_one.factor_residual)),
-                ])
+            _checked(report, config, point, (
+                "levelset.minimality", "levelset.projector-rank",
+                "levelset.contractions", "levelset.row-coefficients"),
+                lambda: _levelset_on(system, rng))
+            _checked(report, config, point, (
+                "levelset.identities", "levelset.harmonicity",
+                "levelset.minor-inverse", "levelset.conjecture-printed",
+                "levelset.conjecture-swapped"),
+                lambda: _levelset_off(system, rng))
+            _checked(report, config, point, ("levelset.rank-one",),
+                     lambda: _levelset_rank_one(n, rng))
 
 
-_HELICOIDAL_PER_SAMPLE = [
-    "helicoidal.reflection", "helicoidal.isometry",
-    "helicoidal.rank-preserved", "helicoidal.tangent-membership",
-    "helicoidal.normal-reversal", "helicoidal.counter-control"]
+def _levelset_on(system, rng):
+    n = system.n
+    on = levelset.sample_on_variety(n, rng)
+    cv = system.evaluate(on)
+    proj = levelset.tangent_projector(cv)
+    minim = levelset.levelset_mean_curvature(cv, proj)
+    ids = levelset.identity_suite(cv, on_variety=True)
+    rows = levelset.row_coefficients(on)
+    grads = levelset.gradient_proportionality(cv, rows)
+    return (minim.max_residual,
+            _flag(proj.rank == n * n + n - 2),
+            max(ids.contractions.max(), ids.four_term.max()),
+            max(float(rows.residuals.max()), max(grads.values())))
+
+
+def _levelset_off(system, rng):
+    off = _generic_nonsingular(system, rng)
+    cv = system.evaluate(off)
+    ids = levelset.identity_suite(cv, on_variety=False)
+    logres = levelset.logarithmic_gradient_residual(off, cv)
+    conj = levelset.conjecture_evidence(cv)
+    return (max(ids.square.max(), ids.mixed.max()),
+            max_abs(ids.harmonicity),
+            logres,
+            conj.printed_residual,
+            conj.swapped_residual)
+
+
+def _levelset_rank_one(n, rng):
+    rank_one = levelset.gradient_rank_one(
+        levelset.sample_singular_matrix(n, rng))
+    return (max(rank_one.sigma_ratio, rank_one.factor_residual),)
 
 
 def run_helicoidal(config, report):
     for p, q, r in shape_triples(config):
         rng = derived_rng(config.seed, 3, p, q, r)
         for i in range(config.samples):
-            point = f"p={p} q={q} r={r} i={i}"
-            try:
-                cp = parametric.sample_chart_point(p, q, r, rng)
-                x = parametric.chart_map(cp)
-                cert = helicoidal.helicoidal_certificate(x, r, rng)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _HELICOIDAL_PER_SAMPLE, exc)
-                continue
-            _emit(report, config, point, [
-                ("helicoidal.reflection",
-                 max(cert.reflection_residuals.values())),
-                ("helicoidal.isometry", cert.isometry_residual),
-                ("helicoidal.rank-preserved",
-                 0.0 if cert.rank_preserved else 1.0),
-                ("helicoidal.tangent-membership",
-                 max(cert.tangent_residuals.values())),
-                ("helicoidal.normal-reversal", cert.normal_reversal),
-                ("helicoidal.counter-control", cert.counter_control),
-            ])
+            _checked(report, config, f"p={p} q={q} r={r} i={i}", (
+                "helicoidal.reflection", "helicoidal.isometry",
+                "helicoidal.rank-preserved", "helicoidal.tangent-membership",
+                "helicoidal.normal-reversal", "helicoidal.counter-control"),
+                lambda: _helicoidal_point(p, q, r, rng))
 
 
-_COMPLEX_CHART = ["complex.chart-minimality", "complex.chart-blocks"]
-_COMPLEX_GENERIC = ["complex.twin-identities", "complex.contractions",
-                    "complex.rho-homogeneity"]
-_COMPLEX_LOCUS = ["complex.zeta-minimality", "complex.conformal-gram"]
+def _helicoidal_point(p, q, r, rng):
+    cp = parametric.sample_chart_point(p, q, r, rng)
+    cert = helicoidal.helicoidal_certificate(parametric.chart_map(cp), r, rng)
+    return (max(cert.reflection_residuals.values()),
+            cert.isometry_residual,
+            _flag(cert.rank_preserved),
+            max(cert.tangent_residuals.values()),
+            cert.normal_reversal,
+            cert.counter_control)
 
 
-def _generic_twin_point(pair, rng, floor=0.05, max_tries=50):
-    for _ in range(max_tries):
+def _generic_twin_point(pair, rng, floor=0.05):
+    for _ in range(50):
         pt = rng.normal(size=pair.ambient_dim)
         u, v = pair.values(pt)
         if min(abs(u), abs(v)) > floor:
@@ -385,60 +359,50 @@ def run_complex(config, report):
         rng = derived_rng(config.seed, 4, n)
         for i in range(config.samples):
             point = f"n={n} i={i}"
-            try:
-                ccp = kahler.sample_complex_chart_point(rng)
-                geo = kahler.complex_chart_geometry(ccp)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _COMPLEX_CHART, exc)
-            else:
-                _emit(report, config, point, [
-                    ("complex.chart-minimality",
-                     max_abs(geo.mean_curvature)),
-                    ("complex.chart-blocks",
-                     max(geo.block_residual, geo.schur_residual,
-                         geo.offdiag_residual, geo.normal_residual)),
-                ])
-            try:
-                pt = _generic_twin_point(pair, rng)
-                suite = kahler.twin_harmonic_suite(n, pt)
-                rho_base = suite.rho
-                homog = 0.0
-                for t in (2.0, 3.0):
-                    expected = t ** (2 * n - 4) * rho_base
-                    homog = max(homog,
-                                abs(kahler.rho_value(n, t * pt) - expected)
-                                / max(1.0, abs(expected)))
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _COMPLEX_GENERIC, exc)
-            else:
-                _emit(report, config, point, [
-                    ("complex.twin-identities",
-                     max(suite.grad_norm_gap, suite.grad_orthogonality,
-                         max_abs(suite.harmonic), suite.pair_vector,
-                         suite.pair_cross)),
-                    ("complex.contractions", suite.contraction_table.max()),
-                    ("complex.rho-homogeneity", homog),
-                ])
+            _checked(report, config, point, (
+                "complex.chart-minimality", "complex.chart-blocks"),
+                lambda: _complex_chart(rng))
+            _checked(report, config, point, (
+                "complex.twin-identities", "complex.contractions",
+                "complex.rho-homogeneity"),
+                lambda: _complex_generic(pair, n, rng))
             if n == 2:
-                try:
-                    pt2 = _generic_twin_point(pair, rng, floor=0.5)
-                    rho = kahler.rho_value(n, pt2)
-                except SKIP_ERRORS as exc:
-                    _skip_all(report, config, point,
-                              ["complex.rho-quadratic"], exc)
-                else:
-                    _emit(report, config, point,
-                          [("complex.rho-quadratic", abs(rho - 2.0))])
-            try:
-                zp = kahler.sample_zeta_point(n, rng)
-                zm = kahler.zeta_minimality(n, zp)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point, _COMPLEX_LOCUS, exc)
-            else:
-                _emit(report, config, point, [
-                    ("complex.zeta-minimality", zm.max_residual),
-                    ("complex.conformal-gram", zm.gram_conformality),
-                ])
+                _checked(report, config, point, ("complex.rho-quadratic",),
+                         lambda: _complex_rho_quadratic(pair, rng))
+            _checked(report, config, point, (
+                "complex.zeta-minimality", "complex.conformal-gram"),
+                lambda: _complex_locus(n, rng))
+
+
+def _complex_chart(rng):
+    geo = kahler.complex_chart_geometry(kahler.sample_complex_chart_point(rng))
+    return (max_abs(geo.mean_curvature),
+            max(geo.block_residual, geo.schur_residual,
+                geo.offdiag_residual, geo.normal_residual))
+
+
+def _complex_generic(pair, n, rng):
+    pt = _generic_twin_point(pair, rng)
+    suite = kahler.twin_harmonic_suite(n, pt)
+    homog = 0.0
+    for t in (2.0, 3.0):
+        expected = t ** (2 * n - 4) * suite.rho
+        homog = max(homog, abs(kahler.rho_value(n, t * pt) - expected)
+                    / max(1.0, abs(expected)))
+    return (max(suite.grad_norm_gap, suite.grad_orthogonality,
+                max_abs(suite.harmonic), suite.pair_vector, suite.pair_cross),
+            suite.contraction_table.max(),
+            homog)
+
+
+def _complex_rho_quadratic(pair, rng):
+    return (abs(kahler.rho_value(2, _generic_twin_point(pair, rng, floor=0.5))
+                - 2.0),)
+
+
+def _complex_locus(n, rng):
+    zm = kahler.zeta_minimality(n, kahler.sample_zeta_point(n, rng))
+    return (zm.max_residual, zm.gram_conformality)
 
 
 def _form_code(text):
@@ -456,11 +420,6 @@ def _forms_for(config, p, q):
     return defaults
 
 
-_PSEUDO_PER_SAMPLE = ["pseudo.minimality", "pseudo.reflection",
-                      "pseudo.normal-reversal", "pseudo.induced-signature",
-                      "pseudo.induced-signature-duplicated"]
-
-
 def run_pseudo(config, report):
     # signature counting is form-only: sweep every count pattern per shape
     shapes = sorted({(p, q) for p, q, _ in shape_triples(config)})
@@ -470,13 +429,11 @@ def run_pseudo(config, report):
                 eta = pseudo.IndefiniteForm.from_counts(p1, p - p1)
                 zeta = pseudo.IndefiniteForm.from_counts(q1, q - q1)
                 adj = pseudo.signature_adjudication(eta, zeta)
-                point = f"p={p} q={q} eta={eta} zeta={zeta}"
-                _emit(report, config, point, [
-                    ("pseudo.ambient-signature",
-                     0.0 if adj["paired_ok"] else 1.0),
-                    ("pseudo.ambient-signature-crossed",
-                     0.0 if adj["crossed_ok"] else 1.0),
-                ])
+                _checked(report, config, f"p={p} q={q} eta={eta} zeta={zeta}",
+                         ("pseudo.ambient-signature",
+                          "pseudo.ambient-signature-crossed"),
+                         lambda: (_flag(adj["paired_ok"]),
+                                  _flag(adj["crossed_ok"])))
 
     for p, q, r in shape_triples(config):
         for eta_s, zeta_s in _forms_for(config, p, q):
@@ -485,54 +442,57 @@ def run_pseudo(config, report):
             rng = derived_rng(config.seed, 5, p, q, r,
                               _form_code(eta_s), _form_code(zeta_s))
             for i in range(config.samples):
-                point = (f"p={p} q={q} r={r} eta={eta} zeta={zeta} i={i}")
-                try:
-                    cp = pseudo.sample_pseudo_point(p, q, r, eta, zeta, rng)
-                    pm = pseudo.pseudo_minimality(cp, eta, zeta)
-                    x = parametric.chart_map(cp)
-                    refl = pseudo.form_reflection(cp.x_rank, eta)
-                    reversal = pseudo.normal_reversal(x, eta, zeta, refl)
-                    sig = pseudo.induced_signature_check(cp, eta, zeta)
-                except SKIP_ERRORS as exc:
-                    _skip_all(report, config, point, _PSEUDO_PER_SAMPLE, exc)
-                    continue
-                _emit(report, config, point, [
-                    ("pseudo.minimality",
-                     pm.max_component / pm.metric_scale),
-                    ("pseudo.reflection",
-                     max(refl.invariant_residuals(x, eta).values())),
-                    ("pseudo.normal-reversal", reversal),
-                    ("pseudo.induced-signature",
-                     0.0 if sig["symmetric_ok"] else 1.0),
-                    ("pseudo.induced-signature-duplicated",
-                     0.0 if sig["duplicated_ok"] else 1.0),
-                ])
+                _checked(report, config,
+                         f"p={p} q={q} r={r} eta={eta} zeta={zeta} i={i}", (
+                             "pseudo.minimality", "pseudo.reflection",
+                             "pseudo.normal-reversal",
+                             "pseudo.induced-signature",
+                             "pseudo.induced-signature-duplicated"),
+                         lambda: _pseudo_point(p, q, r, eta, zeta, rng))
 
         rng = derived_rng(config.seed, 6, p, q, r)
-        eye_eta = pseudo.IndefiniteForm.from_counts(p, 0)
-        eye_zeta = pseudo.IndefiniteForm.from_counts(q, 0)
         for i in range(config.samples):
             point = f"p={p} q={q} r={r} i={i}"
-            try:
-                cp = parametric.sample_chart_point(p, q, r, rng)
-                pm = pseudo.pseudo_minimality(cp, eye_eta, eye_zeta)
-                mc = parametric.mean_curvature(cp)
-            except SKIP_ERRORS as exc:
-                _skip_all(report, config, point,
-                          ["pseudo.euclidean-reduction"], exc)
-                continue
-            scale = max(1.0, max_abs(mc.trace_vector))
-            gap = max(
-                max_abs(pm.trace_flat.reshape(p, q) - mc.trace_vector),
-                max_abs(pm.normal_flat.reshape(p, q) - mc.ambient_vector))
-            _emit(report, config, point,
-                  [("pseudo.euclidean-reduction", gap / scale)])
-            if (p, q, r) == (2, 2, 1):
-                a = rng.normal(size=2)
-                lam = float(rng.uniform(-2, 2))
-                _emit(report, config, point,
-                      [("pseudo.det-formula",
-                        pseudo.hyperbolic_det_residual(a, lam))])
+            reduced = _checked(report, config, point,
+                               ("pseudo.euclidean-reduction",),
+                               lambda: _euclidean_reduction(p, q, r, rng))
+            # the 2 x 2 closed form draws from the stream only after a
+            # reduction that did not skip
+            if reduced and (p, q, r) == (2, 2, 1):
+                _checked(report, config, point, ("pseudo.det-formula",),
+                         lambda: _det_formula(rng))
+
+
+def _pseudo_point(p, q, r, eta, zeta, rng):
+    cp = pseudo.sample_pseudo_point(p, q, r, eta, zeta, rng)
+    pm = pseudo.pseudo_minimality(cp, eta, zeta)
+    x = parametric.chart_map(cp)
+    refl = pseudo.form_reflection(cp.x_rank, eta)
+    reversal = pseudo.normal_reversal(x, eta, zeta, refl)
+    sig = pseudo.induced_signature_check(cp, eta, zeta)
+    return (pm.max_component / pm.metric_scale,
+            max(refl.invariant_residuals(x, eta).values()),
+            reversal,
+            _flag(sig["symmetric_ok"]),
+            _flag(sig["duplicated_ok"]))
+
+
+def _euclidean_reduction(p, q, r, rng):
+    """Identity forms against the euclidean trace and mean curvature."""
+    cp = parametric.sample_chart_point(p, q, r, rng)
+    pm = pseudo.pseudo_minimality(cp, pseudo.IndefiniteForm.from_counts(p, 0),
+                                  pseudo.IndefiniteForm.from_counts(q, 0))
+    mc = parametric.mean_curvature(cp)
+    scale = max(1.0, max_abs(mc.trace_vector))
+    gap = max(max_abs(pm.trace_flat.reshape(p, q) - mc.trace_vector),
+              max_abs(pm.normal_flat.reshape(p, q) - mc.ambient_vector))
+    return (gap / scale,)
+
+
+def _det_formula(rng):
+    a = rng.normal(size=2)
+    lam = float(rng.uniform(-2, 2))
+    return (pseudo.hyperbolic_det_residual(a, lam),)
 
 
 _RUNNERS = {

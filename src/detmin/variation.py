@@ -58,7 +58,7 @@ def _normal_field(cp, base_kernel, index):
     return field
 
 
-def _density(cp, field, t, h_u):
+def _density(cp, field, t, h):
     """sqrt(det Gram) of u -> X(u) + t N(u), Jacobian by central differences."""
     x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
     p, q, r = cp.p, cp.q, cp.r
@@ -71,14 +71,14 @@ def _density(cp, field, t, h_u):
     d = x0.size
     jac = np.zeros((p * q, d))
     for k in range(d):
-        xp = x0.copy(); xp[k] += h_u
-        xm = x0.copy(); xm[k] -= h_u
-        jac[:, k] = (immersion(xp) - immersion(xm)) / (2.0 * h_u)
+        xp = x0.copy(); xp[k] += h
+        xm = x0.copy(); xm[k] -= h
+        jac[:, k] = (immersion(xp) - immersion(xm)) / (2.0 * h)
     gram = jac.T @ jac
     return float(np.sqrt(np.linalg.det(gram)))
 
 
-def volume_variation(cp, h_u=None, h_t=None):
+def volume_variation(cp):
     """Normalised first variation of volume along every frame normal.
 
     Returns an array of length (q - r)(p - r) whose entry alpha approximates
@@ -87,17 +87,15 @@ def volume_variation(cp, h_u=None, h_t=None):
     against that element, so on a minimal stratum every entry is ~0.
     """
     scale = 1.0 + max(np.abs(cp.a).max(initial=0.0), np.abs(cp.lam).max(initial=0.0))
-    if h_u is None:
-        h_u = np.cbrt(np.finfo(float).eps) * scale
-    if h_t is None:
-        h_t = np.cbrt(np.finfo(float).eps) * scale
+    # one central-difference step, in chart coordinates and along normals
+    h = np.cbrt(np.finfo(float).eps) * scale
     frame = normal_frame(cp)
     base_kernel = frame.kernel_basis
-    a0 = _density(cp, lambda a, lam: np.zeros((cp.p, cp.q)), 0.0, h_u)
+    a0 = _density(cp, lambda a, lam: np.zeros((cp.p, cp.q)), 0.0, h)
     out = np.zeros(frame.frame_size)
     for alpha in range(frame.frame_size):
         field = _normal_field(cp, base_kernel, alpha)
-        plus = _density(cp, field, +h_t, h_u)
-        minus = _density(cp, field, -h_t, h_u)
-        out[alpha] = (plus - minus) / (2.0 * h_t * a0)
+        plus = _density(cp, field, +h, h)
+        minus = _density(cp, field, -h, h)
+        out[alpha] = (plus - minus) / (2.0 * h * a0)
     return out

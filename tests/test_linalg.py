@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import (block_inverse, cofactors, declared_rank,
                            derived_rng, kron, make_rng, max_abs,
-                           require_finite, second_cofactors, spectral_cond,
-                           stratum_bases, svd_rank)
+                           require_finite, reversal, second_cofactors,
+                           spectral_cond, stratum_bases, svd_rank)
 
 
 def rational_rank(m_int):
@@ -143,6 +143,16 @@ def test_stratum_bases_split_off_the_orbit_generators(p, q, r):
     gens = _orbit_generators(x)
     assert max_abs(gens - tangent @ (tangent.T @ gens)) < 1e-12
     assert max_abs(normal.T @ gens) < 1e-12
+
+
+@pytest.mark.parametrize("p,q,m", [(3, 2, 4), (4, 3, 1), (2, 2, 0)])
+def test_reversal_is_the_worst_column_norm(p, q, m):
+    rng = make_rng(90 + 10 * p + q + m)
+    b = rng.normal(size=(p, p))
+    normals = rng.normal(size=(p * q, m))
+    columns = [w.reshape(p, q) for w in normals.T]
+    worst = max((np.linalg.norm(b @ w + w) for w in columns), default=0.0)
+    assert np.isclose(reversal(b, normals, (p, q)), worst, rtol=1e-14)
 
 
 def test_block_inverse_agrees_with_dense_inverse():

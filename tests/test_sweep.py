@@ -6,6 +6,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from detmin import kahler, levelset, parametric, pseudo, sweep
+from detmin.errors import DegenerateMetric
 from detmin.parametric import ChartPoint, chart_map
 from detmin.report import VERDICTS
 from detmin.sweep import CHECKS, PIPELINES, RunConfig, run_sweep
@@ -42,8 +44,7 @@ def test_all_pipelines_tiny_grid():
     config = RunConfig(p_values=(2, 3), q_values=(2, 3), samples=1, seed=2)
     report = run_sweep(config)
     assert report.exit_status() == 0
-    seen_pipelines = {r.check.split(".", 1)[0] for r in report.records}
-    assert seen_pipelines == set(PIPELINES)
+    assert {r.check for r in report.records} == set(CHECKS)
     for rec in report.records:
         assert rec.check in CHECKS
         assert rec.verdict in VERDICTS
@@ -55,6 +56,70 @@ def test_all_pipelines_tiny_grid():
     swapped = [r for r in report.records
                if r.check == "levelset.conjecture-swapped"]
     assert swapped and all(r.residual < 1e-10 for r in swapped)
+
+
+SAMPLERS = [(parametric, "sample_chart_point"),
+            (pseudo, "sample_pseudo_point"),
+            (levelset, "sample_on_variety"),
+            (levelset, "sample_singular_matrix"),
+            (kahler, "sample_complex_chart_point"),
+            (kahler, "sample_zeta_point"),
+            (sweep, "_generic_nonsingular"),
+            (sweep, "_generic_twin_point")]
+
+
+def test_degenerate_samples_skip_every_check_of_their_block(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateMetric("forced")
+
+    for owner, name in SAMPLERS:
+        monkeypatch.setattr(owner, name, degenerate)
+    report = run_sweep(RunConfig(p_values=(2,), q_values=(2,), samples=1))
+
+    expected = []
+
+    def block(point, *names):
+        expected.extend((name, f"{point} [DegenerateMetric]")
+                        for name in names)
+
+    for r in (0, 1):
+        block(f"p=2 q=2 r={r} i=0", "parametric.mean-curvature",
+              "parametric.tangency", "parametric.inverse-routes",
+              "parametric.route-agreement", "parametric.dimension",
+              "parametric.o-p-structure")
+    block("n=2 i=0", "levelset.minimality", "levelset.projector-rank",
+          "levelset.contractions", "levelset.row-coefficients")
+    block("n=2 i=0", "levelset.identities", "levelset.harmonicity",
+          "levelset.minor-inverse", "levelset.conjecture-printed",
+          "levelset.conjecture-swapped")
+    block("n=2 i=0", "levelset.rank-one")
+    for r in (0, 1):
+        block(f"p=2 q=2 r={r} i=0", "helicoidal.reflection",
+              "helicoidal.isometry", "helicoidal.rank-preserved",
+              "helicoidal.tangent-membership", "helicoidal.normal-reversal",
+              "helicoidal.counter-control")
+    block("n=2 i=0", "complex.chart-minimality", "complex.chart-blocks")
+    block("n=2 i=0", "complex.twin-identities", "complex.contractions",
+          "complex.rho-homogeneity")
+    block("n=2 i=0", "complex.rho-quadratic")
+    block("n=2 i=0", "complex.zeta-minimality", "complex.conformal-gram")
+    for r in (0, 1):
+        for eta, zeta in (("++", "++"), ("+-", "+-")):
+            block(f"p=2 q=2 r={r} eta={eta} zeta={zeta} i=0",
+                  "pseudo.minimality", "pseudo.reflection",
+                  "pseudo.normal-reversal", "pseudo.induced-signature",
+                  "pseudo.induced-signature-duplicated")
+        block(f"p=2 q=2 r={r} i=0", "pseudo.euclidean-reduction")
+
+    skipped = [r for r in report.records if r.verdict == "SKIPPED-DEGENERATE"]
+    assert [(r.check, r.point) for r in skipped] == expected
+    assert all(r.tolerance == CHECKS[r.check].tolerance for r in skipped)
+    # signature counting needs no sample point, so it still reports
+    kept = Counter(r.check for r in report.records
+                   if r.verdict != "SKIPPED-DEGENERATE")
+    assert kept == {"pseudo.ambient-signature": 9,
+                    "pseudo.ambient-signature-crossed": 9}
+    assert report.exit_status() == 0
 
 
 def test_rank_filter_restricts_triples():
