@@ -12,9 +12,8 @@ import argparse
 import sys
 import time
 
-from .report import VerificationReport  # noqa: F401  (re-export for callers)
-from .sweep import (CHECKS, PIPELINES, RunConfig, config_from_mapping,
-                    load_config, parse_range, run_sweep)
+from .sweep import (CHECKS, PIPELINES, config_from_mapping, load_config,
+                    run_sweep)
 
 
 def _add_grid_options(parser):

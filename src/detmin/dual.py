@@ -3,9 +3,11 @@
 Every map differentiated in this package is polynomial in its inputs, so
 evaluating it on dual numbers gives derivatives that are exact up to float
 rounding, with no step-size tuning.  Nesting duals one level deep gives
-exact second derivatives.  This is the primary differentiation route;
-central finite differences are provided only as an independent cross-check
-oracle and are never used to certify a result.
+exact second derivatives.  The perturbations are numpy arrays seeded with
+unit vectors (vector-mode forward differentiation), so one evaluation of
+the map gives a whole gradient or Hessian.  This is the primary
+differentiation route; central finite differences are provided only as an
+independent cross-check oracle and are never used to certify a result.
 
 Maps are evaluated on object-dtype numpy arrays holding ``Dual`` entries.
 ``np.dot`` and elementwise arithmetic work on such arrays; ``np.matmul``
@@ -86,54 +88,53 @@ def _eps(z):
     return z.eps if isinstance(z, Dual) else 0.0
 
 
-def _as_object_copy(x):
-    x = np.asarray(x, dtype=float)
-    z = np.empty(x.shape, dtype=object)
-    z.ravel()[:] = [float(t) for t in x.ravel()]
-    return z
-
-
 def gradient_of(f, x):
-    """Exact gradient of ``f`` at ``x`` via one dual pass per coordinate.
+    """Exact gradient of ``f`` at ``x`` from one vector-seeded dual pass.
 
+    Coordinate k carries the unit vector e_k as its perturbation, so the
+    single evaluation of ``f`` returns every partial derivative at once.
+    On maps built from +, - and * (all this package differentiates) each
+    entry equals that of a pass seeding coordinate k alone with 1.
     ``f`` takes a 1-d array (float or object dtype) and returns a scalar or
     an ndarray; the result has shape ``f(x).shape + (len(x),)``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    base = np.asarray(f(x), dtype=float)
-    out = np.zeros(base.shape + (n,))
-    for i in range(n):
-        z = _as_object_copy(x)
-        z[i] = Dual(x[i], 1.0)
-        w = np.asarray(f(z), dtype=object)
-        # frompyfunc hands back a bare scalar for 0-d input, so re-wrap
-        deriv = np.frompyfunc(lambda t: value(_eps(t)), 1, 1)(w)
-        out[..., i] = np.asarray(deriv, dtype=float)
+    eye = np.eye(n)
+    z = np.empty(n, dtype=object)
+    for k in range(n):
+        z[k] = Dual(x[k], eye[k])
+    w = np.asarray(f(z), dtype=object)
+    out = np.empty(w.shape + (n,))
+    for idx, t in np.ndenumerate(w):
+        # a constant output has a scalar 0 perturbation, which broadcasts
+        out[idx] = value(_eps(t))
     return out
 
 
 def hessian_of(f, x):
-    """Exact Hessian of ``f`` at ``x`` via nested dual numbers.
+    """Exact Hessian of ``f`` at ``x`` from one nested-dual pass.
 
-    Returns an array of shape ``f(x).shape + (n, n)``; the matrix is filled
-    symmetrically from the upper-triangular evaluations.
+    Coordinate k carries e_k as a (1, n) row in the inner perturbation and
+    as an (n, 1) column in the outer one, so entry (i, j) of each output's
+    innermost part is d2f / dx_i dx_j, built from the same float operations
+    as a scalar pass seeded with e_j inside and e_i outside.  The lower
+    triangle is mirrored onto the upper one.  Returns an array of shape
+    ``f(x).shape + (n, n)``.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    base = np.asarray(f(x), dtype=float)
-    out = np.zeros(base.shape + (n, n))
-    extract = np.frompyfunc(lambda t: value(_eps(_eps(t))), 1, 1)
-    for i in range(n):
-        for j in range(i + 1):
-            z = np.empty(n, dtype=object)
-            for k in range(n):
-                z[k] = Dual(Dual(x[k], 1.0 if k == j else 0.0),
-                            Dual(1.0 if k == i else 0.0, 0.0))
-            w = np.asarray(f(z), dtype=object)
-            hij = np.asarray(extract(w), dtype=float)
-            out[..., i, j] = hij
-            out[..., j, i] = hij
+    eye = np.eye(n)
+    z = np.empty(n, dtype=object)
+    for k in range(n):
+        z[k] = Dual(Dual(x[k], eye[k:k + 1]), Dual(eye[:, k:k + 1], 0.0))
+    w = np.asarray(f(z), dtype=object)
+    out = np.empty(w.shape + (n, n))
+    for idx, t in np.ndenumerate(w):
+        # constant and linear outputs have a scalar 0 there, which broadcasts
+        out[idx] = value(_eps(_eps(t)))
+    i, j = np.triu_indices(n, 1)
+    out[..., i, j] = out[..., j, i]
     return out
 
 

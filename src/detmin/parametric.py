@@ -171,17 +171,15 @@ class ChartPoint:
         p, q, r = self.p, self.q, self.r
         kernel = self.a_rank.kernel_basis
         gamma = 1.0 / np.sqrt(1.0 + (self.lam ** 2).sum(axis=0))
-        frames = np.zeros(((q - r) * (p - r), p, q))
-        idx = 0
-        for sp in range(q - r):
-            for spp in range(p - r):
-                n = np.zeros((p, q))
-                n[:, :r] = np.outer(kernel[:, spp], self.lam[:, sp])
-                n[:, r + sp] = -kernel[:, spp]
-                frames[idx] = gamma[sp] * n
-                idx += 1
-        return NormalFrame(_read_only(frames), _read_only(gamma),
-                           _read_only(kernel))
+        # element (s', s''): gamma_{s'} [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}]
+        frames = np.zeros((q - r, p - r, p, q))
+        frames[..., :r] = (kernel.T[None, :, :, None]
+                           * self.lam.T[:, None, None, :])
+        trailing = np.arange(q - r)
+        frames[trailing, :, :, r + trailing] = -kernel.T
+        frames = gamma[:, None, None, None] * frames
+        return NormalFrame(_read_only(frames.reshape(-1, p, q)),
+                           _read_only(gamma), _read_only(kernel))
 
 
 def sample_chart_point(p, q, r, rng):
@@ -260,16 +258,24 @@ def _second_derivatives(p, q, r):
 
 
 def chart_hessian_autodiff(cp):
-    """Chart second derivatives via nested dual numbers (oracle route)."""
-    p, q, r = cp.p, cp.q, cp.r
-    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
+    """Chart second derivatives via nested dual numbers (oracle route).
 
-    def flat_chart(vec):
-        a = np.asarray(vec[:p * r]).reshape(p, r)
-        lam = np.asarray(vec[p * r:]).reshape(r, q - r)
-        return chart_map_generic(a, lam).ravel()
+    Kept read-only in the point's memo, so the autodiff curvature and its
+    second fundamental form share one evaluation.
+    """
+    d2x = cp.memo.get("parametric.chart_hessian_autodiff")
+    if d2x is None:
+        p, q, r = cp.p, cp.q, cp.r
+        x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
 
-    return dual.hessian_of(flat_chart, x0)
+        def flat_chart(vec):
+            a = np.asarray(vec[:p * r]).reshape(p, r)
+            lam = np.asarray(vec[p * r:]).reshape(r, q - r)
+            return chart_map_generic(a, lam).ravel()
+
+        d2x = cp.memo["parametric.chart_hessian_autodiff"] = _read_only(
+            dual.hessian_of(flat_chart, x0))
+    return d2x
 
 
 @dataclass(frozen=True)

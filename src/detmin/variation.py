@@ -39,41 +39,49 @@ def _transported_kernel(a, base_kernel):
     return _sign_fixed_orthonormalize(proj)
 
 
-def _normal_field(cp, base_kernel, index):
-    """Smooth extension u -> N_index(u) of the frame element at cp."""
-    q_r = cp.q - cp.r
-    p_r = cp.p - cp.r
-    sp, spp = divmod(index, p_r)
-    if not (0 <= sp < q_r):
-        raise IndexError(f"frame index {index} out of range")
+def _normal_fields(kernel, lam):
+    """Every frame element's field, shape (frame_size, p, q), at one point.
 
-    def field(a, lam):
-        kernel = _transported_kernel(a, base_kernel)
-        gamma = 1.0 / np.sqrt(1.0 + (lam[:, sp] ** 2).sum())
-        n = np.zeros((a.shape[0], cp.q))
-        n[:, :cp.r] = np.outer(kernel[:, spp], lam[:, sp])
-        n[:, cp.r + sp] = -kernel[:, spp]
-        return gamma * n
-
-    return field
+    Element (s', s'') is gamma_{s'} * [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}]
+    with k the transported kernel there.
+    """
+    r, q_r = lam.shape
+    p, p_r = kernel.shape
+    fields = np.zeros((q_r, p_r, p, r + q_r))
+    for sp in range(q_r):
+        fields[sp, ..., :r] = kernel.T[:, :, None] * lam[:, sp]
+        fields[sp, ..., r + sp] = -kernel.T
+        fields[sp] *= 1.0 / np.sqrt(1.0 + (lam[:, sp] ** 2).sum())
+    return fields.reshape(-1, p, r + q_r)
 
 
-def _density(cp, field, t, h):
-    """sqrt(det Gram) of u -> X(u) + t N(u), Jacobian by central differences."""
+def _offsets(cp, h):
+    """Chart points at x0 + h e_k and x0 - h e_k for each chart coordinate k.
+
+    Built as ``ChartPoint`` so that each one's rank is checked.
+    """
     x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
     p, q, r = cp.p, cp.q, cp.r
+    points = []
+    for k in range(x0.size):
+        for step in (h, -h):
+            vec = x0.copy()
+            vec[k] += step
+            points.append(ChartPoint(vec[:p * r].reshape(p, r),
+                                     vec[p * r:].reshape(r, q - r)))
+    return points
 
-    def immersion(vec):
-        a = vec[:p * r].reshape(p, r)
-        lam = vec[p * r:].reshape(r, q - r)
-        return (chart_map(ChartPoint(a, lam)) + t * field(a, lam)).ravel()
 
-    d = x0.size
-    jac = np.zeros((p * q, d))
-    for k in range(d):
-        xp = x0.copy(); xp[k] += h
-        xm = x0.copy(); xm[k] -= h
-        jac[:, k] = (immersion(xp) - immersion(xm)) / (2.0 * h)
+def _density(x, n, t, h):
+    """sqrt(det Gram) of u -> X(u) + t N(u), Jacobian by central differences.
+
+    ``x`` and ``n`` hold X and N at the points of :func:`_offsets`, in its
+    order, each as a p x q matrix; ``n`` may be a scalar 0.
+    """
+    p, q = x.shape[1:]
+    values = (x + t * n).reshape(-1, 2, p * q)
+    # C-ordered (pq, dim): the layout fixes how BLAS sums J^T J
+    jac = np.ascontiguousarray(((values[:, 0] - values[:, 1]) / (2.0 * h)).T)
     gram = jac.T @ jac
     return float(np.sqrt(np.linalg.det(gram)))
 
@@ -90,12 +98,17 @@ def volume_variation(cp):
     # one central-difference step, in chart coordinates and along normals
     h = np.cbrt(np.finfo(float).eps) * scale
     frame = normal_frame(cp)
-    base_kernel = frame.kernel_basis
-    a0 = _density(cp, lambda a, lam: np.zeros((cp.p, cp.q)), 0.0, h)
+    points = _offsets(cp, h)
+    x = np.zeros((len(points), cp.p, cp.q))
+    n = np.zeros((len(points), frame.frame_size, cp.p, cp.q))
+    for i, point in enumerate(points):
+        x[i] = chart_map(point)
+        n[i] = _normal_fields(
+            _transported_kernel(point.a, frame.kernel_basis), point.lam)
+    a0 = _density(x, 0.0, 0.0, h)
     out = np.zeros(frame.frame_size)
     for alpha in range(frame.frame_size):
-        field = _normal_field(cp, base_kernel, alpha)
-        plus = _density(cp, field, +h, h)
-        minus = _density(cp, field, -h, h)
+        plus = _density(x, n[:, alpha], +h, h)
+        minus = _density(x, n[:, alpha], -h, h)
         out[alpha] = (plus - minus) / (2.0 * h * a0)
     return out

@@ -105,6 +105,33 @@ def test_closed_form_jacobian_equals_the_column_built_one(p, q, r):
     assert jac.flags.f_contiguous
 
 
+def _loop_frame(cp):
+    """Frame elements built one (s', s'') pair at a time."""
+    p, q, r = cp.p, cp.q, cp.r
+    kernel = cp.a_rank.kernel_basis
+    gamma = 1.0 / np.sqrt(1.0 + (cp.lam ** 2).sum(axis=0))
+    frames = np.zeros(((q - r) * (p - r), p, q))
+    idx = 0
+    for sp in range(q - r):
+        for spp in range(p - r):
+            n = np.zeros((p, q))
+            n[:, :r] = np.outer(kernel[:, spp], cp.lam[:, sp])
+            n[:, r + sp] = -kernel[:, spp]
+            frames[idx] = gamma[sp] * n
+            idx += 1
+    return frames
+
+
+@pytest.mark.parametrize("p,q,r", [(p, q, r) for p in range(1, 7)
+                                   for q in range(1, p + 1) for r in range(q)])
+def test_broadcast_frame_equals_the_loop_built_one(p, q, r):
+    cp = sample_chart_point(p, q, r, make_rng(500 + 10 * p + q + r))
+    normals = normal_frame(cp).normals
+    loop = _loop_frame(cp)
+    assert normals.shape == loop.shape
+    assert normals.tobytes() == loop.tobytes()
+
+
 def test_chart_point_geometry_cannot_go_stale():
     a, lam = np.array([[1.0], [2.0], [0.5]]), np.array([[3.0, -1.0]])
     cp = ChartPoint(a, lam)
@@ -207,6 +234,25 @@ def test_autodiff_route_agrees_with_analytic():
     slow = mean_curvature(cp, use_autodiff=True)
     assert np.allclose(fast.components, slow.components, atol=1e-11)
     assert slow.max_component < 1e-11
+
+
+def test_autodiff_curvature_evaluates_one_dual_hessian(monkeypatch):
+    from detmin import dual
+
+    calls = []
+    hessian_of = dual.hessian_of
+
+    def counted(f, x):
+        calls.append(x.size)
+        return hessian_of(f, x)
+
+    monkeypatch.setattr(dual, "hessian_of", counted)
+    cp = sample_chart_point(4, 3, 2, make_rng(9))
+    mean_curvature(cp, use_autodiff=True)
+    second_fundamental_form_autodiff(cp)
+    assert calls == [cp.dim]
+    with pytest.raises(ValueError):
+        parametric.chart_hessian_autodiff(cp)[0, 0, 0] = 1.0
 
 
 def test_cone_scaling_preserves_minimality():

@@ -9,9 +9,11 @@ the closed-form metric blocks).
 import numpy as np
 import pytest
 
+from detmin import variation
 from detmin.linalg import make_rng
-from detmin.parametric import chart_jacobian, sample_chart_point
-from detmin.variation import volume_variation
+from detmin.parametric import (ChartPoint, chart_jacobian, chart_map,
+                               normal_frame, sample_chart_point)
+from detmin.variation import _density, _offsets, volume_variation
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (3, 3, 1),
@@ -25,11 +27,86 @@ def test_volume_variation_vanishes(p, q, r):
         assert np.abs(dv).max() < 1e-5
 
 
+def _fields_at_offsets(cp, field, h):
+    """X and field(a, lam) at the central-difference points of ``cp``."""
+    points = _offsets(cp, h)
+    return (np.array([chart_map(pt) for pt in points]),
+            np.array([field(pt.a, pt.lam) for pt in points]))
+
+
+def _per_field_variation(cp):
+    """The rates with every density rebuilding its own perturbed points."""
+    p, q, r = cp.p, cp.q, cp.r
+    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
+    scale = 1.0 + max(np.abs(cp.a).max(initial=0.0),
+                      np.abs(cp.lam).max(initial=0.0))
+    h = np.cbrt(np.finfo(float).eps) * scale
+    frame = normal_frame(cp)
+
+    def field_of(alpha):
+        sp, spp = divmod(alpha, p - r)
+
+        def field(a, lam):
+            kernel = variation._transported_kernel(a, frame.kernel_basis)
+            gamma = 1.0 / np.sqrt(1.0 + (lam[:, sp] ** 2).sum())
+            n = np.zeros((p, q))
+            n[:, :r] = np.outer(kernel[:, spp], lam[:, sp])
+            n[:, r + sp] = -kernel[:, spp]
+            return gamma * n
+
+        return field
+
+    def density(field, t):
+        jac = np.zeros((p * q, x0.size))
+        for k in range(x0.size):
+            xp = x0.copy(); xp[k] += h
+            xm = x0.copy(); xm[k] -= h
+            ends = []
+            for vec in (xp, xm):
+                a = vec[:p * r].reshape(p, r)
+                lam = vec[p * r:].reshape(r, q - r)
+                ends.append((chart_map(ChartPoint(a, lam))
+                             + t * field(a, lam)).ravel())
+            jac[:, k] = (ends[0] - ends[1]) / (2.0 * h)
+        return float(np.sqrt(np.linalg.det(jac.T @ jac)))
+
+    a0 = density(lambda a, lam: np.zeros((p, q)), 0.0)
+    return np.array([(density(field_of(alpha), +h)
+                      - density(field_of(alpha), -h)) / (2.0 * h * a0)
+                     for alpha in range(frame.frame_size)])
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (4, 4, 1),
+                                   (3, 2, 0)])
+def test_rates_equal_the_per_field_densities(p, q, r):
+    cp = sample_chart_point(p, q, r, make_rng(900 + 10 * p + q + r))
+    assert np.array_equal(volume_variation(cp), _per_field_variation(cp))
+
+
+def test_each_perturbed_point_is_built_once(monkeypatch):
+    built, transported = [], []
+    chart_point = variation.ChartPoint
+    transport = variation._transported_kernel
+
+    def counted_point(a, lam):
+        built.append(1)
+        return chart_point(a, lam)
+
+    def counted_transport(a, base_kernel):
+        transported.append(1)
+        return transport(a, base_kernel)
+
+    monkeypatch.setattr(variation, "ChartPoint", counted_point)
+    monkeypatch.setattr(variation, "_transported_kernel", counted_transport)
+    cp = sample_chart_point(4, 3, 1, make_rng(4))
+    volume_variation(cp)
+    assert len(built) == len(transported) == 2 * cp.dim
+
+
 def test_variation_detects_a_non_minimal_perturbation():
     # control: transporting along a *tangent*-contaminated direction with a
     # position-dependent scale must register a nonzero volume derivative,
     # otherwise the oracle could pass vacuously
-    from detmin.variation import _density
     rng = make_rng(77)
     cp = sample_chart_point(3, 2, 1, rng)
 
@@ -38,15 +115,14 @@ def test_variation_detects_a_non_minimal_perturbation():
             [a, a @ lam], axis=1)  # radial stretch, scale-dependent
 
     h = 1e-5
-    d_plus = _density(cp, bogus_field, h, 1e-6)
-    d_minus = _density(cp, bogus_field, -h, 1e-6)
+    x, n = _fields_at_offsets(cp, bogus_field, 1e-6)
+    d_plus = _density(x, n, h, 1e-6)
+    d_minus = _density(x, n, -h, 1e-6)
     rate = (np.log(d_plus) - np.log(d_minus)) / (2 * h)
     assert abs(rate) > 1e-2
 
 
 def test_density_matches_jacobian_gram_at_zero():
-    from detmin.variation import _density
-
     rng = make_rng(5)
     cp = sample_chart_point(3, 2, 1, rng)
 
@@ -55,5 +131,5 @@ def test_density_matches_jacobian_gram_at_zero():
 
     jac = chart_jacobian(cp)
     want = np.sqrt(np.linalg.det(jac.T @ jac))
-    got = _density(cp, zero_field, 0.0, 1e-6)
+    got = _density(*_fields_at_offsets(cp, zero_field, 1e-6), 0.0, 1e-6)
     assert got == pytest.approx(want, rel=1e-7)
