@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChartPoint
-from .linalg import (column_reflection, declared_rank, max_abs, reversal,
-                     stratum_bases, svd_rank)
+from .linalg import (column_reflection, declared_rank, identity, max_abs,
+                     numerical_rank, reversal, stratum_bases)
 from .parametric import ChartPoint, chart_map
 
 
@@ -49,8 +49,8 @@ class Reflection:
         expected = np.sort(np.concatenate([-np.ones(p - self.r),
                                            np.ones(self.r)]))
         return {
-            "orthogonal": max_abs(b.T @ b - np.eye(p)),
-            "involution": max_abs(b @ b - np.eye(p)),
+            "orthogonal": max_abs(b.T @ b - identity(p)),
+            "involution": max_abs(b @ b - identity(p)),
             "fixes_point": max_abs(b @ x - x) / max(1.0, max_abs(x)),
             "determinant": abs(float(np.linalg.det(b)) - (-1.0) ** (p - self.r)),
             "spectrum": max_abs(eig - expected),
@@ -77,16 +77,16 @@ def isometry_check(a, q, rng):
 
     Samples eight random matrix pairs and compares <aX, aY> with <X, Y>;
     returns (verdict, worst relative deviation).  Left multiplication is an
-    isometry exactly when ``a`` is orthogonal.
+    isometry exactly when ``a`` is orthogonal.  The pairs are drawn in one
+    call, X before Y for each pair, and evaluated as one stacked product.
     """
     a = np.asarray(a, dtype=float)
-    worst = 0.0
-    for _ in range(8):
-        x = rng.normal(size=(a.shape[1], q))
-        y = rng.normal(size=(a.shape[1], q))
-        lhs = float(((a @ x) * (a @ y)).sum())
-        rhs = float((x * y).sum())
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    xy = rng.normal(size=(8, 2, a.shape[1], q))
+    x, y = xy[:, 0], xy[:, 1]
+    lhs = ((a @ x) * (a @ y)).reshape(8, -1).sum(axis=1)
+    rhs = (x * y).reshape(8, -1).sum(axis=1)
+    deviation = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    worst = max([0.0, *deviation.tolist()])
     return worst <= 1e-12, worst
 
 
@@ -174,7 +174,7 @@ def helicoidal_certificate(x, r, rng):
     _, iso = isometry_check(refl.matrix, x.shape[1], rng)
     z = chart_map(ChartPoint(rng.normal(size=(x.shape[0], r)),
                              rng.uniform(-2, 2, size=(r, x.shape[1] - r))))
-    rank_preserved = svd_rank(refl.matrix @ z).rank == r == svd_rank(z).rank
+    rank_preserved = numerical_rank(refl.matrix @ z) == r == numerical_rank(z)
     tb, nb = _stratum_bases(x, r)
     tangents = {
         "cone_direction": _off_span(tb, x),

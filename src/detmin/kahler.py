@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChartPoint, SingularGram
-from .linalg import (ProjectedTraces, cofactors, gradient_projector, max_abs,
-                     projected_traces, second_cofactors, svd_rank)
+from .linalg import (ProjectedTraces, cofactors, fill_blocks,
+                     gradient_projector, max_abs, projected_traces,
+                     second_cofactors, svd_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +226,9 @@ class TwinHarmonicPair:
         # flatten complex index pairs column-major to match the layout
         c2 = c2.transpose(1, 0, 3, 2).reshape(n * n, n * n)
         re, im = c2.real, c2.imag
-        hu = np.block([[re, -im], [-im, -re]])
-        hv = np.block([[im, re], [re, -im]])
+        neg_im = -im
+        hu = fill_blocks(re, neg_im, neg_im, -re)
+        hv = fill_blocks(im, re, re, neg_im)
         return hu, hv
 
     def values_generic(self, flat):

@@ -2,16 +2,22 @@
 products, cofactor determinants, constraint projectors, stratum
 tangent/normal bases, column-space reflections, inertia, seeded RNG.
 
-Every pipeline routes its rank questions through :func:`svd_rank` so that a
-single tolerance policy governs the whole package, and its partitioned
-inversions through :func:`block_inverse` so that condition-number guards are
-applied uniformly.  Cofactors and the codimension-k trace tr(P d2 chi) live
-here as substrate only; each pipeline keeps its own closed forms.
+Every pipeline routes its rank questions through :func:`svd_rank`, or
+through :func:`numerical_rank` where only the count is read; both threshold
+the singular values with the one expression in ``_rank_tolerance``, so
+a single tolerance policy governs the whole package.  Partitioned inversions
+go through :func:`block_inverse` so that condition-number guards are applied
+uniformly.  Matrices assembled from 2 x 2 blocks are filled in place by
+:func:`fill_blocks`, and identity operands come from :func:`identity`, one
+cached read-only array per size.  Cofactors and the codimension-k trace
+tr(P d2 chi) live here as substrate only; each pipeline keeps its own closed
+forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +61,37 @@ def derived_rng(seed, *context):
         np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+@lru_cache(maxsize=64)
+def identity(n):
+    """The n x n identity, one cached read-only array per size.
+
+    An operand only: callers combine it into new arrays and never hand it
+    out as a result.  The sizes a sweep uses (p, q, r, q - r, p r and the
+    chart dimension) fit the cache many times over.
+    """
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def fill_blocks(top_left, top_right, bottom_left, bottom_right):
+    """``np.block([[top_left, top_right], [bottom_left, bottom_right]])``.
+
+    The four blocks are copied into one preallocated C-ordered array, so the
+    result holds the same entries in the same layout without ``np.block``'s
+    general-nesting bookkeeping.  Zero-size blocks are allowed.
+    """
+    blocks = (top_left, top_right, bottom_left, bottom_right)
+    rows, cols = top_left.shape[0], top_left.shape[1]
+    out = np.empty((rows + bottom_left.shape[0], cols + top_right.shape[1]),
+                   dtype=np.result_type(*blocks))
+    out[:rows, :cols] = top_left
+    out[:rows, cols:] = top_right
+    out[rows:, :cols] = bottom_left
+    out[rows:, cols:] = bottom_right
+    return out
+
+
 def require_finite(m, name="matrix"):
     """Reject NaN/inf input with a diagnostic instead of letting LAPACK fail."""
     m = np.asarray(m, dtype=float)
@@ -84,12 +121,21 @@ class RankResult:
     tolerance: float
 
 
+def _rank_tolerance(s, shape):
+    """Rank threshold ``sigma_max * max(shape) * eps * RANK_TOL_FACTOR``.
+
+    ``s`` holds the singular values in descending order; every rank
+    decision in the package compares them against this one expression.
+    """
+    return s[0] * max(shape) * np.finfo(float).eps * RANK_TOL_FACTOR
+
+
 def svd_rank(m):
     """Rank decision via singular values, with an explicit tolerance policy.
 
-    The threshold is ``sigma_max * max(m.shape) * eps * RANK_TOL_FACTOR``;
-    the range and kernel bases are the left singular vectors up to and
-    beyond the rank, the row basis the right singular vectors up to it.
+    The threshold is :func:`_rank_tolerance`; the range and kernel bases
+    are the left singular vectors up to and beyond the rank, the row basis
+    the right singular vectors up to it.
     """
     m = require_finite(m, "svd_rank input")
     rows, cols = m.shape
@@ -97,9 +143,18 @@ def svd_rank(m):
         return RankResult(0, np.zeros(0), np.zeros((rows, 0)), np.eye(rows),
                           np.zeros((cols, 0)), 0.0)
     u, s, vt = np.linalg.svd(m, full_matrices=True)
-    tol = s[0] * max(m.shape) * np.finfo(float).eps * RANK_TOL_FACTOR
+    tol = _rank_tolerance(s, m.shape)
     rank = int((s > tol).sum())
     return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T, tol)
+
+
+def numerical_rank(m):
+    """The rank :func:`svd_rank` decides, from the singular values alone."""
+    m = require_finite(m, "numerical_rank input")
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    return int((s > _rank_tolerance(s, m.shape)).sum())
 
 
 def declared_rank(m, r=None):
@@ -141,7 +196,7 @@ def stratum_bases(x):
     """
     x = np.asarray(x, dtype=float)
     p, q = x.shape
-    gens = np.hstack([kron(np.eye(p), x.T), kron(x, np.eye(q))])
+    gens = np.hstack([kron(identity(p), x.T), kron(x, identity(q))])
     rank = svd_rank(gens)
     return rank.range_basis, rank.kernel_basis
 
@@ -168,13 +223,13 @@ def column_reflection(x_rank, signs):
     basis = x_rank.range_basis
     n = basis.shape[0]
     if not basis.size:
-        return -np.eye(n)
+        return -identity(n)
     gram = basis.T @ (signs[:, None] * basis)
     if inertia(np.linalg.eigvalsh(gram))[2] > 0:
         raise DegenerateMetric("the form restricted to the column space "
                                "is degenerate; no reflection")
     proj = basis @ np.linalg.solve(gram, basis.T * signs[None, :])
-    return 2.0 * proj - np.eye(n)
+    return 2.0 * proj - identity(n)
 
 
 def reversal(b, normals, shape):
@@ -254,7 +309,7 @@ def block_inverse(g, b, d, pivot="leading"):
         gi = np.linalg.inv(g)
         top_left = gi + gi_b @ rho @ gi_b.T
         top_right = -gi_b @ rho
-        full = np.block([[top_left, top_right], [top_right.T, rho]])
+        full = fill_blocks(top_left, top_right, top_right.T, rho)
         return BlockInverse(full, cond)
 
     di_bt = np.linalg.solve(d, b.T)
@@ -267,7 +322,7 @@ def block_inverse(g, b, d, pivot="leading"):
     di = np.linalg.inv(d)
     top_right = -gp_inv @ di_bt.T
     bottom_right = di + di_bt @ gp_inv @ di_bt.T
-    full = np.block([[gp_inv, top_right], [top_right.T, bottom_right]])
+    full = fill_blocks(gp_inv, top_right, top_right.T, bottom_right)
     return BlockInverse(full, cond)
 
 

@@ -36,8 +36,9 @@ import numpy as np
 
 from . import dual
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import (COND_LIMIT, block_inverse, declared_rank, kron, max_abs,
-                     spectral_cond, svd_rank)
+from .linalg import (COND_LIMIT, block_inverse, declared_rank, fill_blocks,
+                     identity, kron, max_abs, numerical_rank, spectral_cond,
+                     svd_rank)
 
 
 # Sampler limits: sample_chart_point keeps cond(a^T a) <= A_COND_LIMIT and
@@ -137,8 +138,9 @@ class ChartPoint:
         """
         p, q, r = self.p, self.q, self.r
         rows = np.concatenate([
-            kron(np.eye(p), np.hstack([np.eye(r), self.lam])),
-            kron(self.a.T, np.hstack([np.zeros((q - r, r)), np.eye(q - r)]))])
+            kron(identity(p), np.hstack([identity(r), self.lam])),
+            kron(self.a.T,
+                 np.hstack([np.zeros((q - r, r)), identity(q - r)]))])
         return _read_only(rows.T)
 
     @cached_property
@@ -146,9 +148,9 @@ class ChartPoint:
         """Metric blocks G, B, D as Kronecker forms; see :func:`induced_metric`."""
         p, q, r = self.p, self.q, self.r
         return MetricBlocks(
-            _read_only(kron(np.eye(p), np.eye(r) + self.lam @ self.lam.T)),
+            _read_only(kron(identity(p), identity(r) + self.lam @ self.lam.T)),
             _read_only(kron(self.a, self.lam)),
-            _read_only(kron(self.a.T @ self.a, np.eye(q - r))))
+            _read_only(kron(self.a.T @ self.a, identity(q - r))))
 
     @cached_property
     def metric_cond(self):
@@ -189,18 +191,26 @@ def sample_chart_point(p, q, r, rng):
     condition below METRIC_COND_LIMIT.  The metric bound sits a decade
     under the evaluation guard COND_LIMIT: inverse residuals scale like
     eps * cond, and 1e5 keeps them clear of the 1e-10 identity tolerance.
+    cond(a^T a) is (sigma_1 / sigma_r)^2 of the point's own rank decision
+    on ``a``, so a draw costs one SVD of ``a``; a column-rank deficient
+    draw, which the point refuses, is rejected like an ill-conditioned one.
     """
     for _ in range(MAX_DRAWS):
         a = rng.normal(size=(p, r))
         lam = rng.uniform(-2.0, 2.0, size=(r, q - r))
-        if r > 0:
-            if spectral_cond(a.T @ a) > A_COND_LIMIT:
-                continue
+        if r == 0:
+            return ChartPoint(a, lam)
+        try:
             cp = ChartPoint(a, lam)
-            if cp.metric_cond > METRIC_COND_LIMIT:
-                continue
-            return cp
-        return ChartPoint(a, lam)
+        except InvalidChartPoint:
+            if not r < q <= p:
+                raise   # a shape error would repeat on every draw
+            continue
+        s = cp.a_rank.singular_values
+        if ((s[0] / s[r - 1]) ** 2 > A_COND_LIMIT
+                or cp.metric_cond > METRIC_COND_LIMIT):
+            continue
+        return cp
     raise DegenerateMetric(
         f"no well-conditioned chart point for (p,q,r)=({p},{q},{r}) "
         f"after {MAX_DRAWS} draws")
@@ -243,17 +253,13 @@ def chart_second_derivatives(cp):
 @lru_cache(maxsize=1)
 def _second_derivatives(p, q, r):
     dim = r * (p - r) + q * r
+    j, s, sp = np.indices((p, r, q - r)).reshape(3, -1)
+    amb = j * q + r + sp              # flat ambient position (j, r + sp)
+    ia = j * r + s                    # chart coordinate a_{js}
+    il = p * r + s * (q - r) + sp     # chart coordinate lam_{s sp}
     d2 = np.zeros((p * q, dim, dim))
-    for j in range(p):
-        for s in range(r):
-            ia = j * r + s
-            for sp in range(q - r):
-                il = p * r + s * (q - r) + sp
-                amb = np.zeros((p, q))
-                amb[j, r + sp] = 1.0
-                flat = amb.ravel()
-                d2[:, ia, il] += flat
-                d2[:, il, ia] += flat
+    d2[amb, ia, il] = 1.0
+    d2[amb, il, ia] = 1.0
     return _read_only(d2)
 
 
@@ -288,7 +294,7 @@ class MetricBlocks:
 
     @cached_property
     def assembled(self):
-        return _read_only(np.block([[self.g, self.b], [self.b.T, self.d]]))
+        return _read_only(fill_blocks(self.g, self.b, self.b.T, self.d))
 
 
 def induced_metric(cp):
@@ -313,13 +319,13 @@ def operator_form_inverse(cp, bottom_left_sign=-1.0):
     """
     p, q, r = cp.p, cp.q, cp.r
     iata = cp.a_gram_inv
-    proj_out = np.eye(p) - cp.a @ iata @ cp.a.T
-    m = cp.lam @ cp.lam.T @ np.linalg.inv(np.eye(r) + cp.lam @ cp.lam.T)
-    top_left = np.eye(p * r) - kron(proj_out, m)
+    proj_out = identity(p) - cp.a @ iata @ cp.a.T
+    m = cp.lam @ cp.lam.T @ np.linalg.inv(identity(r) + cp.lam @ cp.lam.T)
+    top_left = identity(p * r) - kron(proj_out, m)
     top_right = -kron(cp.a @ iata, cp.lam)
     bottom_left = bottom_left_sign * kron(iata @ cp.a.T, cp.lam.T)
-    bottom_right = kron(iata, np.eye(q - r) + cp.lam.T @ cp.lam)
-    return np.block([[top_left, top_right], [bottom_left, bottom_right]])
+    bottom_right = kron(iata, identity(q - r) + cp.lam.T @ cp.lam)
+    return fill_blocks(top_left, top_right, bottom_left, bottom_right)
 
 
 @dataclass(frozen=True)
@@ -337,8 +343,7 @@ class MetricInverse:
 
     def identity_residuals(self):
         """max |route @ metric - I| per route."""
-        n = self.assembled.shape[0]
-        eye = np.eye(n)
+        eye = identity(self.assembled.shape[0])
         return {name: max_abs(m @ self.assembled - eye)
                 for name, m in self.routes().items()}
 
@@ -369,7 +374,7 @@ def operator_sign_adjudication(cp):
     the reading that inverts the metric is the negative one.
     """
     metric = cp.metric.assembled
-    eye = np.eye(metric.shape[0])
+    eye = identity(metric.shape[0])
     out = {}
     for sign in (-1.0, +1.0):
         out[sign] = max_abs(operator_form_inverse(cp, sign) @ metric - eye)
@@ -404,9 +409,11 @@ class NormalFrame:
     def flat(self):
         return self.normals.reshape(self.frame_size, -1)
 
+    @cached_property
     def gram(self):
+        """Frame Gram ``flat @ flat.T``, read-only, built once per frame."""
         f = self.flat()
-        return f @ f.T
+        return _read_only(f @ f.T)
 
     def gram_closed_form(self, lam):
         qr = len(self.gamma)
@@ -514,8 +521,8 @@ def mean_curvature(cp, use_autodiff=False):
     tangency = float(np.linalg.norm(trace - tangent_target))
 
     flat = frame.flat()
-    gram = flat @ flat.T
-    dual_coeff = np.linalg.solve(gram, comps.ravel()) if flat.size else comps.ravel()
+    dual_coeff = (np.linalg.solve(frame.gram, comps.ravel()) if flat.size
+                  else comps.ravel())
     ambient = (dual_coeff @ flat).reshape(p, q) if flat.size else np.zeros((p, q))
 
     scale = max(1.0, max_abs(ginv))
@@ -561,7 +568,7 @@ def o_p_structure_check(cp):
 def stratum_dimension_check(cp):
     """Jacobian rank and frame size versus the closed-form dimension counts."""
     jac = cp.jacobian
-    rank = svd_rank(jac).rank if jac.size else 0
+    rank = numerical_rank(jac)
     expected_dim = cp.r * (cp.p - cp.r) + cp.q * cp.r
     frame_size = cp.frame.frame_size
     expected_frame = (cp.q - cp.r) * (cp.p - cp.r)

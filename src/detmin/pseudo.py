@@ -21,12 +21,13 @@ is part of the verified record rather than silently patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import (COND_LIMIT, column_reflection, inertia, max_abs,
-                     reversal, stratum_bases)
+from .linalg import (COND_LIMIT, column_reflection, identity, inertia,
+                     max_abs, reversal, stratum_bases)
 from .parametric import (MAX_DRAWS, ChartPoint, chart_second_derivatives,
                          sample_chart_point)
 
@@ -38,7 +39,9 @@ class IndefiniteForm:
     signs: np.ndarray
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=float)
+        # a read-only copy, so the cached sign pattern cannot go stale
+        signs = np.array(self.signs, dtype=float)
+        signs.setflags(write=False)
         object.__setattr__(self, "signs", signs)
         if signs.ndim != 1 or not np.all(np.abs(signs) == 1.0):
             raise ValueError("signs must be a vector of +-1")
@@ -75,8 +78,12 @@ class IndefiniteForm:
     def is_definite(self):
         return self.n_minus == 0 or self.n_plus == 0
 
-    def __str__(self):
+    @cached_property
+    def _pattern(self):
         return "".join("+" if s > 0 else "-" for s in self.signs)
+
+    def __str__(self):
+        return self._pattern
 
 
 def ambient_gram(eta, zeta):
@@ -310,7 +317,7 @@ def pseudo_minimality(cp, eta, zeta):
     tangent_part = jac @ (ginv @ (jac.T @ (kdiag * trace)))
     normal = trace - tangent_part
     # Pi must be idempotent; feeds the report as a conditioning witness
-    pi_j = jac @ (ginv @ (jac.T @ (kdiag[:, None] * jac)))
+    pi_j = jac @ (ginv @ report.gram)
     proj_residual = max_abs(pi_j - jac) / max(1.0, max_abs(jac))
     scale = max(1.0, max_abs(ginv))
     return PseudoMinimality(normal, trace, proj_residual, sig, scale)
@@ -337,7 +344,7 @@ class FormReflection:
         b, k = self.matrix, eta.matrix
         return {
             "isometry": max_abs(b.T @ k @ b - k),
-            "involution": max_abs(b @ b - np.eye(b.shape[0])),
+            "involution": max_abs(b @ b - identity(b.shape[0])),
             "fixes_point": max_abs(b @ x - x) / max(1.0, max_abs(x)),
         }
 

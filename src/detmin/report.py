@@ -18,6 +18,15 @@ Verdicts:
 ``SKIPPED-DEGENERATE``
     the sample landed where the check's hypotheses fail (degenerate
     induced metric, collapsed gradients); reported, does not gate.
+
+The JSON writer renders each record from one template, strings through
+json's own ASCII escaper and floats as json writes them (``repr``, and
+``NaN``/``Infinity``/``-Infinity``), then splices the records into
+``json.dumps(indent=2)`` of the rest of the payload.  Its output equals
+``json.dumps(payload, indent=2, allow_nan=True) + "\n"`` byte for byte, as
+``tests/test_report.py::test_json_writer_equals_json_dumps`` pins; a
+payload with ``indent`` would otherwise go through json's pure-Python
+encoder.
 """
 
 from __future__ import annotations
@@ -27,9 +36,35 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 VERDICTS = ("PASS", "FAIL", "EVIDENCE", "SKIPPED-DEGENERATE")
 SCHEMA_VERSION = "1"
+
+_INF = float("inf")
+
+# one record as json.dumps(indent=2) lays it out inside the records list
+_RECORD = ('    {{\n      "check": {},\n      "anchor": {},\n'
+           '      "point": {},\n      "residual": {},\n'
+           '      "tolerance": {},\n      "verdict": {}\n    }}')
+# the records key as json.dumps(indent=2) writes it at the top level, the
+# only place a line starts with it: strings inside escape their newlines
+_EMPTY_RECORDS = '\n  "records": []'
+
+
+def _json_value(v):
+    """A scalar record field exactly as ``json.dumps`` writes it."""
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    if type(v) is float:
+        if v != v:
+            return "NaN"
+        if v == _INF:
+            return "Infinity"
+        if v == -_INF:
+            return "-Infinity"
+        return float.__repr__(v)
+    return json.dumps(v)
 
 
 @dataclass(frozen=True)
@@ -94,27 +129,30 @@ class VerificationReport:
 
     # -- serialization ----------------------------------------------------
 
-    def _payload(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "meta": dict(self.meta),
-            "records": [{"check": r.check, "anchor": r.anchor,
-                         "point": r.point, "residual": r.residual,
-                         "tolerance": r.tolerance, "verdict": r.verdict}
-                        for r in self.records],
-            "summary": self.summary(),
-        }
+    def _dumps(self, with_meta):
+        """``json.dumps(payload, indent=2)`` and a newline, from a template."""
+        payload = {"schema_version": SCHEMA_VERSION}
+        if with_meta:
+            payload["meta"] = dict(self.meta)
+        payload["records"] = []
+        payload["summary"] = self.summary()
+        text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        if not self.records:
+            return text
+        fmt, val = _RECORD.format, _json_value
+        body = ",\n".join([
+            fmt(val(r.check), val(r.anchor), val(r.point), val(r.residual),
+                val(r.tolerance), val(r.verdict))
+            for r in self.records])
+        head, tail = text.split(_EMPTY_RECORDS, 1)
+        return head + '\n  "records": [\n' + body + "\n  ]" + tail
 
     def to_json(self):
-        return json.dumps(self._payload(), indent=2, sort_keys=False,
-                          allow_nan=True) + "\n"
+        return self._dumps(with_meta=True)
 
     def records_json(self):
         """Records and summary only; byte-stable across identical runs."""
-        payload = self._payload()
-        del payload["meta"]
-        return json.dumps(payload, indent=2, sort_keys=False,
-                          allow_nan=True) + "\n"
+        return self._dumps(with_meta=False)
 
     def records_digest(self):
         return hashlib.sha256(self.records_json().encode()).hexdigest()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import helicoidal, kahler, levelset, parametric, pseudo
 from .errors import (ConventionFailure, DegenerateMetric, InvalidChartPoint,
@@ -477,11 +478,15 @@ def _pseudo_point(p, q, r, eta, zeta, rng):
             _flag(sig["duplicated_ok"]))
 
 
+@lru_cache(maxsize=64)
+def _identity_form(n):
+    return pseudo.IndefiniteForm.from_counts(n, 0)
+
+
 def _euclidean_reduction(p, q, r, rng):
     """Identity forms against the euclidean trace and mean curvature."""
     cp = parametric.sample_chart_point(p, q, r, rng)
-    pm = pseudo.pseudo_minimality(cp, pseudo.IndefiniteForm.from_counts(p, 0),
-                                  pseudo.IndefiniteForm.from_counts(q, 0))
+    pm = pseudo.pseudo_minimality(cp, _identity_form(p), _identity_form(q))
     mc = parametric.mean_curvature(cp)
     scale = max(1.0, max_abs(mc.trace_vector))
     gap = max(max_abs(pm.trace_flat.reshape(p, q) - mc.trace_vector),

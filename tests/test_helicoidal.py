@@ -97,6 +97,34 @@ def test_isometry_check_accepts_orthogonal_rejects_other():
     assert not bad and worst > 1e-3
 
 
+def _isometry_loop(a, q, rng):
+    """Worst deviation of the isometry check, one probe pair at a time."""
+    worst = 0.0
+    for _ in range(8):
+        x = rng.normal(size=(a.shape[1], q))
+        y = rng.normal(size=(a.shape[1], q))
+        lhs = float(((a @ x) * (a @ y)).sum())
+        rhs = float((x * y).sum())
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
+
+
+def test_batched_isometry_check_equals_the_loop():
+    mats = []
+    for p, q, r in TRIPLES + [(6, 6, 5), (4, 4, 2)]:
+        x = chart_map(sample_chart_point(p, q, r, make_rng(40 + p + q + r)))
+        mats.append((reflection(x, r).matrix, q))
+    rng = make_rng(41)
+    mats += [(np.diag([2.0, 1.0, 1.0]), 2), (rng.normal(size=(5, 5)), 4),
+             (np.eye(1), 1), (rng.normal(size=(3, 2)), 6)]
+    for seed, (a, q) in enumerate(mats):
+        ours, ref = make_rng(seed), make_rng(seed)
+        ok, worst = isometry_check(a, q, ours)
+        want = _isometry_loop(a, q, ref)
+        assert worst == want and ok == (want <= 1e-12)
+        assert str(ours.bit_generator.state) == str(ref.bit_generator.state)
+
+
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_certificate_passes_on_stratum(p, q, r):
     rng = make_rng(300 + 10 * p + q + r)

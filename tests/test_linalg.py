@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import (block_inverse, cofactors, declared_rank,
-                           derived_rng, kron, make_rng, max_abs,
-                           require_finite, reversal, second_cofactors,
-                           spectral_cond, stratum_bases, svd_rank)
+                           derived_rng, fill_blocks, identity, kron, make_rng,
+                           max_abs, numerical_rank, require_finite, reversal,
+                           second_cofactors, spectral_cond, stratum_bases,
+                           svd_rank)
 
 
 def rational_rank(m_int):
@@ -173,6 +174,47 @@ def test_block_inverse_zero_size_blocks():
     g = np.eye(3) * 2.0
     out = block_inverse(g, np.zeros((3, 0)), np.zeros((0, 0)))
     assert np.allclose(out.full, np.eye(3) / 2.0)
+
+
+@pytest.mark.parametrize("rows,cols", [((2, 3), (4, 1)), ((0, 3), (2, 0)),
+                                       ((3, 0), (0, 2)), ((0, 0), (0, 0)),
+                                       ((1, 1), (0, 5))])
+def test_fill_blocks_equals_np_block(rows, cols):
+    rng = make_rng(sum(rows) * 10 + sum(cols))
+    blocks = [[rng.normal(size=(n, m)) for m in cols] for n in rows]
+    want = np.block(blocks)
+    got = fill_blocks(blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    # mixed real and complex blocks promote as np.block does
+    blocks[1][1] = blocks[1][1] * 1j
+    want = np.block(blocks)
+    got = fill_blocks(blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_identity_is_a_shared_read_only_operand():
+    for n in (0, 1, 4):
+        eye = identity(n)
+        assert eye is identity(n)
+        assert eye.tobytes() == np.eye(n).tobytes()
+        assert not eye.flags.writeable
+
+
+def test_numerical_rank_equals_svd_rank():
+    rng = make_rng(12)
+    cases = [np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((3, 0)),
+             np.zeros((0, 0)), np.eye(5), rng.normal(size=(6, 4)),
+             rng.normal(size=(3, 7))]
+    for rank, (n, m) in ((1, (5, 4)), (2, (6, 6)), (3, (4, 8)), (2, (9, 3))):
+        cases.append(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m)))
+    # rank-deficient with a tiny but resolvable direction
+    cases.append(np.diag([1.0, 1e-9, 0.0]))
+    for m in cases:
+        assert numerical_rank(m) == svd_rank(m).rank, m.shape
+    with pytest.raises(ValueError):
+        numerical_rank(np.array([[1.0, np.inf]]))
 
 
 def test_block_inverse_rejects_singular_pivot():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from detmin import parametric
 from detmin.dual import gradient_of
 from detmin.errors import InvalidChartPoint
-from detmin.linalg import make_rng, max_abs
+from detmin.linalg import make_rng, max_abs, spectral_cond
 from detmin.parametric import (ChartPoint, chart_derivative, chart_jacobian,
                                chart_map, chart_second_derivatives,
                                induced_metric,
@@ -193,7 +193,7 @@ def test_normal_frame_is_normal_and_counted(p, q, r):
     assert flat.shape[0] == (q - r) * (p - r)
     assert max_abs(flat @ chart_jacobian(cp)) < 1e-12
     closed = frame.gram_closed_form(cp.lam)
-    assert np.allclose(frame.gram(), closed, atol=1e-12)
+    assert np.allclose(frame.gram, closed, atol=1e-12)
 
 
 def test_frame_gram_is_not_identity_when_codim_rich():
@@ -201,7 +201,7 @@ def test_frame_gram_is_not_identity_when_codim_rich():
     # couples distinct s' indices through I + lam^T lam
     rng = make_rng(23)
     cp = sample_chart_point(5, 4, 2, rng)
-    gram = normal_frame(cp).gram()
+    gram = normal_frame(cp).gram
     assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
     off = gram - np.diag(np.diag(gram))
     assert max_abs(off) > 1e-3
@@ -299,6 +299,114 @@ def test_sampler_respects_condition_limits():
         gram = cp.a.T @ cp.a
         assert np.linalg.cond(gram) <= 1e4
         assert np.linalg.cond(induced_metric(cp).assembled) <= 1e5
+
+
+def _second_derivatives_loop(p, q, r):
+    """The chart's second-derivative tensor, one unit matrix at a time."""
+    dim = r * (p - r) + q * r
+    d2 = np.zeros((p * q, dim, dim))
+    for j in range(p):
+        for s in range(r):
+            ia = j * r + s
+            for sp in range(q - r):
+                il = p * r + s * (q - r) + sp
+                amb = np.zeros((p, q))
+                amb[j, r + sp] = 1.0
+                flat = amb.ravel()
+                d2[:, ia, il] += flat
+                d2[:, il, ia] += flat
+    return d2
+
+
+def test_second_derivatives_equal_the_loop_built_tensor():
+    for p in range(1, 7):
+        for q in range(1, p + 1):
+            for r in range(q):
+                got = parametric._second_derivatives(p, q, r)
+                assert got.tobytes() == _second_derivatives_loop(
+                    p, q, r).tobytes(), (p, q, r)
+
+
+def _two_svd_sampler(p, q, r, rng):
+    """The sampler's rule with cond(a^T a) taken from an SVD of a^T a."""
+    for _ in range(parametric.MAX_DRAWS):
+        a = rng.normal(size=(p, r))
+        lam = rng.uniform(-2.0, 2.0, size=(r, q - r))
+        if _two_svd_accepts(a, lam):
+            return ChartPoint(a, lam)
+    raise AssertionError("reference sampler ran out of draws")
+
+
+def _two_svd_accepts(a, lam):
+    return (spectral_cond(a.T @ a) <= parametric.A_COND_LIMIT
+            and ChartPoint(a, lam).metric_cond <= parametric.METRIC_COND_LIMIT)
+
+
+SAMPLER_SHAPES = [(p, q, r) for p in range(2, 9) for q in range(2, p + 1)
+                  for r in range(1, q)]
+
+
+def test_sampler_draws_the_points_of_the_two_svd_rule():
+    for p, q, r in SAMPLER_SHAPES:
+        ours = make_rng(1000 + 100 * p + 10 * q + r)
+        ref = make_rng(1000 + 100 * p + 10 * q + r)
+        for _ in range(10):
+            got = sample_chart_point(p, q, r, ours)
+            want = _two_svd_sampler(p, q, r, ref)
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.lam.tobytes() == want.lam.tobytes()
+        assert str(ours.bit_generator.state) == str(ref.bit_generator.state)
+
+
+class _ScriptedRng:
+    """Generator stand-in that hands out scripted (a, lam) draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.lam = None
+
+    def normal(self, size):
+        a, self.lam = self.draws.pop(0)
+        return a.reshape(size)
+
+    def uniform(self, low, high, size):
+        return self.lam.reshape(size)
+
+
+def test_sampler_rejects_as_the_two_svd_rule_near_the_limit():
+    # Gaussian draws are rarely rejected, so these are built with
+    # cond(a^T a) spread over 1e3..1e5, around A_COND_LIMIT = 1e4
+    rng = make_rng(77)
+    accepted = []
+    for p, q, r in SAMPLER_SHAPES:
+        fallback = (np.eye(p, r), np.zeros((r, q - r)))
+        for _ in range(20):
+            u = np.linalg.qr(rng.normal(size=(p, r)))[0]
+            v = np.linalg.qr(rng.normal(size=(r, r)))[0]
+            sigma = np.geomspace(1.0, 10 ** rng.uniform(1.5, 2.5), r)
+            a = (u * sigma) @ v.T
+            lam = rng.uniform(-2.0, 2.0, size=(r, q - r))
+            cp = sample_chart_point(p, q, r,
+                                    _ScriptedRng([(a, lam), fallback]))
+            kept = cp.a.tobytes() == a.tobytes()
+            assert kept == _two_svd_accepts(a, lam), (p, q, r)
+            accepted.append(kept)
+    assert 200 < sum(accepted) < len(accepted) - 200
+
+
+def test_sampler_rejects_a_rank_deficient_draw():
+    deficient = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    good = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    lam = np.full((2, 1), 0.5)
+    with pytest.raises(InvalidChartPoint):
+        ChartPoint(deficient, lam)
+    cp = sample_chart_point(3, 3, 2, _ScriptedRng([(deficient, lam),
+                                                   (good, lam)]))
+    assert np.array_equal(cp.a, good)
+    # a chart shape that can never hold is refused at once, not redrawn
+    with pytest.raises(InvalidChartPoint):
+        sample_chart_point(2, 3, 1, _ScriptedRng([(good[:2, :1],
+                                                   np.zeros((1, 2)))]))
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,9 +6,11 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from detmin.report import (CheckRecord, VerificationReport, record, skipped)
+from detmin.report import (SCHEMA_VERSION, CheckRecord, VerificationReport,
+                           record, skipped)
 
 
 def _recs():
@@ -118,3 +120,43 @@ def test_records_json_excludes_meta_and_digest_is_stable():
     assert "elapsed_seconds" not in rep1.records_json()
     assert rep1.records_json() == rep2.records_json()
     assert rep1.records_digest() == rep2.records_digest()
+
+
+def _json_dumps_reference(rep, with_meta):
+    """The report's payload through ``json.dumps(indent=2)`` itself."""
+    payload = {"schema_version": SCHEMA_VERSION}
+    if with_meta:
+        payload["meta"] = dict(rep.meta)
+    payload["records"] = [asdict(r) for r in rep.records]
+    payload["summary"] = rep.summary()
+    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+
+
+AWKWARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                  1e16, 0.1, 1.0, 123456789.0, 2.5e-300]
+AWKWARD_POINTS = ["p=2 q=2 r=1 i=0", "caf\u00e9 \u6f22 \U0001f600",
+                  'quote " inside', "back\\slash \\n",
+                  "ctl \x00\x1f\t\n\r\x7f", "sep \u2028\u2029", "",
+                  '\n  "records": []']
+
+
+@pytest.mark.parametrize("with_meta", [True, False])
+def test_json_writer_equals_json_dumps(with_meta):
+    rep = VerificationReport(meta={"seed": 3, "records": [],
+                                   "note": '\n  "records": []',
+                                   "nested": {"x": [1.5, float("nan")]}})
+    for i, value in enumerate(AWKWARD_FLOATS):
+        for point in AWKWARD_POINTS:
+            rep.add(record("alpha.check", "anchor-\u00e4", point, value,
+                           AWKWARD_FLOATS[-1 - i]))
+            rep.add(record("beta.check", "anchor-b", point, value, value,
+                           gate=False))
+    rep.add(skipped("gamma.check", "anchor-c", "p=2 \"q\"", "degenerate"))
+    # fields json writes as it finds them: an int and a numpy float
+    rep.add(CheckRecord("delta.check", "anchor-d", "i", 3, np.float64(0.5),
+                        "PASS"))
+    rep.add(CheckRecord("delta.check", "anchor-d", "i", np.float64("nan"),
+                        np.float64("-inf"), "PASS"))
+    for report in (rep, VerificationReport(meta={"seed": 1})):
+        got = report.to_json() if with_meta else report.records_json()
+        assert got == _json_dumps_reference(report, with_meta)

@@ -164,6 +164,8 @@ def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
             inputs.append(np.array(m))
             return fn(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, fn.__name__, recorded)
+    blocks = []
+    monkeypatch.setattr(np, "block", lambda *args: blocks.append(args))
 
     config = RunConfig(pipeline=pipeline, p_values=(3,), q_values=(3,),
                        r_values=(2,), samples=1, seed=0)
@@ -175,6 +177,10 @@ def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
         return sum(a.shape == m.shape and np.array_equal(a, m) for a in inputs)
 
     x_svds = [taken(svd_inputs, chart_map(cp)) for cp in points]
+    # a sampler draw costs one SVD, of a; cond(a^T a) is read off it
+    assert [taken(svd_inputs, cp.a) for cp in points] == [1] * len(points)
+    ata_svds = [taken(svd_inputs, cp.a.T @ cp.a) for cp in points]
+    assert not blocks
     metric_invs = [taken(inv_inputs, cp.metric.assembled) for cp in points
                    if ("metric", id(cp)) in builds]
     if pipeline == "parametric":
@@ -182,8 +188,12 @@ def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
         assert len(points) == 1
         assert {n for n, _ in builds} == {"jacobian", "metric", "metric_inv"}
         assert metric_invs == [1] and x_svds == [0]
+        # only the trailing block-inverse pivot kron(a^T a, I_{q-r}), which
+        # is a^T a itself at q - r = 1
+        assert ata_svds == [1]
     else:
         # form reflection and the Z' membership share one rank decision of x
         form_points = sum(n == "x_rank" for n, _ in builds)
         assert form_points == 2  # one sample per default form pair
         assert sorted(x_svds) == [0] * (len(points) - 2) + [1, 1]
+        assert ata_svds == [0] * len(points)
