@@ -81,10 +81,10 @@ def fill_blocks(top_left, top_right, bottom_left, bottom_right):
     result holds the same entries in the same layout without ``np.block``'s
     general-nesting bookkeeping.  Zero-size blocks are allowed.
     """
-    blocks = (top_left, top_right, bottom_left, bottom_right)
-    rows, cols = top_left.shape[0], top_left.shape[1]
+    rows, cols = top_left.shape
     out = np.empty((rows + bottom_left.shape[0], cols + top_right.shape[1]),
-                   dtype=np.result_type(*blocks))
+                   dtype=np.result_type(top_left, top_right, bottom_left,
+                                        bottom_right))
     out[:rows, :cols] = top_left
     out[:rows, cols:] = top_right
     out[rows:, :cols] = bottom_left
@@ -122,11 +122,7 @@ class RankResult:
 
 
 def _rank_tolerance(s, shape):
-    """Rank threshold ``sigma_max * max(shape) * eps * RANK_TOL_FACTOR``.
-
-    ``s`` holds the singular values in descending order; every rank
-    decision in the package compares them against this one expression.
-    """
+    """``sigma_max * max(shape) * eps * RANK_TOL_FACTOR``, s descending."""
     return s[0] * max(shape) * np.finfo(float).eps * RANK_TOL_FACTOR
 
 
