@@ -95,8 +95,8 @@ def fill_blocks(top_left, top_right, bottom_left, bottom_right):
 def require_finite(m, name="matrix"):
     """Reject NaN/inf input with a diagnostic instead of letting LAPACK fail."""
     m = np.asarray(m, dtype=float)
-    bad = ~np.isfinite(m)
-    if bad.any():
+    if not np.isfinite(m).all():
+        bad = ~np.isfinite(m)
         raise ValueError(f"{name} has {int(bad.sum())} non-finite entries "
                          f"at positions {np.argwhere(bad)[:4].tolist()}...")
     return m
@@ -140,7 +140,7 @@ def svd_rank(m):
                           np.zeros((cols, 0)), 0.0)
     u, s, vt = np.linalg.svd(m, full_matrices=True)
     tol = _rank_tolerance(s, m.shape)
-    rank = int((s > tol).sum())
+    rank = int(np.count_nonzero(s > tol))
     return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T, tol)
 
 
@@ -150,7 +150,7 @@ def numerical_rank(m):
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    return int((s > _rank_tolerance(s, m.shape)).sum())
+    return int(np.count_nonzero(s > _rank_tolerance(s, m.shape)))
 
 
 def declared_rank(m, r=None):
@@ -192,7 +192,8 @@ def stratum_bases(x):
     """
     x = np.asarray(x, dtype=float)
     p, q = x.shape
-    gens = np.hstack([kron(identity(p), x.T), kron(x, identity(q))])
+    gens = np.concatenate([kron(identity(p), x.T), kron(x, identity(q))],
+                          axis=1)
     rank = svd_rank(gens)
     return rank.range_basis, rank.kernel_basis
 
@@ -201,8 +202,8 @@ def inertia(eigenvalues):
     """(n_plus, n_minus, n_zero) with the relative zero band INERTIA_BAND."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     tol = INERTIA_BAND * max(1.0, max_abs(eigenvalues))
-    n_pos = int((eigenvalues > tol).sum())
-    n_neg = int((eigenvalues < -tol).sum())
+    n_pos = int(np.count_nonzero(eigenvalues > tol))
+    n_neg = int(np.count_nonzero(eigenvalues < -tol))
     return n_pos, n_neg, eigenvalues.shape[0] - n_pos - n_neg
 
 

@@ -138,9 +138,9 @@ class ChartPoint:
         """
         p, q, r = self.p, self.q, self.r
         rows = np.concatenate([
-            kron(identity(p), np.hstack([identity(r), self.lam])),
-            kron(self.a.T,
-                 np.hstack([np.zeros((q - r, r)), identity(q - r)]))])
+            kron(identity(p), np.concatenate([identity(r), self.lam], axis=1)),
+            kron(self.a.T, np.concatenate([np.zeros((q - r, r)),
+                                           identity(q - r)], axis=1))])
         return _read_only(rows.T)
 
     @cached_property

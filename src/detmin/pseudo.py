@@ -63,11 +63,11 @@ class IndefiniteForm:
     def dim(self):
         return self.signs.shape[0]
 
-    @property
+    @cached_property
     def n_plus(self):
         return int((self.signs > 0).sum())
 
-    @property
+    @cached_property
     def n_minus(self):
         return int((self.signs < 0).sum())
 

@@ -406,6 +406,12 @@ def _complex_locus(n, rng):
     return (zm.max_residual, zm.gram_conformality)
 
 
+@lru_cache(maxsize=256)
+def _sign_form(n_plus, n_minus):
+    """One shared form per sign count; forms are read-only."""
+    return pseudo.IndefiniteForm.from_counts(n_plus, n_minus)
+
+
 def _form_code(text):
     return int("1" + "".join("1" if c == "+" else "0" for c in text), 2)
 
@@ -427,8 +433,7 @@ def run_pseudo(config, report):
     for p, q in shapes:
         for p1 in range(p + 1):
             for q1 in range(q + 1):
-                eta = pseudo.IndefiniteForm.from_counts(p1, p - p1)
-                zeta = pseudo.IndefiniteForm.from_counts(q1, q - q1)
+                eta, zeta = _sign_form(p1, p - p1), _sign_form(q1, q - q1)
                 adj = pseudo.signature_adjudication(eta, zeta)
                 _checked(report, config, f"p={p} q={q} eta={eta} zeta={zeta}",
                          ("pseudo.ambient-signature",
@@ -478,15 +483,10 @@ def _pseudo_point(p, q, r, eta, zeta, rng):
             _flag(sig["duplicated_ok"]))
 
 
-@lru_cache(maxsize=64)
-def _identity_form(n):
-    return pseudo.IndefiniteForm.from_counts(n, 0)
-
-
 def _euclidean_reduction(p, q, r, rng):
     """Identity forms against the euclidean trace and mean curvature."""
     cp = parametric.sample_chart_point(p, q, r, rng)
-    pm = pseudo.pseudo_minimality(cp, _identity_form(p), _identity_form(q))
+    pm = pseudo.pseudo_minimality(cp, _sign_form(p, 0), _sign_form(q, 0))
     mc = parametric.mean_curvature(cp)
     scale = max(1.0, max_abs(mc.trace_vector))
     gap = max(max_abs(pm.trace_flat.reshape(p, q) - mc.trace_vector),

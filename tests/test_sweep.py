@@ -164,8 +164,9 @@ def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
             inputs.append(np.array(m))
             return fn(m, *args, **kwargs)
         monkeypatch.setattr(np.linalg, fn.__name__, recorded)
-    blocks = []
-    monkeypatch.setattr(np, "block", lambda *args: blocks.append(args))
+    blocks, np_block = [], np.block
+    monkeypatch.setattr(np, "block",
+                        lambda *args: blocks.append(args) or np_block(*args))
 
     config = RunConfig(pipeline=pipeline, p_values=(3,), q_values=(3,),
                        r_values=(2,), samples=1, seed=0)
