@@ -39,7 +39,7 @@ class IndefiniteForm:
     signs: np.ndarray
 
     def __post_init__(self):
-        # a read-only copy, so the cached sign pattern cannot go stale
+        # a read-only copy, so the cached pattern and counts cannot go stale
         signs = np.array(self.signs, dtype=float)
         signs.setflags(write=False)
         object.__setattr__(self, "signs", signs)
