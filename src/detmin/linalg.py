@@ -3,15 +3,15 @@ products, cofactor determinants, constraint projectors, stratum
 tangent/normal bases, column-space reflections, inertia, seeded RNG.
 
 Every pipeline routes its rank questions through :func:`svd_rank`, or
-through :func:`numerical_rank` where only the count is read; both threshold
-the singular values with the one expression in ``_rank_tolerance``, so
-a single tolerance policy governs the whole package.  Partitioned inversions
-go through :func:`block_inverse` so that condition-number guards are applied
-uniformly.  Matrices assembled from 2 x 2 blocks are filled in place by
-:func:`fill_blocks`, and identity operands come from :func:`identity`, one
-cached read-only array per size.  Cofactors and the codimension-k trace
-tr(P d2 chi) live here as substrate only; each pipeline keeps its own closed
-forms.
+through :func:`numerical_rank` where only the count is read (of one matrix
+or of each matrix in a stack); both threshold the singular values with the
+one expression in ``_rank_tolerance``, so a single tolerance policy governs
+the whole package.  Partitioned inversions go through :func:`block_inverse`
+so that condition-number guards are applied uniformly.  Matrices assembled
+from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and identity
+operands come from :func:`identity`, one cached read-only array per size.
+Cofactors and the codimension-k trace tr(P d2 chi) live here as substrate
+only; each pipeline keeps its own closed forms.
 """
 
 from __future__ import annotations
@@ -122,8 +122,12 @@ class RankResult:
 
 
 def _rank_tolerance(s, shape):
-    """``sigma_max * max(shape) * eps * RANK_TOL_FACTOR``, s descending."""
-    return s[0] * max(shape) * np.finfo(float).eps * RANK_TOL_FACTOR
+    """``sigma_max * max(shape) * eps * RANK_TOL_FACTOR`` per matrix.
+
+    ``s`` holds each matrix's singular values descending along its last
+    axis and ``shape`` is the shape of the matrix or of the stack of them.
+    """
+    return s[..., 0] * max(shape[-2:]) * np.finfo(float).eps * RANK_TOL_FACTOR
 
 
 def svd_rank(m):
@@ -145,12 +149,18 @@ def svd_rank(m):
 
 
 def numerical_rank(m):
-    """The rank :func:`svd_rank` decides, from the singular values alone."""
+    """The rank :func:`svd_rank` decides, from the singular values alone.
+
+    ``m`` is one matrix, giving an int, or a stack of matrices along leading
+    axes, giving an integer array of one rank per matrix.
+    """
     m = require_finite(m, "numerical_rank input")
-    if m.size == 0:
-        return 0
+    if 0 in m.shape[-2:]:
+        return 0 if m.ndim == 2 else np.zeros(m.shape[:-2], dtype=int)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _rank_tolerance(s, m.shape)))
+    above = s > _rank_tolerance(s, m.shape)[..., None]
+    return (int(np.count_nonzero(above)) if m.ndim == 2
+            else np.count_nonzero(above, axis=-1))
 
 
 def declared_rank(m, r=None):

@@ -29,6 +29,7 @@ vanishes; the functions below verify that numerically rather than assume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,8 +38,7 @@ import numpy as np
 from . import dual
 from .errors import DegenerateMetric, InvalidChartPoint
 from .linalg import (COND_LIMIT, block_inverse, declared_rank, fill_blocks,
-                     identity, kron, max_abs, numerical_rank, spectral_cond,
-                     svd_rank)
+                     identity, kron, max_abs, numerical_rank, svd_rank)
 
 
 # Sampler limits: sample_chart_point keeps cond(a^T a) <= A_COND_LIMIT and
@@ -154,7 +154,30 @@ class ChartPoint:
 
     @cached_property
     def metric_cond(self):
-        return spectral_cond(self.metric.assembled)
+        """2-norm condition number of the assembled metric, in closed form.
+
+        Rotating c by the SVD of a and (c, mu) by the SVD of lam splits the
+        metric into 2 x 2 blocks, one per singular value sigma of a and s of
+        lam, whose eigenvalues are the squared singular values of
+        [[1, s], [0, sigma]]: t+ = (T + sqrt(T^2 - 4 sigma^2)) / 2 with
+        T = 1 + s^2 + sigma^2, and t- = sigma^2 / t+.  Every other
+        eigenvalue lies between them; t+ and t- grow with sigma and t+
+        grows with s while t- falls, so the condition number is
+        t+(sigma_1, s_1) / t-(sigma_r, s_1), and no metric is assembled.
+        """
+        if self.r == 0:
+            return 1.0
+        sigma = self.a_rank.singular_values
+        top, bottom = float(sigma[0]), float(sigma[-1])
+        s = float(np.linalg.svd(self.lam, compute_uv=False)[0])
+
+        def t_plus(sig):
+            # T^2 - 4 sig^2 = (1 + s^2 - sig^2)^2 + (2 s sig)^2, never < 0
+            return 0.5 * (1.0 + s * s + sig * sig
+                          + math.hypot(1.0 + s * s - sig * sig, 2.0 * s * sig))
+
+        low = bottom * bottom / t_plus(bottom)
+        return t_plus(top) / low if low > 0.0 else math.inf
 
     @cached_property
     def metric_inv(self):
@@ -192,8 +215,11 @@ def sample_chart_point(p, q, r, rng):
     under the evaluation guard COND_LIMIT: inverse residuals scale like
     eps * cond, and 1e5 keeps them clear of the 1e-10 identity tolerance.
     cond(a^T a) is (sigma_1 / sigma_r)^2 of the point's own rank decision
-    on ``a``, so a draw costs one SVD of ``a``; a column-rank deficient
-    draw, which the point refuses, is rejected like an ill-conditioned one.
+    on ``a``, and the metric's condition is a closed form in those singular
+    values and lam's (:attr:`ChartPoint.metric_cond`), so a draw costs one
+    SVD of ``a`` and one of ``lam`` and assembles no metric; a column-rank
+    deficient draw, which the point refuses, is rejected like an
+    ill-conditioned one.
     """
     for _ in range(MAX_DRAWS):
         a = rng.normal(size=(p, r))

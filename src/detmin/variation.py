@@ -17,73 +17,97 @@ rotations inside the kernel) is not continuous in u.  The field therefore
 transports the base point's kernel basis: project it onto ker(a^T) with
 I - a (a^T a)^{-1} a^T and re-orthonormalise with a sign-fixed QR, which is
 smooth near the base point and agrees with the base basis at it.
+
+Evaluation is stacked: the 2 dim chart points of the difference stencil
+are one (2 dim, p, r) / (2 dim, r, q - r) pair of arrays, whose ranks are
+decided together (one decision per point, a deficient one refused), and the
+1 + 2 (frame size) densities are one stacked determinant.  Stacked numpy
+linear algebra runs the same LAPACK and BLAS routine on every slice, and the
+elementwise steps are the same operations in the same order, so every slice
+carries the same float operations as a point evaluated alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .parametric import ChartPoint, chart_map, normal_frame
-
-
-def _sign_fixed_orthonormalize(m):
-    q, r = np.linalg.qr(m)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0] = 1.0
-    return q * sign
+from .errors import InvalidChartPoint
+from .linalg import numerical_rank
+from .parametric import normal_frame
 
 
 def _transported_kernel(a, base_kernel):
-    gram_inv = np.linalg.inv(a.T @ a) if a.shape[1] else np.zeros((0, 0))
-    proj = base_kernel - a @ (gram_inv @ (a.T @ base_kernel))
-    return _sign_fixed_orthonormalize(proj)
+    """The base kernel basis moved to ker(a^T) at ``a``, a p x r matrix or a
+    stack of them; each slice is projected and sign-fixed QR'd alone."""
+    a_t = np.swapaxes(a, -1, -2)
+    gram_inv = (np.linalg.inv(a_t @ a) if a.shape[-1]
+                else np.zeros(a.shape[:-2] + (0, 0)))
+    proj = base_kernel - a @ (gram_inv @ (a_t @ base_kernel))
+    q, r = np.linalg.qr(proj)
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    sign[sign == 0] = 1.0
+    return q * sign[..., None, :]
 
 
 def _normal_fields(kernel, lam):
-    """Every frame element's field, shape (frame_size, p, q), at one point.
+    """Every frame element's field at every point of a stack.
 
-    Element (s', s'') is gamma_{s'} * [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}]
-    with k the transported kernel there.
+    Shape (points, frame_size, p, q).  Element (s', s'') is
+    gamma_{s'} * [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}] with k the
+    transported kernel at the point.
     """
-    r, q_r = lam.shape
-    p, p_r = kernel.shape
-    fields = np.zeros((q_r, p_r, p, r + q_r))
-    for sp in range(q_r):
-        fields[sp, ..., :r] = kernel.T[:, :, None] * lam[:, sp]
-        fields[sp, ..., r + sp] = -kernel.T
-        fields[sp] *= 1.0 / np.sqrt(1.0 + (lam[:, sp] ** 2).sum())
-    return fields.reshape(-1, p, r + q_r)
+    points, r, q_r = lam.shape
+    p, p_r = kernel.shape[1:]
+    kernel_t = np.swapaxes(kernel, 1, 2)
+    # C-ordered so that each column's squares are summed as a 1-d sum is
+    lam_t = np.ascontiguousarray(np.swapaxes(lam, 1, 2))
+    fields = np.zeros((points, q_r, p_r, p, r + q_r))
+    fields[..., :r] = (kernel_t[:, None, :, :, None]
+                       * lam_t[:, :, None, None, :])
+    trailing = np.arange(q_r)
+    fields[:, trailing, :, :, r + trailing] = -kernel_t
+    gamma = 1.0 / np.sqrt(1.0 + (lam_t ** 2).sum(axis=-1))
+    fields *= gamma[..., None, None, None]
+    return fields.reshape(points, q_r * p_r, p, r + q_r)
 
 
 def _offsets(cp, h):
-    """Chart points at x0 + h e_k and x0 - h e_k for each chart coordinate k.
+    """Chart coordinates x0 + h e_k and x0 - h e_k for each chart coordinate k.
 
-    Built as ``ChartPoint`` so that each one's rank is checked.
+    Returns the stacks of a, shape (2 dim, p, r), and lam, shape
+    (2 dim, r, q - r), in the order k = 0, 1, ..., +h before -h.  One
+    stacked rank decision checks every a; a step that leaves one column-rank
+    deficient raises :class:`InvalidChartPoint`.
     """
-    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
     p, q, r = cp.p, cp.q, cp.r
-    points = []
-    for k in range(x0.size):
-        for step in (h, -h):
-            vec = x0.copy()
-            vec[k] += step
-            points.append(ChartPoint(vec[:p * r].reshape(p, r),
-                                     vec[p * r:].reshape(r, q - r)))
-    return points
+    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
+    dim = x0.size
+    vecs = np.repeat(x0[None, :], 2 * dim, axis=0)
+    k = np.arange(dim)
+    vecs[2 * k, k] += h
+    vecs[2 * k + 1, k] -= h
+    a = vecs[:, :p * r].reshape(2 * dim, p, r)
+    if (numerical_rank(a) != r).any():
+        raise InvalidChartPoint(
+            "a difference step leaves a column-rank deficient")
+    return a, vecs[:, p * r:].reshape(2 * dim, r, q - r)
 
 
-def _density(x, n, t, h):
-    """sqrt(det Gram) of u -> X(u) + t N(u), Jacobian by central differences.
+def _densities(x, fields, steps, h):
+    """sqrt(det Gram) of u -> X(u) + t N(u) for each step t and its field N.
 
-    ``x`` and ``n`` hold X and N at the points of :func:`_offsets`, in its
-    order, each as a p x q matrix; ``n`` may be a scalar 0.
+    ``x`` holds X at the points of :func:`_offsets`, in its order, shape
+    (2 dim, p, q); ``fields`` holds one field N per step at the same points,
+    shape (steps, 2 dim, p, q).  The Jacobians are central differences, and
+    all Gram determinants are one stacked call.
     """
-    p, q = x.shape[1:]
-    values = (x + t * n).reshape(-1, 2, p * q)
-    # C-ordered (pq, dim): the layout fixes how BLAS sums J^T J
-    jac = np.ascontiguousarray(((values[:, 0] - values[:, 1]) / (2.0 * h)).T)
-    gram = jac.T @ jac
-    return float(np.sqrt(np.linalg.det(gram)))
+    count, points, p, q = fields.shape
+    values = (x + steps[:, None, None, None] * fields).reshape(
+        count, points // 2, 2, p * q)
+    # each slice C-ordered (pq, dim): the layout fixes how BLAS sums J^T J
+    jac = np.ascontiguousarray(np.swapaxes(
+        (values[:, :, 0] - values[:, :, 1]) / (2.0 * h), 1, 2))
+    return np.sqrt(np.linalg.det(np.swapaxes(jac, 1, 2) @ jac))
 
 
 def volume_variation(cp):
@@ -98,17 +122,13 @@ def volume_variation(cp):
     # one central-difference step, in chart coordinates and along normals
     h = np.cbrt(np.finfo(float).eps) * scale
     frame = normal_frame(cp)
-    points = _offsets(cp, h)
-    x = np.zeros((len(points), cp.p, cp.q))
-    n = np.zeros((len(points), frame.frame_size, cp.p, cp.q))
-    for i, point in enumerate(points):
-        x[i] = chart_map(point)
-        n[i] = _normal_fields(
-            _transported_kernel(point.a, frame.kernel_basis), point.lam)
-    a0 = _density(x, 0.0, 0.0, h)
-    out = np.zeros(frame.frame_size)
-    for alpha in range(frame.frame_size):
-        plus = _density(x, n[:, alpha], +h, h)
-        minus = _density(x, n[:, alpha], -h, h)
-        out[alpha] = (plus - minus) / (2.0 * h * a0)
-    return out
+    a, lam = _offsets(cp, h)
+    x = np.concatenate([a, a @ lam], axis=2)
+    n = np.moveaxis(_normal_fields(
+        _transported_kernel(a, frame.kernel_basis), lam), 1, 0)
+    # the undeformed immersion, then +h and -h along each frame element
+    steps = np.concatenate([[0.0], np.tile([h, -h], frame.frame_size)])
+    fields = np.concatenate([np.zeros((1,) + x.shape),
+                             np.repeat(n, 2, axis=0)])
+    dens = _densities(x, fields, steps, h)
+    return (dens[1::2] - dens[2::2]) / (2.0 * h * dens[0])

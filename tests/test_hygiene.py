@@ -1,12 +1,16 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private function is referenced somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "detmin")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "detmin").glob("*.py"))
+# every file whose code may call into the package
+READERS = sorted(path for part in ("src", "tests", "demos")
+                 for path in (ROOT / part).rglob("*.py"))
 
 
 def _imported(tree):
@@ -42,3 +46,30 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"imported and never used: {unused}"
+
+
+def _referenced(tree):
+    """Names a file reads: identifiers, attributes and string constants
+    (``monkeypatch.setattr(module, "name", ...)`` names a function too)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_private_function_is_referenced():
+    referenced = set()
+    for path in READERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced.update(_referenced(tree))
+    orphans = [f"{path.name}:{node.lineno} {node.name}" for path in SOURCES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in referenced]
+    assert not orphans, f"private functions nothing references: {orphans}"

@@ -217,6 +217,29 @@ def test_numerical_rank_equals_svd_rank():
         numerical_rank(np.array([[1.0, np.inf]]))
 
 
+def test_numerical_rank_of_a_stack_is_svd_rank_per_matrix():
+    rng = make_rng(13)
+    # each stack mixes full-rank, rank-deficient and zero members
+    for rows, cols in ((4, 3), (3, 5), (6, 6), (2, 1)):
+        members = [rng.normal(size=(rows, cols)), np.zeros((rows, cols))]
+        for rank in range(1, min(rows, cols)):
+            members.append(rng.normal(size=(rows, rank))
+                           @ rng.normal(size=(rank, cols)))
+        stack = np.array(members)
+        got = numerical_rank(stack)
+        assert got.shape == (len(members),)
+        assert got.tolist() == [svd_rank(m).rank for m in members]
+        # any leading axes, one rank per matrix
+        assert numerical_rank(stack.reshape(1, -1, rows, cols)).tolist() \
+            == [got.tolist()]
+    for shape in ((0, 3, 2), (4, 0, 3), (4, 3, 0), (2, 0, 0)):
+        got = numerical_rank(np.zeros(shape))
+        assert got.shape == shape[:1] and not got.any(), shape
+    single = numerical_rank(rng.normal(size=(5, 3)))
+    assert type(single) is int and single == 3
+    assert type(numerical_rank(np.zeros((0, 2)))) is int
+
+
 def test_block_inverse_rejects_singular_pivot():
     g = np.zeros((2, 2))
     b = np.zeros((2, 1))

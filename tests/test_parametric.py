@@ -338,8 +338,9 @@ def _two_svd_sampler(p, q, r, rng):
 
 
 def _two_svd_accepts(a, lam):
+    metric = ChartPoint(a, lam).metric.assembled
     return (spectral_cond(a.T @ a) <= parametric.A_COND_LIMIT
-            and ChartPoint(a, lam).metric_cond <= parametric.METRIC_COND_LIMIT)
+            and spectral_cond(metric) <= parametric.METRIC_COND_LIMIT)
 
 
 SAMPLER_SHAPES = [(p, q, r) for p in range(2, 9) for q in range(2, p + 1)
@@ -392,6 +393,41 @@ def test_sampler_rejects_as_the_two_svd_rule_near_the_limit():
             assert kept == _two_svd_accepts(a, lam), (p, q, r)
             accepted.append(kept)
     assert 200 < sum(accepted) < len(accepted) - 200
+
+
+def test_sampler_rejects_as_the_assembled_svd_rule_near_the_metric_limit():
+    # a and lam scaled so the assembled metric's condition spreads over
+    # 1e3..1e6, around METRIC_COND_LIMIT = 1e5, with cond(a^T a) <= 1e4
+    rng = make_rng(78)
+    kept_count = 0
+    for p, q, r in SAMPLER_SHAPES:
+        fallback = (np.eye(p, r), np.zeros((r, q - r)))
+        for _ in range(20):
+            u = np.linalg.qr(rng.normal(size=(p, r)))[0]
+            v = np.linalg.qr(rng.normal(size=(r, r)))[0]
+            sigma = (np.geomspace(1.0, 10 ** rng.uniform(0.0, 1.5), r)
+                     * 10 ** rng.uniform(-0.6, 0.4))
+            a = (u * sigma) @ v.T
+            lam = (rng.uniform(-2.0, 2.0, size=(r, q - r))
+                   * 10 ** rng.uniform(0.4, 1.1))
+            assert spectral_cond(a.T @ a) <= parametric.A_COND_LIMIT
+            cp = sample_chart_point(p, q, r,
+                                    _ScriptedRng([(a, lam), fallback]))
+            kept = cp.a.tobytes() == a.tobytes()
+            assert kept == _two_svd_accepts(a, lam), (p, q, r)
+            kept_count += kept
+    assert 300 < kept_count < 20 * len(SAMPLER_SHAPES) - 300
+
+
+def test_metric_cond_equals_the_assembled_metric_condition():
+    for p, q, r in SAMPLER_SHAPES:
+        rng = make_rng(2000 + 100 * p + 10 * q + r)
+        for _ in range(40):
+            cp = ChartPoint(rng.normal(size=(p, r)),
+                            rng.uniform(-2.0, 2.0, size=(r, q - r)))
+            assert cp.metric_cond == pytest.approx(
+                np.linalg.cond(cp.metric.assembled), rel=1e-10), (p, q, r)
+    assert ChartPoint(np.zeros((3, 0)), np.zeros((0, 2))).metric_cond == 1.0
 
 
 def test_sampler_rejects_a_rank_deficient_draw():

@@ -194,7 +194,10 @@ def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
         assert ata_svds == [1]
     else:
         # form reflection and the Z' membership share one rank decision of x
-        form_points = sum(n == "x_rank" for n, _ in builds)
-        assert form_points == 2  # one sample per default form pair
+        form_points = {key for n, key in builds if n == "x_rank"}
+        assert len(form_points) == 2  # one sample per default form pair
+        # the sampler's metric guard is closed-form: no form point
+        # assembles the euclidean metric
+        assert not {key for n, key in builds if n == "metric"} & form_points
         assert sorted(x_svds) == [0] * (len(points) - 2) + [1, 1]
         assert ata_svds == [0] * len(points)

@@ -8,12 +8,15 @@ the closed-form metric blocks).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmin import variation
+from detmin.errors import InvalidChartPoint
 from detmin.linalg import make_rng
 from detmin.parametric import (ChartPoint, chart_jacobian, chart_map,
                                normal_frame, sample_chart_point)
-from detmin.variation import _density, _offsets, volume_variation
+from detmin.variation import _densities, _offsets, volume_variation
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (3, 3, 1),
@@ -29,9 +32,9 @@ def test_volume_variation_vanishes(p, q, r):
 
 def _fields_at_offsets(cp, field, h):
     """X and field(a, lam) at the central-difference points of ``cp``."""
-    points = _offsets(cp, h)
-    return (np.array([chart_map(pt) for pt in points]),
-            np.array([field(pt.a, pt.lam) for pt in points]))
+    points = list(zip(*_offsets(cp, h)))
+    return (np.array([chart_map(ChartPoint(a, lam)) for a, lam in points]),
+            np.array([field(a, lam) for a, lam in points]))
 
 
 def _per_field_variation(cp):
@@ -84,23 +87,52 @@ def test_rates_equal_the_per_field_densities(p, q, r):
 
 
 def test_each_perturbed_point_is_built_once(monkeypatch):
-    built, transported = [], []
-    chart_point = variation.ChartPoint
-    transport = variation._transported_kernel
-
-    def counted_point(a, lam):
-        built.append(1)
-        return chart_point(a, lam)
-
-    def counted_transport(a, base_kernel):
-        transported.append(1)
-        return transport(a, base_kernel)
-
-    monkeypatch.setattr(variation, "ChartPoint", counted_point)
-    monkeypatch.setattr(variation, "_transported_kernel", counted_transport)
+    # one stacked rank decision, kernel transport and determinant serve
+    # every perturbed point, and no chart point is built for any of them
     cp = sample_chart_point(4, 3, 1, make_rng(4))
+    frame = normal_frame(cp)
+    calls = {name: [] for name in ("numerical_rank", "_transported_kernel",
+                                   "svd", "inv", "qr", "det")}
+    for module in (variation, np.linalg):
+        for name, shapes in calls.items():
+            if hasattr(module, name):
+                def counted(m, *args, fn=getattr(module, name), shapes=shapes,
+                            **kwargs):
+                    shapes.append(np.shape(m))
+                    return fn(m, *args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    built = []
+    monkeypatch.setattr(ChartPoint, "__post_init__",
+                        lambda self: built.append(self))
     volume_variation(cp)
-    assert len(built) == len(transported) == 2 * cp.dim
+    stack = (2 * cp.dim, cp.p, cp.r)
+    assert calls["numerical_rank"] == calls["svd"] == [stack]
+    assert calls["_transported_kernel"] == [stack]
+    assert calls["inv"] == [(2 * cp.dim, cp.r, cp.r)]
+    assert calls["qr"] == [(2 * cp.dim, cp.p, cp.p - cp.r)]
+    assert calls["det"] == [(1 + 2 * frame.frame_size, cp.dim, cp.dim)]
+    assert built == []
+
+
+def test_offsets_refuse_a_rank_deficient_step():
+    # the -h step on a_00 zeroes the first column of a
+    cp = ChartPoint(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+                    np.full((2, 1), 0.5))
+    with pytest.raises(InvalidChartPoint):
+        _offsets(cp, 1.0)
+    a, lam = _offsets(cp, 0.5)
+    assert a.shape == (2 * cp.dim, 3, 2) and lam.shape == (2 * cp.dim, 2, 1)
+
+
+ORACLE_SHAPES = [(p, q, r) for q in range(2, 5) for p in range(q, 5)
+                 for r in range(q)] + [(5, 4, 2), (6, 3, 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ORACLE_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_stacked_rates_equal_the_per_field_densities(shape, seed):
+    cp = sample_chart_point(*shape, make_rng(seed))
+    assert np.array_equal(volume_variation(cp), _per_field_variation(cp))
 
 
 def test_variation_detects_a_non_minimal_perturbation():
@@ -116,8 +148,7 @@ def test_variation_detects_a_non_minimal_perturbation():
 
     h = 1e-5
     x, n = _fields_at_offsets(cp, bogus_field, 1e-6)
-    d_plus = _density(x, n, h, 1e-6)
-    d_minus = _density(x, n, -h, 1e-6)
+    d_plus, d_minus = _densities(x, np.stack([n, n]), np.array([h, -h]), 1e-6)
     rate = (np.log(d_plus) - np.log(d_minus)) / (2 * h)
     assert abs(rate) > 1e-2
 
@@ -131,5 +162,6 @@ def test_density_matches_jacobian_gram_at_zero():
 
     jac = chart_jacobian(cp)
     want = np.sqrt(np.linalg.det(jac.T @ jac))
-    got = _density(*_fields_at_offsets(cp, zero_field, 1e-6), 0.0, 1e-6)
+    x, n = _fields_at_offsets(cp, zero_field, 1e-6)
+    got = _densities(x, n[None], np.zeros(1), 1e-6)[0]
     assert got == pytest.approx(want, rel=1e-7)
