@@ -40,6 +40,14 @@ GRAM_SCALE_FLOOR = 1e-16
 INERTIA_BAND = 1e-10
 
 
+def checked_seed(seed):
+    """``seed`` as an int, refused when negative: no two seeds share a stream."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def make_rng(seed):
     """Seeded generator on the Philox counter-based bit stream.
 
@@ -47,16 +55,16 @@ def make_rng(seed):
     every platform and process layout; reports quote the seed and are then
     reproducible byte for byte.
     """
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(checked_seed(seed)))
 
 
 def derived_rng(seed, *context):
-    """Independent substream keyed by (seed, context ints).
+    """Independent substream keyed by (seed, context ints), all non-negative.
 
     Sweeps give every parameter cell its own stream so that records do not
     depend on cell execution order and partial runs reproduce exactly.
     """
-    entropy = [abs(int(seed))] + [abs(int(c)) for c in context]
+    entropy = [checked_seed(seed)] + [int(c) for c in context]
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy)))
 

@@ -7,6 +7,11 @@ parameter grid, draws seeded sample points per cell and emits one record
 per check per point.  Each cell gets its own derived random stream, so
 the record list depends only on the configuration and seed.
 
+No cell reads another's stream, so a cell can run in another process: on
+Linux with at least two usable CPUs, ``run_sweep`` forks one worker that
+runs every other cell and streams its records back, and the report is byte
+for byte the one a one-process run writes.
+
 Grid semantics: the ``parametric``, ``helicoidal`` and ``pseudo``
 pipelines run over matrix shape triples (p, q, r) with q <= p and
 0 <= r < q; the ``levelset`` and ``complex`` pipelines are indexed by the
@@ -15,14 +20,21 @@ single size n of the square determinant and take n from the q range.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import pickle
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import count
 
 from . import helicoidal, kahler, levelset, parametric, pseudo
 from .errors import (ConventionFailure, DegenerateMetric, InvalidChartPoint,
                      SingularGram)
-from .linalg import derived_rng, max_abs
+from .linalg import checked_seed, derived_rng, max_abs
 from .report import VerificationReport, record, skipped
 
 SKIP_ERRORS = (DegenerateMetric, InvalidChartPoint, SingularGram,
@@ -206,26 +218,23 @@ def n_values(config):
     return [q for q in sorted(set(config.q_values)) if q >= 2]
 
 
-def _checked(report, config, point, names, residuals):
-    """Record ``residuals()`` under ``names``, or skip every name.
+def _checked(config, point, names, residuals):
+    """Records of ``residuals()`` under ``names``, or a skip for every name.
 
     ``residuals`` computes one sample point's residuals in the order of
     ``names``; gating and anchors come from the registry.  A degenerate
-    sample (any of ``SKIP_ERRORS``) writes one ``SKIPPED-DEGENERATE``
-    record per name instead.  Returns whether the residuals were recorded.
+    sample (any of ``SKIP_ERRORS``) gives one ``SKIPPED-DEGENERATE`` record
+    per name instead.
     """
     try:
         values = residuals()
     except SKIP_ERRORS as exc:
-        for name in names:
-            report.add(skipped(name, CHECKS[name].anchor, point,
-                               type(exc).__name__, config.tol(name)))
-        return False
-    for name, residual in zip(names, values, strict=True):
-        info = CHECKS[name]
-        report.add(record(name, info.anchor, point, residual,
-                          config.tol(name), gate=info.gate))
-    return True
+        return [skipped(name, CHECKS[name].anchor, point,
+                        type(exc).__name__, config.tol(name))
+                for name in names]
+    return [record(name, CHECKS[name].anchor, point, residual,
+                   config.tol(name), gate=CHECKS[name].gate)
+            for name, residual in zip(names, values, strict=True)]
 
 
 def _flag(ok):
@@ -234,17 +243,37 @@ def _flag(ok):
 
 # ---------------------------------------------------------------------------
 # pipeline runners
+#
+# A runner walks its grid as a list of cells in record order: one per
+# (p, q, r) or per n, each drawing from its own derived stream, and pseudo's
+# form-only signature block.  A cell is an unstarted generator that yields
+# one sample point's records at a time.  ``deal`` (see ``run_sweep``) maps
+# a cell to the batches to write in its place; without it every cell runs
+# here.
 
 
-def run_parametric(config, report):
-    for p, q, r in shape_triples(config):
+def _write(report, cells, deal):
+    for cell in cells:
+        for batch in (cell if deal is None else deal(cell)):
+            for rec in batch:
+                report.add(rec)
+
+
+def run_parametric(config, report, deal=None):
+    _write(report, _parametric_cells(config), deal)
+
+
+def _parametric_cells(config):
+    def cell(p, q, r):
         rng = derived_rng(config.seed, 1, p, q, r)
         for i in range(config.samples):
-            _checked(report, config, f"p={p} q={q} r={r} i={i}", (
+            yield _checked(config, f"p={p} q={q} r={r} i={i}", (
                 "parametric.mean-curvature", "parametric.tangency",
                 "parametric.inverse-routes", "parametric.route-agreement",
                 "parametric.dimension", "parametric.o-p-structure"),
                 lambda: _parametric_point(p, q, r, rng))
+
+    return [cell(*triple) for triple in shape_triples(config)]
 
 
 def _parametric_point(p, q, r, rng):
@@ -270,23 +299,29 @@ def _generic_nonsingular(system, rng):
     raise SingularGram("could not draw a comfortably nonsingular matrix")
 
 
-def run_levelset(config, report):
-    for n in n_values(config):
+def run_levelset(config, report, deal=None):
+    _write(report, _levelset_cells(config), deal)
+
+
+def _levelset_cells(config):
+    def cell(n):
         system = levelset.ConstraintSystem(n)
         rng = derived_rng(config.seed, 2, n)
         for i in range(config.samples):
             point = f"n={n} i={i}"
-            _checked(report, config, point, (
+            batch = _checked(config, point, (
                 "levelset.minimality", "levelset.projector-rank",
                 "levelset.contractions", "levelset.row-coefficients"),
                 lambda: _levelset_on(system, rng))
-            _checked(report, config, point, (
+            batch += _checked(config, point, (
                 "levelset.identities", "levelset.harmonicity",
                 "levelset.minor-inverse", "levelset.conjecture-printed",
                 "levelset.conjecture-swapped"),
                 lambda: _levelset_off(system, rng))
-            _checked(report, config, point, ("levelset.rank-one",),
-                     lambda: _levelset_rank_one(n, rng))
+            yield batch + _checked(config, point, ("levelset.rank-one",),
+                                   lambda: _levelset_rank_one(n, rng))
+
+    return [cell(n) for n in n_values(config)]
 
 
 def _levelset_on(system, rng):
@@ -323,15 +358,21 @@ def _levelset_rank_one(n, rng):
     return (max(rank_one.sigma_ratio, rank_one.factor_residual),)
 
 
-def run_helicoidal(config, report):
-    for p, q, r in shape_triples(config):
+def run_helicoidal(config, report, deal=None):
+    _write(report, _helicoidal_cells(config), deal)
+
+
+def _helicoidal_cells(config):
+    def cell(p, q, r):
         rng = derived_rng(config.seed, 3, p, q, r)
         for i in range(config.samples):
-            _checked(report, config, f"p={p} q={q} r={r} i={i}", (
+            yield _checked(config, f"p={p} q={q} r={r} i={i}", (
                 "helicoidal.reflection", "helicoidal.isometry",
                 "helicoidal.rank-preserved", "helicoidal.tangent-membership",
                 "helicoidal.normal-reversal", "helicoidal.counter-control"),
                 lambda: _helicoidal_point(p, q, r, rng))
+
+    return [cell(*triple) for triple in shape_triples(config)]
 
 
 def _helicoidal_point(p, q, r, rng):
@@ -354,25 +395,31 @@ def _generic_twin_point(pair, rng, floor=0.05):
     raise SingularGram("no comfortably generic point for the pair")
 
 
-def run_complex(config, report):
-    for n in n_values(config):
+def run_complex(config, report, deal=None):
+    _write(report, _complex_cells(config), deal)
+
+
+def _complex_cells(config):
+    def cell(n):
         pair = kahler.TwinHarmonicPair(n)
         rng = derived_rng(config.seed, 4, n)
         for i in range(config.samples):
             point = f"n={n} i={i}"
-            _checked(report, config, point, (
+            batch = _checked(config, point, (
                 "complex.chart-minimality", "complex.chart-blocks"),
                 lambda: _complex_chart(rng))
-            _checked(report, config, point, (
+            batch += _checked(config, point, (
                 "complex.twin-identities", "complex.contractions",
                 "complex.rho-homogeneity"),
                 lambda: _complex_generic(pair, n, rng))
             if n == 2:
-                _checked(report, config, point, ("complex.rho-quadratic",),
-                         lambda: _complex_rho_quadratic(pair, rng))
-            _checked(report, config, point, (
+                batch += _checked(config, point, ("complex.rho-quadratic",),
+                                  lambda: _complex_rho_quadratic(pair, rng))
+            yield batch + _checked(config, point, (
                 "complex.zeta-minimality", "complex.conformal-gram"),
                 lambda: _complex_locus(n, rng))
+
+    return [cell(n) for n in n_values(config)]
 
 
 def _complex_chart(rng):
@@ -427,46 +474,57 @@ def _forms_for(config, p, q):
     return defaults
 
 
-def run_pseudo(config, report):
-    # signature counting is form-only: sweep every count pattern per shape
-    shapes = sorted({(p, q) for p, q, _ in shape_triples(config)})
-    for p, q in shapes:
-        for p1 in range(p + 1):
-            for q1 in range(q + 1):
-                eta, zeta = _sign_form(p1, p - p1), _sign_form(q1, q - q1)
-                adj = pseudo.signature_adjudication(eta, zeta)
-                _checked(report, config, f"p={p} q={q} eta={eta} zeta={zeta}",
-                         ("pseudo.ambient-signature",
-                          "pseudo.ambient-signature-crossed"),
-                         lambda: (_flag(adj["paired_ok"]),
-                                  _flag(adj["crossed_ok"])))
+def run_pseudo(config, report, deal=None):
+    _write(report, _pseudo_cells(config), deal)
 
-    for p, q, r in shape_triples(config):
+
+def _pseudo_cells(config):
+    def signatures(shapes):
+        # signature counting is form-only: every count pattern per shape
+        for p, q in shapes:
+            for p1 in range(p + 1):
+                for q1 in range(q + 1):
+                    eta = _sign_form(p1, p - p1)
+                    zeta = _sign_form(q1, q - q1)
+                    adj = pseudo.signature_adjudication(eta, zeta)
+                    yield _checked(
+                        config, f"p={p} q={q} eta={eta} zeta={zeta}",
+                        ("pseudo.ambient-signature",
+                         "pseudo.ambient-signature-crossed"),
+                        lambda: (_flag(adj["paired_ok"]),
+                                 _flag(adj["crossed_ok"])))
+
+    def cell(p, q, r):
         for eta_s, zeta_s in _forms_for(config, p, q):
             eta = pseudo.IndefiniteForm.from_string(eta_s)
             zeta = pseudo.IndefiniteForm.from_string(zeta_s)
             rng = derived_rng(config.seed, 5, p, q, r,
                               _form_code(eta_s), _form_code(zeta_s))
             for i in range(config.samples):
-                _checked(report, config,
-                         f"p={p} q={q} r={r} eta={eta} zeta={zeta} i={i}", (
-                             "pseudo.minimality", "pseudo.reflection",
-                             "pseudo.normal-reversal",
-                             "pseudo.induced-signature",
-                             "pseudo.induced-signature-duplicated"),
-                         lambda: _pseudo_point(p, q, r, eta, zeta, rng))
+                yield _checked(
+                    config, f"p={p} q={q} r={r} eta={eta} zeta={zeta} i={i}",
+                    ("pseudo.minimality", "pseudo.reflection",
+                     "pseudo.normal-reversal", "pseudo.induced-signature",
+                     "pseudo.induced-signature-duplicated"),
+                    lambda: _pseudo_point(p, q, r, eta, zeta, rng))
 
         rng = derived_rng(config.seed, 6, p, q, r)
         for i in range(config.samples):
             point = f"p={p} q={q} r={r} i={i}"
-            reduced = _checked(report, config, point,
-                               ("pseudo.euclidean-reduction",),
-                               lambda: _euclidean_reduction(p, q, r, rng))
+            batch = _checked(config, point, ("pseudo.euclidean-reduction",),
+                             lambda: _euclidean_reduction(p, q, r, rng))
             # the 2 x 2 closed form draws from the stream only after a
             # reduction that did not skip
-            if reduced and (p, q, r) == (2, 2, 1):
-                _checked(report, config, point, ("pseudo.det-formula",),
-                         lambda: _det_formula(rng))
+            if ((p, q, r) == (2, 2, 1)
+                    and batch[0].verdict != "SKIPPED-DEGENERATE"):
+                batch += _checked(config, point, ("pseudo.det-formula",),
+                                  lambda: _det_formula(rng))
+            yield batch
+
+    triples = list(shape_triples(config))
+    shapes = sorted({(p, q) for p, q, _ in triples})
+    return ([signatures(shapes)] if shapes else []) + [
+        cell(*triple) for triple in triples]
 
 
 def _pseudo_point(p, q, r, eta, zeta, rng):
@@ -507,10 +565,25 @@ _RUNNERS = {
     "complex": run_complex,
     "pseudo": run_pseudo,
 }
+_CELLS = {
+    "parametric": _parametric_cells,
+    "levelset": _levelset_cells,
+    "helicoidal": _helicoidal_cells,
+    "complex": _complex_cells,
+    "pseudo": _pseudo_cells,
+}
 
 
 def run_sweep(config):
-    """Execute the configured pipelines; returns the assembled report."""
+    """Execute the configured pipelines; returns the assembled report.
+
+    On Linux with at least two CPUs this process may run on and no other
+    thread running, a forked worker runs every other cell (the odd ones, counted over all pipelines
+    in record order) while this process runs the even ones and writes every
+    record, the worker's as they arrive, in the order of a one-process run.
+    Each cell draws from its own stream, so the records are the same
+    either way.
+    """
     report = VerificationReport(meta={
         "pipeline": config.pipeline,
         "p": list(config.p_values),
@@ -522,9 +595,123 @@ def run_sweep(config):
                        sorted(config.tolerances.items())},
         "forms": [list(f) for f in config.forms],
     })
-    for name in config.pipelines():
-        _RUNNERS[name](config, report)
+    names = config.pipelines()
+    cells = sum(len(_CELLS[name](config)) for name in names)
+    if not cells:
+        raise ValueError(
+            f"no parameter cell for pipeline {config.pipeline!r}: "
+            f"p={report.meta['p']} q={report.meta['q']} "
+            f"r={report.meta['r']} (cells need q <= p and 0 <= r < q, "
+            f"or n >= 2 from q for levelset and complex)")
+    if cells < 2 or not _can_fork():
+        for name in names:
+            _RUNNERS[name](config, report)
+        return report
+    # frozen objects are left out of collections, so neither process
+    # writes to the heap pages they share after the fork
+    gc.freeze()
+    try:
+        with _worker(config, names) as deal:
+            for name in names:
+                _RUNNERS[name](config, report, deal)
+    finally:
+        gc.unfreeze()
     return report
+
+
+# ---------------------------------------------------------------------------
+# the forked worker
+
+
+def _can_fork():
+    """Linux, two CPUs this process may run on, and no other thread.
+
+    A thread could hold a lock at the fork that the worker then never sees
+    released.
+    """
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+@contextmanager
+def _worker(config, names):
+    """Fork a worker that runs the odd cells; yield the parent's ``deal``.
+
+    The parent runs each even cell itself and, for each odd one, reads the
+    worker's batches from a one-way pipe as the worker sends them.  A
+    worker exception is re-raised in the parent at its cell's turn; a
+    worker that dies is a ``ChildProcessError``.  On any exception in the
+    parent the worker is killed, and the worker is always reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _work(config, names, write_fd)
+    os.close(write_fd)
+    turn = count()
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            yield lambda cell: cell if next(turn) % 2 == 0 else _relay(pipe)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+
+
+def _relay(pipe):
+    """One worker cell's batches, read from the pipe as they are sent."""
+    while True:
+        try:
+            message = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError(
+                "the sweep worker stopped before finishing its cells") from exc
+        if message is None:
+            return
+        if isinstance(message, BaseException):
+            raise message
+        yield message
+
+
+def _work(config, names, write_fd):
+    """The worker: run the odd cells, send each point's records, exit.
+
+    A message is a pickled list of records (one sample point), None
+    (the end of a cell) or the exception that stopped the worker, which the
+    parent raises.  Exits with ``os._exit``, so nothing of the parent's
+    stack runs here.
+    """
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            def send(message):
+                pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+
+            turn = count()
+
+            def deal(cell):
+                if next(turn) % 2:
+                    for batch in cell:
+                        send(batch)
+                    send(None)
+                return ()
+
+            try:
+                for name in names:  # deal hands back no batch to write
+                    _RUNNERS[name](config, None, deal)
+                status = 0
+            except BaseException as exc:
+                try:
+                    send(exc)
+                except Exception:
+                    send(ChildProcessError(
+                        f"the sweep worker raised {type(exc).__name__}: {exc}"))
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +759,7 @@ def config_from_mapping(raw):
         if updates["samples"] < 1:
             raise ValueError(f"samples must be at least 1, got {raw['samples']}")
     if "seed" in raw:
-        updates["seed"] = int(raw["seed"])
+        updates["seed"] = checked_seed(raw["seed"])
     if "tol" in raw or "tolerances" in raw:
         tols = dict(raw.get("tolerances") or raw.get("tol"))
         for name in tols:

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from detmin.cli import main
-from detmin.sweep import CHECKS, config_from_mapping, load_config, parse_range
+from detmin.cli import _config_from_args, build_parser, main
+from detmin.sweep import (CHECKS, RunConfig, config_from_mapping, load_config,
+                          parse_range, run_sweep)
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -159,3 +160,34 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert "parametric.mean-curvature" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "parametric", "--p", "2", "--q", "3"],   # q > p
+    ["verify", "parametric", "--p", "3", "--q", "3", "--r", "5"],  # r >= q
+    ["verify", "pseudo", "--p", "2", "--q", "3"],
+    ["verify", "levelset", "--q", "1"],                 # n >= 2 only
+], ids=["q-above-p", "r-above-q", "pseudo-q-above-p", "levelset-n-1"])
+def test_a_grid_without_cells_is_a_config_error(argv, capsys):
+    # a run that certifies nothing must not exit 0
+    with pytest.raises(ValueError, match="no parameter cell"):
+        run_sweep(_config_from_args(build_parser().parse_args(argv)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "no parameter cell" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_is_a_config_error(capsys):
+    # derived streams used to fold the sign away, so seed -1 wrote seed 1's
+    # records under meta.seed = -1
+    with pytest.raises(ValueError, match="seed"):
+        config_from_mapping({"seed": -1})
+    with pytest.raises(ValueError, match="seed"):
+        run_sweep(RunConfig(p_values=(2, 3), q_values=(2,), samples=1,
+                            seed=-1))
+    assert main(["verify", "levelset", "--q", "2", "--samples", "1",
+                 "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be non-negative" in captured.err
+    assert captured.out == ""

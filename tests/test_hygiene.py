@@ -73,3 +73,36 @@ def test_every_private_function_is_referenced():
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in referenced]
     assert not orphans, f"private functions nothing references: {orphans}"
+
+
+# process-level scheduling: modules that start processes, and os calls
+# that fork
+FORKING_MODULES = {"multiprocessing", "concurrent"}
+FORK_CALLS = {"fork", "forkpty"}
+
+
+def _forks(tree):
+    """Lines that import a forking module or name a fork call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr in FORK_CALLS:
+            yield node.lineno
+            continue
+        else:
+            continue
+        if any(name.split(".")[0] in FORKING_MODULES
+               or name in {f"os.{call}" for call in FORK_CALLS}
+               for name in names):
+            yield node.lineno
+
+
+def test_only_the_sweep_forks():
+    # the decision to run cells in a second process stays in one module
+    forking = {path.name: list(_forks(ast.parse(path.read_text("utf-8"))))
+               for path in SOURCES + sorted((ROOT / "demos").glob("*.py"))}
+    assert forking.pop("sweep.py"), "the check no longer sees the sweep fork"
+    assert not {name: lines for name, lines in forking.items() if lines}

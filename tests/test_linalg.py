@@ -51,6 +51,14 @@ def test_svd_rank_matches_rational_elimination(p, q, r, seed):
     assert svd_rank(m.astype(float)).rank == rational_rank(m)
 
 
+def test_negative_seeds_are_refused():
+    # no fold to abs(seed): each seed names its own stream
+    with pytest.raises(ValueError, match="non-negative"):
+        make_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        derived_rng(-1, 1, 2)
+
+
 def test_kernel_basis_spans_the_cokernel():
     rng = make_rng(3)
     m = rng.normal(size=(5, 2))

@@ -165,3 +165,30 @@ def test_density_matches_jacobian_gram_at_zero():
     x, n = _fields_at_offsets(cp, zero_field, 1e-6)
     got = _densities(x, n[None], np.zeros(1), 1e-6)[0]
     assert got == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (4, 4, 1),
+                                   (5, 3, 2), (6, 4, 3)])
+def test_transported_kernel_against_independent_facts(p, q, r):
+    # the rate tests compare against a reference that transports with
+    # _transported_kernel too, so the transport is checked here on its own
+    cp = sample_chart_point(p, q, r, make_rng(700 + 10 * p + q + r))
+    base = cp.frame.kernel_basis
+    h = np.cbrt(np.finfo(float).eps) * (
+        1.0 + max(np.abs(cp.a).max(), np.abs(cp.lam).max()))
+    a, _ = _offsets(cp, h)
+    kernel = variation._transported_kernel(a, base)
+    kernel_t = np.swapaxes(kernel, 1, 2)
+    # orthonormal at every stencil point
+    assert np.abs(kernel_t @ kernel - np.eye(p - r)).max() < 1e-13
+    # spanning ker(a^T) there: the same projector as the left singular
+    # vectors past rank r of an SVD of that point's a
+    left = np.linalg.svd(a)[0][..., r:]
+    assert np.abs(kernel @ kernel_t
+                  - left @ np.swapaxes(left, 1, 2)).max() < 1e-12
+    # the base basis itself at the base point, column signs included
+    assert np.abs(variation._transported_kernel(cp.a, base)
+                  - base).max() < 1e-13
+    # and a step of h moves it by O(h): a flipped column moves by O(1)
+    smallest = np.linalg.svd(cp.a, compute_uv=False)[-1]
+    assert np.abs(kernel - base).max() < 4.0 * h / smallest
