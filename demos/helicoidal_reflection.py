@@ -16,6 +16,27 @@ from detmin.helicoidal import (helicoidal_certificate, normal_reversal,
                                tangent_membership)
 from detmin.linalg import make_rng, stratum_bases
 from detmin.parametric import chart_map, sample_chart_point
+from detmin.sweep import CHECKS
+
+
+def against(name, value):
+    """A residual next to the tolerance the sweep's registry gives it."""
+    return f"{value:.2e}  (tol {CHECKS[name].tolerance:.0e}, {name})"
+
+
+def show_certificate(title, cert):
+    print(title)
+    for name, value in (
+            ("helicoidal.reflection", max(cert.reflection_residuals.values())),
+            ("helicoidal.isometry", cert.isometry_residual),
+            ("helicoidal.tangent-membership",
+             max(cert.tangent_residuals.values())),
+            ("helicoidal.normal-reversal", cert.normal_reversal),
+            # evidence, not a gate: it must stay far above its tolerance
+            ("helicoidal.counter-control", cert.counter_control)):
+        print(f"  {against(name, value)}")
+    print(f"  rank preserved: {cert.rank_preserved}")
+
 
 rng = make_rng(13)
 p, q, r = 5, 4, 2
@@ -36,31 +57,31 @@ print(f"\nrank of B @ Y for another stratum point: "
 
 # matrices whose column (or row) space sits inside that of x are tangent
 for kind in ("column", "row"):
-    ok, resid = tangent_membership(
-        x, sample_tangent_family(x, r, rng, kind), r)
-    print(f"{kind:>6}-family tangent vector: residual {resid:.2e}")
+    resid = tangent_membership(x, sample_tangent_family(x, r, rng, kind), r)
+    print(f"{kind:>6}-family tangent vector: "
+          f"{against('helicoidal.tangent-membership', resid)}")
 
 # the tangent space is spanned by the orbit directions A X + X B and the
 # normal space is its orthocomplement.  Every normal has its columns in
 # the orthocomplement of col(x), so B multiplies it by -1; a generic
 # normal is nowhere near tangent
-print(f"\nnormal reversal |B W + W|      = {normal_reversal(x, r):.2e}")
+print(f"\nnormal reversal |B W + W|: "
+      f"{against('helicoidal.normal-reversal', normal_reversal(x, r))}")
 w = stratum_bases(x)[1][:, 0].reshape(p, q)
-print(f"same normal tested as tangent = "
-      f"{tangent_membership(x, w, r)[1]:.2f}  (should be order one)")
+print(f"same normal tested as tangent (should be order one): "
+      f"{against('helicoidal.counter-control', tangent_membership(x, w, r))}")
 
-cert = helicoidal_certificate(x, r, rng)
-print(f"\nfull certificate passes: {cert.ok()}")
+show_certificate("\nfull certificate:", helicoidal_certificate(x, r, rng))
 
 # the orbit description needs no chart, so a point whose leading pair of
 # columns is dependent (out of reach of the leading-columns chart) is
 # certified like any other
 degenerate = x.copy()
 degenerate[:, 0] = degenerate[:, 1]  # leading pair now rank one
-print(f"certificate with a dependent leading pair passes: "
-      f"{helicoidal_certificate(degenerate, r, rng).ok()}")
+show_certificate("certificate with a dependent leading pair:",
+                 helicoidal_certificate(degenerate, r, rng))
 
 # the origin is the whole rank-0 stratum; the reflection degenerates to
 # minus the identity and still reverses everything
-origin_cert = helicoidal_certificate(np.zeros((p, q)), 0, rng)
-print(f"rank-0 certificate at the cone point passes: {origin_cert.ok()}")
+show_certificate("rank-0 certificate at the cone point:",
+                 helicoidal_certificate(np.zeros((p, q)), 0, rng))

@@ -273,25 +273,14 @@ def spectral_cond(m):
     return float(s[0] / s[-1])
 
 
-@dataclass(frozen=True)
-class BlockInverse:
-    """Inverse of ``[[G, B], [B^T, D]]`` by one Schur elimination.
-
-    Both pivots yield the same ``full`` matrix in exact arithmetic; keeping
-    the routes separate lets callers cross-check them.  ``cond`` is the
-    condition number of the pivot block eliminated through.
-    """
-
-    full: np.ndarray
-    cond: float
-
-
 def block_inverse(g, b, d, pivot="leading"):
-    """Invert a symmetric 2x2 block matrix by Schur complement.
+    """Inverse of the symmetric block matrix ``[[G, B], [B^T, D]]``.
 
     ``pivot="leading"`` eliminates through ``G`` first, ``pivot="trailing"``
-    through ``D``.  Raises :class:`DegenerateMetric` when the pivot block's
-    or the Schur complement's condition number exceeds ``COND_LIMIT``.
+    through ``D``; both give the same inverse in exact arithmetic, and
+    keeping the routes separate lets callers cross-check them.  Raises
+    :class:`DegenerateMetric` when the pivot block's or the Schur
+    complement's condition number exceeds ``COND_LIMIT``.
     """
     g = require_finite(g, "G block")
     d = require_finite(d, "D block")
@@ -307,11 +296,11 @@ def block_inverse(g, b, d, pivot="leading"):
             f"{pivot} pivot block condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
 
     if ng == 0 and nd == 0:
-        return BlockInverse(np.zeros((0, 0)), cond)
+        return np.zeros((0, 0))
     if nd == 0:
-        return BlockInverse(np.linalg.inv(g), cond)
+        return np.linalg.inv(g)
     if ng == 0:
-        return BlockInverse(np.linalg.inv(d), cond)
+        return np.linalg.inv(d)
 
     if pivot == "leading":
         gi_b = np.linalg.solve(g, b)
@@ -324,8 +313,7 @@ def block_inverse(g, b, d, pivot="leading"):
         gi = np.linalg.inv(g)
         top_left = gi + gi_b @ rho @ gi_b.T
         top_right = -gi_b @ rho
-        full = fill_blocks(top_left, top_right, top_right.T, rho)
-        return BlockInverse(full, cond)
+        return fill_blocks(top_left, top_right, top_right.T, rho)
 
     di_bt = np.linalg.solve(d, b.T)
     schur = g - b @ di_bt
@@ -337,8 +325,7 @@ def block_inverse(g, b, d, pivot="leading"):
     di = np.linalg.inv(d)
     top_right = -gp_inv @ di_bt.T
     bottom_right = di + di_bt @ gp_inv @ di_bt.T
-    full = fill_blocks(gp_inv, top_right, top_right.T, bottom_right)
-    return BlockInverse(full, cond)
+    return fill_blocks(gp_inv, top_right, top_right.T, bottom_right)
 
 
 def max_abs(m):

@@ -387,8 +387,8 @@ class MetricInverse:
 def metric_inverse(cp):
     """Invert the induced metric three ways; callers compare, never trust one."""
     mb = cp.metric
-    lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading").full
-    trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing").full
+    lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading")
+    trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing")
     op = operator_form_inverse(cp)
     return MetricInverse(lead, trail, op, mb.assembled)
 
@@ -453,7 +453,7 @@ def normal_frame(cp):
     return cp.frame
 
 
-def second_fundamental_form(cp, frame=None):
+def second_fundamental_form(cp):
     """Scalar second fundamental forms h^{(s' s'')} in closed form.
 
     Shape (q - r, p - r, dim, dim).  Entry (s', s'') pairs coordinate
@@ -461,8 +461,7 @@ def second_fundamental_form(cp, frame=None):
     the sign follows the frame's -e_{s''} column.
     """
     p, q, r = cp.p, cp.q, cp.r
-    if frame is None:
-        frame = cp.frame
+    frame = cp.frame
     h = np.zeros((q - r, p - r, cp.dim, cp.dim))
     for sp in range(q - r):
         for spp in range(p - r):
@@ -476,16 +475,14 @@ def second_fundamental_form(cp, frame=None):
     return h
 
 
-def second_fundamental_form_autodiff(cp, frame=None):
+def second_fundamental_form_autodiff(cp):
     """h via contraction of the frame with the dual-number chart Hessian.
 
     Independent oracle for :func:`second_fundamental_form`: no closed-form
     structure is assumed, the full (pq, dim, dim) Hessian is contracted.
     """
-    if frame is None:
-        frame = cp.frame
     d2x = chart_hessian_autodiff(cp)
-    flat = frame.flat()
+    flat = cp.frame.flat()
     return np.einsum("af,fmn->amn", flat, d2x).reshape(
         cp.q - cp.r, cp.p - cp.r, cp.dim, cp.dim)
 
@@ -512,9 +509,6 @@ class MeanCurvature:
     @property
     def max_component(self):
         return max_abs(self.components)
-
-    def verdict(self, tol=1e-9):
-        return self.max_component <= tol * self.metric_scale
 
 
 def mean_curvature(cp, use_autodiff=False):
@@ -561,10 +555,6 @@ class StructureCheck:
 
     projection_residual: float
     closed_form_residual: float
-
-    def ok(self, tol=1e-10):
-        return (self.projection_residual <= tol
-                and self.closed_form_residual <= tol)
 
 
 def o_p_structure_check(cp):

@@ -301,9 +301,6 @@ class PseudoMinimality:
     def max_component(self):
         return max_abs(self.normal_flat)
 
-    def verdict(self, tol=1e-9):
-        return self.max_component <= tol * self.metric_scale
-
 
 def pseudo_minimality(cp, eta, zeta):
     report = degeneracy_scan(cp, eta, zeta)

@@ -603,6 +603,14 @@ def run_sweep(config):
             f"p={report.meta['p']} q={report.meta['q']} "
             f"r={report.meta['r']} (cells need q <= p and 0 <= r < q, "
             f"or n >= 2 from q for levelset and complex)")
+    if "pseudo" in names:
+        shapes = {(p, q) for p, q, _ in shape_triples(config)}
+        for eta, zeta in config.forms:
+            if (len(eta), len(zeta)) not in shapes:
+                raise ValueError(
+                    f"form eta={eta},zeta={zeta} matches no pseudo cell: "
+                    f"its lengths ({len(eta)}, {len(zeta)}) are no (p, q) "
+                    f"of the grid")
     if cells < 2 or not _can_fork():
         for name in names:
             _RUNNERS[name](config, report)

@@ -191,3 +191,39 @@ def test_negative_seed_is_a_config_error(capsys):
     captured = capsys.readouterr()
     assert "seed must be non-negative" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "pseudo", "--p", "3", "--q", "3", "--r", "1",
+     "--form", "eta=++,zeta=+-"],
+    ["verify", "pseudo", "--p", "3", "--q", "3", "--form", "eta=+-+,zeta=+-"],
+    # (2, 3) is a pair of the ranges but no cell, since q > p
+    ["verify", "all", "--p", "2..3", "--q", "2..3",
+     "--form", "eta=+-,zeta=+-+"],
+    ["verify", "pseudo", "--p", "3", "--q", "2",
+     "--form", "eta=+-+,zeta=+-", "--form", "eta=+-,zeta=+-"],
+], ids=["both-lengths", "zeta-length", "shape-without-cell", "one-of-two"])
+def test_a_form_matching_no_shape_is_a_config_error(argv, capsys):
+    # such a form used to be dropped: the default forms ran in its place
+    # while meta.forms still named it
+    with pytest.raises(ValueError, match="matches no pseudo cell"):
+        run_sweep(_config_from_args(build_parser().parse_args(argv)))
+    assert main(argv + ["--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "matches no pseudo cell" in captured.err
+    assert captured.out == ""
+
+
+def test_a_form_is_used_where_its_shape_is(tmp_path):
+    out = tmp_path / "r.json"
+    # not a config error; the exit status is the records' business (the
+    # open pseudo.reflection defect FAILs one of these points)
+    assert main(["verify", "pseudo", "--p", "2..3", "--q", "2", "--r", "1",
+                 "--samples", "1", "--form", "eta=+-+,zeta=+-",
+                 "--format", "json", "--out", str(out)]) in (0, 1)
+    points = {r["point"] for r in json.loads(out.read_text())["records"]
+              if r["check"] == "pseudo.minimality"}
+    # the form replaces the defaults at p = 3 and leaves p = 2 alone
+    assert points == {"p=2 q=2 r=1 eta=++ zeta=++ i=0",
+                      "p=2 q=2 r=1 eta=+- zeta=+- i=0",
+                      "p=3 q=2 r=1 eta=+-+ zeta=+- i=0"}

@@ -10,6 +10,8 @@ from detmin.helicoidal import (helicoidal_certificate, isometry_check,
 from detmin.linalg import make_rng, max_abs, stratum_bases
 from detmin.parametric import chart_map, sample_chart_point
 
+from conftest import assert_certificate
+
 TRIPLES = [(2, 2, 1), (3, 2, 1), (4, 3, 2), (5, 5, 3), (6, 4, 1), (3, 3, 0)]
 
 
@@ -38,10 +40,10 @@ class TestFrozenRankOnePoint:
         assert normal_reversal(self.x, 1) < 1e-15
 
     def test_tangent_space(self):
-        ok, _ = tangent_membership(self.x, np.array([[2.0, 3.0], [5.0, 0.0]]), 1)
-        assert ok
-        ok, resid = tangent_membership(self.x, np.diag([0.0, 1.0]), 1)
-        assert not ok and resid == pytest.approx(1.0)
+        y = np.array([[2.0, 3.0], [5.0, 0.0]])
+        assert tangent_membership(self.x, y, 1) <= 1e-9
+        resid = tangent_membership(self.x, np.diag([0.0, 1.0]), 1)
+        assert resid > 1e-9 and resid == pytest.approx(1.0)
 
 
 def test_reflection_rejects_rank_mismatch():
@@ -57,12 +59,12 @@ def test_tangent_families_are_tangent(p, q, r):
     x = chart_map(sample_chart_point(p, q, r, rng))
     for kind in ("column", "row"):
         y = sample_tangent_family(x, r, rng, kind)
-        ok, resid = tangent_membership(x, y, r)
-        assert ok, (kind, resid)
+        resid = tangent_membership(x, y, r)
+        assert resid <= 1e-9, (kind, resid)
     # the sum of the two families stays tangent (the space is linear)
     y = sample_tangent_family(x, r, rng, "column") + \
         sample_tangent_family(x, r, rng, "row")
-    assert tangent_membership(x, y, r)[0]
+    assert tangent_membership(x, y, r) <= 1e-9
 
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2)])
@@ -71,8 +73,8 @@ def test_generic_normal_is_not_tangent(p, q, r):
     x = chart_map(sample_chart_point(p, q, r, rng))
     nb = stratum_bases(x)[1]
     for k in range(nb.shape[1]):
-        ok, resid = tangent_membership(x, nb[:, k].reshape(p, q), r)
-        assert not ok and resid > 0.9  # orthonormal normal: residual is 1
+        resid = tangent_membership(x, nb[:, k].reshape(p, q), r)
+        assert resid > 0.9  # orthonormal normal: residual is 1
 
 
 def test_tangent_basis_dimension():
@@ -91,10 +93,8 @@ def test_tangent_basis_dimension():
 def test_isometry_check_accepts_orthogonal_rejects_other():
     rng = make_rng(8)
     q_mat = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-    ok, worst = isometry_check(q_mat, 3, rng)
-    assert ok and worst < 1e-12
-    bad, worst = isometry_check(np.diag([2.0, 1.0, 1.0, 1.0]), 3, rng)
-    assert not bad and worst > 1e-3
+    assert isometry_check(q_mat, 3, rng) < 1e-12
+    assert isometry_check(np.diag([2.0, 1.0, 1.0, 1.0]), 3, rng) > 1e-3
 
 
 def _isometry_loop(a, q, rng):
@@ -119,9 +119,7 @@ def test_batched_isometry_check_equals_the_loop():
              (np.eye(1), 1), (rng.normal(size=(3, 2)), 6)]
     for seed, (a, q) in enumerate(mats):
         ours, ref = make_rng(seed), make_rng(seed)
-        ok, worst = isometry_check(a, q, ours)
-        want = _isometry_loop(a, q, ref)
-        assert worst == want and ok == (want <= 1e-12)
+        assert isometry_check(a, q, ours) == _isometry_loop(a, q, ref)
         assert str(ours.bit_generator.state) == str(ref.bit_generator.state)
 
 
@@ -139,7 +137,7 @@ def test_certificate_passes_on_stratum(p, q, r):
         points.append(dependent)
     for x in points:
         cert = helicoidal_certificate(x, r, rng)
-        assert cert.ok(), cert
+        assert_certificate(cert)
         assert max(cert.reflection_residuals.values()) < 1e-12
         assert cert.normal_reversal < 1e-10
 
@@ -149,7 +147,6 @@ def test_certificate_rank_zero_reflects_through_origin():
     x = np.zeros((3, 2))
     refl = reflection(x, 0)
     assert np.allclose(refl.matrix, -np.eye(3))
-    cert = helicoidal_certificate(x, 0, rng)
-    assert cert.ok()
+    assert_certificate(helicoidal_certificate(x, 0, rng))
     # every ambient direction is normal at the origin of the cone
     assert stratum_bases(x)[1].shape == (6, 6)

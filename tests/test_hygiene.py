@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private function is referenced somewhere."""
+"""Source hygiene: every name a module imports is used in that module,
+every module-level private function is referenced somewhere, and no library
+function decides a verdict of its own."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,16 @@ def test_only_the_sweep_forks():
                for path in SOURCES + sorted((ROOT / "demos").glob("*.py"))}
     assert forking.pop("sweep.py"), "the check no longer sees the sweep fork"
     assert not {name: lines for name, lines in forking.items() if lines}
+
+
+# the sweep registry turns residuals into verdicts; a library function named
+# like a verdict would be a second tolerance table
+VERDICT_NAMES = {"ok", "verdict"}
+
+
+def test_no_library_function_decides_a_verdict():
+    deciders = [f"{path.name}:{node.lineno} {node.name}" for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in VERDICT_NAMES]
+    assert not deciders, f"functions deciding a verdict: {deciders}"

@@ -210,6 +210,13 @@ def test_row_coefficients_require_spanning_middle_rows():
         row_coefficients(a)
 
 
+def test_row_coefficients_return_off_variety_residuals():
+    # a full-rank matrix is off the variety: both outer rows keep a unit
+    # part outside the middle row e2, relative to |a| = 2
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    assert np.allclose(row_coefficients(a).residuals, [0.5, 0.5])
+
+
 def test_tangent_projector_rejects_collapsed_gradients():
     # a rank-1 matrix kills every 2 x 2 minor, hence both gradients
     a = np.outer(np.arange(1.0, 5.0), np.array([1.0, 2.0, 3.0]))

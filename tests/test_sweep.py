@@ -8,6 +8,7 @@ import pytest
 
 from detmin import kahler, levelset, parametric, pseudo, sweep
 from detmin.errors import DegenerateMetric
+from detmin.linalg import make_rng
 from detmin.parametric import ChartPoint, chart_map
 from detmin.report import VERDICTS, VerificationReport
 from detmin.sweep import CHECKS, PIPELINES, RunConfig, run_sweep
@@ -20,6 +21,57 @@ def test_registry_names_are_pipeline_prefixed():
         assert name.startswith(info.pipeline + ".")
         assert info.tolerance > 0
         assert info.anchor and " " not in info.anchor
+
+
+# every registry entry as (tolerance, gate); the registry is the one table
+# that turns residuals into verdicts, so a changed bound shows up here
+REGISTRY = {
+    "parametric.mean-curvature": (1e-9, True),
+    "parametric.tangency": (1e-9, True),
+    "parametric.inverse-routes": (1e-10, True),
+    "parametric.route-agreement": (1e-10, True),
+    "parametric.dimension": (0.5, True),
+    "parametric.o-p-structure": (1e-10, True),
+    "levelset.minimality": (1e-9, True),
+    "levelset.projector-rank": (0.5, True),
+    "levelset.identities": (1e-10, True),
+    "levelset.harmonicity": (1e-12, True),
+    "levelset.contractions": (1e-9, True),
+    "levelset.row-coefficients": (1e-9, True),
+    "levelset.minor-inverse": (1e-10, True),
+    "levelset.rank-one": (1e-10, True),
+    "levelset.conjecture-printed": (1e-10, False),
+    "levelset.conjecture-swapped": (1e-10, False),
+    "helicoidal.reflection": (1e-12, True),
+    "helicoidal.isometry": (1e-12, True),
+    "helicoidal.rank-preserved": (0.5, True),
+    "helicoidal.tangent-membership": (1e-9, True),
+    "helicoidal.normal-reversal": (1e-10, True),
+    "helicoidal.counter-control": (1e-3, False),
+    "complex.chart-minimality": (1e-10, True),
+    "complex.chart-blocks": (1e-10, True),
+    "complex.twin-identities": (1e-10, True),
+    "complex.contractions": (1e-10, True),
+    "complex.rho-quadratic": (1e-12, True),
+    "complex.rho-homogeneity": (1e-10, True),
+    "complex.zeta-minimality": (1e-9, True),
+    "complex.conformal-gram": (1e-12, True),
+    "pseudo.ambient-signature": (0.5, True),
+    "pseudo.ambient-signature-crossed": (0.5, False),
+    "pseudo.det-formula": (1e-12, True),
+    "pseudo.minimality": (1e-9, True),
+    "pseudo.reflection": (1e-12, True),
+    "pseudo.normal-reversal": (1e-9, True),
+    "pseudo.induced-signature": (0.5, True),
+    "pseudo.induced-signature-duplicated": (0.5, False),
+    "pseudo.euclidean-reduction": (1e-12, True),
+}
+
+
+def test_registry_tolerances_are_pinned():
+    assert len(REGISTRY) == 39
+    assert {name: (info.tolerance, info.gate)
+            for name, info in CHECKS.items()} == REGISTRY
 
 
 def test_evidence_checks_never_gate():
@@ -120,6 +172,26 @@ def test_degenerate_samples_skip_every_check_of_their_block(monkeypatch):
     assert kept == {"pseudo.ambient-signature": 9,
                     "pseudo.ambient-signature-crossed": 9}
     assert report.exit_status() == 0
+
+
+def test_off_variety_levelset_samples_fail(monkeypatch):
+    # a 1e-6 step off the variety must FAIL the on-variety checks, not be
+    # written off as a degenerate sample that never gates
+    sample = levelset.sample_on_variety
+
+    def off_variety(n, rng):
+        a = sample(n, rng)
+        return a + 1e-6 * make_rng(n).normal(size=a.shape)
+
+    monkeypatch.setattr(levelset, "sample_on_variety", off_variety)
+    report = VerificationReport()
+    sweep.run_levelset(RunConfig(pipeline="levelset", samples=2), report)
+    on_variety = ("levelset.minimality", "levelset.contractions",
+                  "levelset.row-coefficients")
+    verdicts = Counter((r.check, r.verdict) for r in report.records
+                       if r.check in on_variety)
+    assert verdicts == {(name, "FAIL"): 6 for name in on_variety}
+    assert report.exit_status() == 1
 
 
 def test_rank_filter_restricts_triples():
