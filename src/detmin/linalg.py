@@ -6,8 +6,9 @@ Every pipeline routes its rank questions through :func:`svd_rank`, or
 through :func:`numerical_rank` where only the count is read (of one matrix
 or of each matrix in a stack); both threshold the singular values with the
 one expression in ``_rank_tolerance``, so a single tolerance policy governs
-the whole package.  Partitioned inversions go through :func:`block_inverse`
-so that condition-number guards are applied uniformly.  Matrices assembled
+the whole package.  :func:`block_inverse` estimates no condition number:
+its caller decides whether a matrix may be inverted, for the chart metric
+once, in closed form (``ChartPoint.invertible_metric``).  Matrices assembled
 from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and identity
 operands come from :func:`identity`, one cached read-only array per size.
 Cofactors and the codimension-k trace tr(P d2 chi) live here as substrate
@@ -26,7 +27,7 @@ from .errors import DegenerateMetric, InvalidChartPoint, SingularGram
 # Multiplier on the usual sigma_max * max(shape) * eps rank threshold.
 RANK_TOL_FACTOR = 4.0
 
-# Condition-number guard applied before any block inversion.  Beyond this
+# Condition-number guard on the matrices the pipelines invert.  Beyond this
 # the point is treated as near-boundary and reported, not inverted.
 COND_LIMIT = 1e6
 
@@ -262,25 +263,15 @@ def reversal(b, normals, shape):
     return float(np.linalg.norm(moved, axis=(0, 1)).max())
 
 
-def spectral_cond(m):
-    """2-norm condition number; empty matrices count as perfectly conditioned."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 1.0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
 def block_inverse(g, b, d, pivot="leading"):
     """Inverse of the symmetric block matrix ``[[G, B], [B^T, D]]``.
 
     ``pivot="leading"`` eliminates through ``G`` first, ``pivot="trailing"``
     through ``D``; both give the same inverse in exact arithmetic, and
-    keeping the routes separate lets callers cross-check them.  Raises
-    :class:`DegenerateMetric` when the pivot block's or the Schur
-    complement's condition number exceeds ``COND_LIMIT``.
+    keeping the routes separate lets callers cross-check them.  The caller
+    bounds cond(M); for symmetric positive definite M that bounds every
+    pivot block and Schur complement inverted here (Cauchy interlacing), so
+    no condition number is estimated.
     """
     g = require_finite(g, "G block")
     d = require_finite(d, "D block")
@@ -290,10 +281,6 @@ def block_inverse(g, b, d, pivot="leading"):
         raise ValueError(f"off-diagonal block has shape {b.shape}, expected {(ng, nd)}")
     if pivot not in ("leading", "trailing"):
         raise ValueError(f"unknown pivot {pivot!r}")
-    cond = spectral_cond(g if pivot == "leading" else d)
-    if cond > COND_LIMIT:
-        raise DegenerateMetric(
-            f"{pivot} pivot block condition {cond:.3e} exceeds {COND_LIMIT:.1e}")
 
     if ng == 0 and nd == 0:
         return np.zeros((0, 0))
@@ -305,10 +292,6 @@ def block_inverse(g, b, d, pivot="leading"):
     if pivot == "leading":
         gi_b = np.linalg.solve(g, b)
         schur = d - b.T @ gi_b
-        if spectral_cond(schur) > COND_LIMIT:
-            raise DegenerateMetric(
-                f"Schur complement condition {spectral_cond(schur):.3e} "
-                f"exceeds {COND_LIMIT:.1e}")
         rho = np.linalg.inv(schur)
         gi = np.linalg.inv(g)
         top_left = gi + gi_b @ rho @ gi_b.T
@@ -317,10 +300,6 @@ def block_inverse(g, b, d, pivot="leading"):
 
     di_bt = np.linalg.solve(d, b.T)
     schur = g - b @ di_bt
-    if spectral_cond(schur) > COND_LIMIT:
-        raise DegenerateMetric(
-            f"Schur complement condition {spectral_cond(schur):.3e} "
-            f"exceeds {COND_LIMIT:.1e}")
     gp_inv = np.linalg.inv(schur)
     di = np.linalg.inv(d)
     top_right = -gp_inv @ di_bt.T

@@ -179,32 +179,59 @@ class ChartPoint:
         low = bottom * bottom / t_plus(bottom)
         return t_plus(top) / low if low > 0.0 else math.inf
 
-    @cached_property
-    def metric_inv(self):
-        """LU inverse of the assembled metric, refused beyond ``COND_LIMIT``."""
-        metric = self.metric.assembled
-        if metric.size == 0:
-            return metric
+    def invertible_metric(self):
+        """The metric blocks, refused beyond ``COND_LIMIT``: the one guard
+        of every inverse of the metric M = [[G, B], [B^T, D]].
+
+        By Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28)
+        the spectra of G, D and both Schur complements (inverses of
+        principal blocks of M^-1) lie in [lambda_min(M), lambda_max(M)], so
+        :attr:`metric_cond` bounds every matrix a block elimination inverts.
+        """
         if self.metric_cond > COND_LIMIT:
             raise DegenerateMetric(
-                f"assembled metric condition exceeds {COND_LIMIT:.1e}")
+                f"assembled metric condition {self.metric_cond:.3e} "
+                f"exceeds {COND_LIMIT:.1e}")
+        return self.metric
+
+    @cached_property
+    def metric_inv(self):
+        """LU inverse of the assembled metric; see :meth:`invertible_metric`."""
+        metric = self.invertible_metric().assembled
+        if metric.size == 0:
+            return metric
         return _read_only(np.linalg.inv(metric))
 
     @cached_property
     def frame(self):
-        """Normal frame; see :class:`NormalFrame`."""
-        p, q, r = self.p, self.q, self.r
+        """Normal frame; see :class:`NormalFrame` and :func:`normal_fields`."""
         kernel = self.a_rank.kernel_basis
-        gamma = 1.0 / np.sqrt(1.0 + (self.lam ** 2).sum(axis=0))
-        # element (s', s''): gamma_{s'} [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}]
-        frames = np.zeros((q - r, p - r, p, q))
-        frames[..., :r] = (kernel.T[None, :, :, None]
-                           * self.lam.T[:, None, None, :])
-        trailing = np.arange(q - r)
-        frames[trailing, :, :, r + trailing] = -kernel.T
-        frames = gamma[:, None, None, None] * frames
-        return NormalFrame(_read_only(frames.reshape(-1, p, q)),
-                           _read_only(gamma), _read_only(kernel))
+        normals, gamma = normal_fields(kernel[None], self.lam[None])
+        return NormalFrame(_read_only(normals[0]), _read_only(gamma[0]),
+                           _read_only(kernel))
+
+
+def normal_fields(kernel, lam):
+    """The normal frame elements at every point of a stack.
+
+    ``kernel`` holds an orthonormal basis of ker(a^T) per point, shape
+    (points, p, p - r), and ``lam`` the chart's lam, shape
+    (points, r, q - r).  Returns the elements, shape
+    (points, (q - r)(p - r), p, q), and gamma, shape (points, q - r).
+    Element (s', s'') is gamma_{s'} [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}],
+    with gamma_{s'} = (1 + |lam_{s'}|^2)^{-1/2} for column s' of lam.
+    """
+    points, r, q_r = lam.shape
+    p, p_r = kernel.shape[1:]
+    kernel_t = np.swapaxes(kernel, 1, 2)
+    gamma = 1.0 / np.sqrt(1.0 + (lam ** 2).sum(axis=1))
+    fields = np.zeros((points, q_r, p_r, p, r + q_r))
+    fields[..., :r] = (kernel_t[:, None, :, :, None]
+                       * np.swapaxes(lam, 1, 2)[:, :, None, None, :])
+    trailing = np.arange(q_r)
+    fields[:, trailing, :, :, r + trailing] = -kernel_t
+    fields *= gamma[:, :, None, None, None]
+    return fields.reshape(points, q_r * p_r, p, r + q_r), gamma
 
 
 def sample_chart_point(p, q, r, rng):
@@ -386,7 +413,7 @@ class MetricInverse:
 
 def metric_inverse(cp):
     """Invert the induced metric three ways; callers compare, never trust one."""
-    mb = cp.metric
+    mb = cp.invertible_metric()
     lead = block_inverse(mb.g, mb.b, mb.d, pivot="leading")
     trail = block_inverse(mb.g, mb.b, mb.d, pivot="trailing")
     op = operator_form_inverse(cp)

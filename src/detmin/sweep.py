@@ -603,6 +603,10 @@ def run_sweep(config):
             f"p={report.meta['p']} q={report.meta['q']} "
             f"r={report.meta['r']} (cells need q <= p and 0 <= r < q, "
             f"or n >= 2 from q for levelset and complex)")
+    if config.forms and "pseudo" not in names:
+        raise ValueError(
+            f"a form is read only by the pseudo pipeline, which pipeline "
+            f"{config.pipeline!r} does not run")
     if "pseudo" in names:
         shapes = {(p, q) for p, q, _ in shape_triples(config)}
         for eta, zeta in config.forms:

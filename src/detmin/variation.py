@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidChartPoint
 from .linalg import numerical_rank
-from .parametric import normal_frame
+from .parametric import normal_fields, normal_frame
 
 
 def _transported_kernel(a, base_kernel):
@@ -47,28 +47,6 @@ def _transported_kernel(a, base_kernel):
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sign[sign == 0] = 1.0
     return q * sign[..., None, :]
-
-
-def _normal_fields(kernel, lam):
-    """Every frame element's field at every point of a stack.
-
-    Shape (points, frame_size, p, q).  Element (s', s'') is
-    gamma_{s'} * [k_{s''} lam_{s'}^T | -k_{s''} e_{s'}] with k the
-    transported kernel at the point.
-    """
-    points, r, q_r = lam.shape
-    p, p_r = kernel.shape[1:]
-    kernel_t = np.swapaxes(kernel, 1, 2)
-    # C-ordered so that each column's squares are summed as a 1-d sum is
-    lam_t = np.ascontiguousarray(np.swapaxes(lam, 1, 2))
-    fields = np.zeros((points, q_r, p_r, p, r + q_r))
-    fields[..., :r] = (kernel_t[:, None, :, :, None]
-                       * lam_t[:, :, None, None, :])
-    trailing = np.arange(q_r)
-    fields[:, trailing, :, :, r + trailing] = -kernel_t
-    gamma = 1.0 / np.sqrt(1.0 + (lam_t ** 2).sum(axis=-1))
-    fields *= gamma[..., None, None, None]
-    return fields.reshape(points, q_r * p_r, p, r + q_r)
 
 
 def _offsets(cp, h):
@@ -104,10 +82,8 @@ def _densities(x, fields, steps, h):
     count, points, p, q = fields.shape
     values = (x + steps[:, None, None, None] * fields).reshape(
         count, points // 2, 2, p * q)
-    # each slice C-ordered (pq, dim): the layout fixes how BLAS sums J^T J
-    jac = np.ascontiguousarray(np.swapaxes(
-        (values[:, :, 0] - values[:, :, 1]) / (2.0 * h), 1, 2))
-    return np.sqrt(np.linalg.det(np.swapaxes(jac, 1, 2) @ jac))
+    jac_t = (values[:, :, 0] - values[:, :, 1]) / (2.0 * h)
+    return np.sqrt(np.linalg.det(jac_t @ np.swapaxes(jac_t, 1, 2)))
 
 
 def volume_variation(cp):
@@ -124,8 +100,9 @@ def volume_variation(cp):
     frame = normal_frame(cp)
     a, lam = _offsets(cp, h)
     x = np.concatenate([a, a @ lam], axis=2)
-    n = np.moveaxis(_normal_fields(
-        _transported_kernel(a, frame.kernel_basis), lam), 1, 0)
+    normals, _ = normal_fields(
+        _transported_kernel(a, frame.kernel_basis), lam)
+    n = np.moveaxis(normals, 1, 0)
     # the undeformed immersion, then +h and -h along each frame element
     steps = np.concatenate([[0.0], np.tile([h, -h], frame.frame_size)])
     fields = np.concatenate([np.zeros((1,) + x.shape),

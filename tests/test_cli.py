@@ -214,6 +214,18 @@ def test_a_form_matching_no_shape_is_a_config_error(argv, capsys):
     assert captured.out == ""
 
 
+def test_a_form_without_the_pseudo_pipeline_is_a_config_error(capsys):
+    # such a form used to be ignored while meta.forms still named it
+    argv = ["verify", "levelset", "--q", "2", "--samples", "1",
+            "--form", "eta=++,zeta=+-"]
+    with pytest.raises(ValueError, match="read only by the pseudo pipeline"):
+        run_sweep(_config_from_args(build_parser().parse_args(argv)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "read only by the pseudo pipeline" in captured.err
+    assert captured.out == ""
+
+
 def test_a_form_is_used_where_its_shape_is(tmp_path):
     out = tmp_path / "r.json"
     # not a config error; the exit status is the records' business (the

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmin import parametric
+from detmin import parametric, sweep
 from detmin.dual import gradient_of
-from detmin.errors import InvalidChartPoint
-from detmin.linalg import make_rng, max_abs, spectral_cond
+from detmin.errors import DegenerateMetric, InvalidChartPoint
+from detmin.linalg import COND_LIMIT, make_rng, max_abs
 from detmin.parametric import (ChartPoint, chart_derivative, chart_jacobian,
                                chart_map, chart_second_derivatives,
                                induced_metric,
@@ -18,6 +18,8 @@ from detmin.parametric import (ChartPoint, chart_derivative, chart_jacobian,
                                second_fundamental_form,
                                second_fundamental_form_autodiff,
                                stratum_dimension_check)
+from detmin.report import VerificationReport
+from detmin.sweep import RunConfig
 
 TRIPLES = [(2, 2, 1), (3, 2, 1), (3, 3, 1), (4, 3, 2), (5, 3, 1), (4, 4, 3),
            (5, 4, 0), (6, 5, 4)]
@@ -341,8 +343,8 @@ def _two_svd_sampler(p, q, r, rng):
 
 def _two_svd_accepts(a, lam):
     metric = ChartPoint(a, lam).metric.assembled
-    return (spectral_cond(a.T @ a) <= parametric.A_COND_LIMIT
-            and spectral_cond(metric) <= parametric.METRIC_COND_LIMIT)
+    return (np.linalg.cond(a.T @ a) <= parametric.A_COND_LIMIT
+            and np.linalg.cond(metric) <= parametric.METRIC_COND_LIMIT)
 
 
 SAMPLER_SHAPES = [(p, q, r) for p in range(2, 9) for q in range(2, p + 1)
@@ -412,7 +414,7 @@ def test_sampler_rejects_as_the_assembled_svd_rule_near_the_metric_limit():
             a = (u * sigma) @ v.T
             lam = (rng.uniform(-2.0, 2.0, size=(r, q - r))
                    * 10 ** rng.uniform(0.4, 1.1))
-            assert spectral_cond(a.T @ a) <= parametric.A_COND_LIMIT
+            assert np.linalg.cond(a.T @ a) <= parametric.A_COND_LIMIT
             cp = sample_chart_point(p, q, r,
                                     _ScriptedRng([(a, lam), fallback]))
             kept = cp.a.tobytes() == a.tobytes()
@@ -430,6 +432,62 @@ def test_metric_cond_equals_the_assembled_metric_condition():
             assert cp.metric_cond == pytest.approx(
                 np.linalg.cond(cp.metric.assembled), rel=1e-10), (p, q, r)
     assert ChartPoint(np.zeros((3, 0)), np.zeros((0, 2))).metric_cond == 1.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_metric_cond_bounds_every_block_and_schur_complement(seed):
+    # Cauchy interlacing: G, D and the two Schur complements have their
+    # spectra inside the metric's, so the one guard on metric_cond covers
+    # every matrix the block-inverse routes invert
+    rng = make_rng(seed)
+    for p, q, r in SAMPLER_SHAPES:
+        u = np.linalg.qr(rng.normal(size=(p, r)))[0]
+        v = np.linalg.qr(rng.normal(size=(r, r)))[0]
+        # spread and scaled so that metric_cond ranges over 1..1e7
+        sigma = (np.geomspace(1.0, 10 ** rng.uniform(0.0, 3.5), r)
+                 * 10 ** rng.uniform(-2.0, 2.0))
+        cp = ChartPoint((u * sigma) @ v.T,
+                        rng.uniform(-2.0, 2.0, size=(r, q - r)))
+        if cp.metric_cond > 1e7:
+            continue
+        mb = cp.metric
+        schur_leading = mb.d - mb.b.T @ np.linalg.solve(mb.g, mb.b)
+        schur_trailing = mb.g - mb.b @ np.linalg.solve(mb.d, mb.b.T)
+        for block in (mb.g, mb.d, schur_leading, schur_trailing):
+            assert (np.linalg.cond(block)
+                    <= cp.metric_cond * (1.0 + 1e-9)), (p, q, r)
+
+
+def _past_the_guard():
+    """A (3, 3, 2) point with metric_cond about 3e6: past COND_LIMIT, yet
+    far from where LU stops inverting."""
+    return ChartPoint(np.array([[1.0, 0.0], [0.0, 1e-3], [0.0, 0.0]]),
+                      np.full((2, 1), 0.5))
+
+
+def test_one_guard_refuses_both_metric_inverses(monkeypatch):
+    assert COND_LIMIT < _past_the_guard().metric_cond < 10 * COND_LIMIT
+    with pytest.raises(DegenerateMetric, match="exceeds"):
+        _past_the_guard().metric_inv
+    with pytest.raises(DegenerateMetric, match="exceeds"):
+        metric_inverse(_past_the_guard())
+    # a sweep sample there is reported as degenerate, not inverted
+    monkeypatch.setattr(parametric, "sample_chart_point",
+                        lambda *args: _past_the_guard())
+    config = RunConfig(pipeline="parametric", p_values=(3,), q_values=(3,),
+                       r_values=(2,), samples=1)
+    report = VerificationReport()
+    sweep.run_parametric(config, report)
+    assert len(report.records) == 6
+    assert {rec.verdict for rec in report.records} == {"SKIPPED-DEGENERATE"}
+    # the refusal is that one comparison: above the point's condition,
+    # both inverses go through and agree
+    monkeypatch.setattr(parametric, "COND_LIMIT", 10 * COND_LIMIT)
+    cp = _past_the_guard()
+    inv = metric_inverse(cp)
+    assert max_abs(cp.metric_inv - inv.leading) < 1e-6 * max_abs(inv.leading)
+    assert max(inv.identity_residuals().values()) < 1e-8
 
 
 def test_sampler_rejects_a_rank_deficient_draw():
