@@ -14,7 +14,7 @@ import numpy as np
 from detmin.helicoidal import (helicoidal_certificate, normal_reversal,
                                reflection, sample_tangent_family,
                                tangent_membership)
-from detmin.linalg import make_rng, stratum_bases
+from detmin.linalg import make_rng, reflection_residuals, stratum_bases
 from detmin.parametric import chart_map, sample_chart_point
 from detmin.sweep import CHECKS
 
@@ -42,18 +42,18 @@ rng = make_rng(13)
 p, q, r = 5, 4, 2
 x = chart_map(sample_chart_point(p, q, r, rng))
 
-refl = reflection(x, r)
-res = refl.invariant_residuals(x)
+b = reflection(x, r)
+res = reflection_residuals(b, np.ones(p), x)
 print(f"reflection at a rank-{r} point of the {p} x {q} space")
 for name, value in res.items():
     print(f"  {name:<12} {value:.2e}")
-print(f"  det B = {np.linalg.det(refl.matrix):+.0f} = (-1)^(p - r)")
+print(f"  det B = {np.linalg.det(b):+.0f} = (-1)^(p - r)")
 
 # rank is preserved under left multiplication by any invertible matrix,
 # in particular by B: the stratum maps to itself
 y = chart_map(sample_chart_point(p, q, r, rng))
 print(f"\nrank of B @ Y for another stratum point: "
-      f"{np.linalg.matrix_rank(refl.matrix @ y)}")
+      f"{np.linalg.matrix_rank(b @ y)}")
 
 # matrices whose column (or row) space sits inside that of x are tangent
 for kind in ("column", "row"):
@@ -67,7 +67,7 @@ for kind in ("column", "row"):
 # normal is nowhere near tangent
 print(f"\nnormal reversal |B W + W|: "
       f"{against('helicoidal.normal-reversal', normal_reversal(x, r))}")
-w = stratum_bases(x)[1][:, 0].reshape(p, q)
+w = stratum_bases(x, r)[1][:, 0].reshape(p, q)
 print(f"same normal tested as tangent (should be order one): "
       f"{against('helicoidal.counter-control', tangent_membership(x, w, r))}")
 

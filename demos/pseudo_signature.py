@@ -12,7 +12,7 @@ eta-orthogonal projection.
 
 import numpy as np
 
-from detmin.linalg import make_rng, max_abs
+from detmin.linalg import make_rng, max_abs, reflection_residuals
 from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
 from detmin.pseudo import (IndefiniteForm, degeneracy_scan, form_reflection,
@@ -64,11 +64,11 @@ print(f"  max normal component of the trace = {pm.max_component:.2e}")
 # the form-compatible reflection still fixes the point, preserves the
 # form, and reverses the form-normals
 x = chart_map(cp)
-refl = form_reflection(cp.x_rank, eta)
-res = refl.invariant_residuals(x, eta)
+b = form_reflection(cp.x_rank, eta)
+res = reflection_residuals(b, eta.signs, x)
 print(f"  reflection: isometry {res['isometry']:.2e}, involution "
       f"{res['involution']:.2e}, fixes point {res['fixes_point']:.2e}")
-print(f"  normal reversal = {normal_reversal(x, eta, zeta, refl):.2e}")
+print(f"  normal reversal = {normal_reversal(x, cp.r, eta, zeta, b):.2e}")
 
 # identity forms reduce everything to the euclidean pipeline
 cp = sample_chart_point(3, 2, 1, rng)

@@ -28,39 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidChartPoint
-from .linalg import (column_reflection, declared_rank, identity, max_abs,
-                     numerical_rank, reversal, stratum_bases)
+from .linalg import (column_reflection, declared_rank, max_abs,
+                     numerical_rank, reflection_residuals, reversal,
+                     stratum_bases)
 from .parametric import ChartPoint, chart_map
-
-
-@dataclass(frozen=True)
-class Reflection:
-    """B = 2 Q Q^T - I with Q spanning the column space of the base point."""
-
-    matrix: np.ndarray
-    r: int
-
-    def invariant_residuals(self, x):
-        """Orthogonality, involution and fixed-point residuals, plus spectrum."""
-        b = self.matrix
-        p = b.shape[0]
-        eig = np.sort(np.linalg.eigvalsh(b))
-        expected = np.sort(np.concatenate([-np.ones(p - self.r),
-                                           np.ones(self.r)]))
-        return {
-            "orthogonal": max_abs(b.T @ b - identity(p)),
-            "involution": max_abs(b @ b - identity(p)),
-            "fixes_point": max_abs(b @ x - x) / max(1.0, max_abs(x)),
-            "determinant": abs(float(np.linalg.det(b)) - (-1.0) ** (p - self.r)),
-            "spectrum": max_abs(eig - expected),
-        }
 
 
 def reflection(x, r=None):
     """Reflection through the column space of ``x``.
 
-    ``r`` declares the stratum; a mismatch with the numerical rank raises
+    Returns B = 2 Q Q^T - I with Q spanning the column space.  ``r``
+    declares the stratum; a mismatch with the numerical rank raises
     :class:`InvalidChartPoint` rather than silently reflecting through the
     wrong subspace.
     """
@@ -68,8 +46,7 @@ def reflection(x, r=None):
 
 
 def _reflection(x_rank):
-    signs = np.ones(x_rank.range_basis.shape[0])
-    return Reflection(column_reflection(x_rank, signs), x_rank.rank)
+    return column_reflection(x_rank, np.ones(x_rank.range_basis.shape[0]))
 
 
 def isometry_check(a, q, rng):
@@ -89,17 +66,6 @@ def isometry_check(a, q, rng):
     return max([0.0, *deviation.tolist()])
 
 
-def _stratum_bases(x, r):
-    """Tangent and normal bases at ``x``, checked against the declared rank."""
-    tangent, normal = stratum_bases(x)
-    p, q = np.asarray(x).shape
-    if tangent.shape[1] != r * (p + q - r):
-        raise InvalidChartPoint(
-            f"declared rank {r} but the tangent space has dimension "
-            f"{tangent.shape[1]}, not r(p + q - r) = {r * (p + q - r)}")
-    return tangent, normal
-
-
 def _off_span(basis, y):
     """Relative norm of the part of ``y`` outside the span of ``basis``."""
     v = np.asarray(y, dtype=float).ravel()
@@ -109,7 +75,7 @@ def _off_span(basis, y):
 
 def tangent_membership(x, y, r):
     """Relative part of ``y`` outside the stratum tangent space at ``x``."""
-    return _off_span(_stratum_bases(x, r)[0], y)
+    return _off_span(stratum_bases(x, r)[0], y)
 
 
 def sample_tangent_family(x, r, rng, kind="column"):
@@ -133,7 +99,7 @@ def _tangent_family(x_rank, rng, kind):
 
 def normal_reversal(x, r):
     """Worst residual of B W = -W over an orthonormal normal basis at ``x``."""
-    return reversal(reflection(x, r).matrix, _stratum_bases(x, r)[1],
+    return reversal(reflection(x, r), stratum_bases(x, r)[1],
                     np.asarray(x).shape)
 
 
@@ -152,21 +118,29 @@ class Certificate:
 def helicoidal_certificate(x, r, rng):
     """Run the full synthetic-minimality checklist at one stratum point."""
     x = np.asarray(x, dtype=float)
+    p, q = x.shape
     x_rank = declared_rank(x, r)
-    refl = _reflection(x_rank)
-    residuals = refl.invariant_residuals(x)
-    iso = isometry_check(refl.matrix, x.shape[1], rng)
-    z = chart_map(ChartPoint(rng.normal(size=(x.shape[0], r)),
-                             rng.uniform(-2, 2, size=(r, x.shape[1] - r))))
-    rank_preserved = numerical_rank(refl.matrix @ z) == r == numerical_rank(z)
-    tb, nb = _stratum_bases(x, r)
+    b = _reflection(x_rank)
+    # euclidean only: det B = (-1)^(p - r), and the symmetric B has the
+    # spectrum of p - r reversed and r fixed directions (ascending)
+    expected = np.concatenate([-np.ones(p - r), np.ones(r)])
+    residuals = {
+        **reflection_residuals(b, np.ones(p), x),
+        "determinant": abs(float(np.linalg.det(b)) - (-1.0) ** (p - r)),
+        "spectrum": max_abs(np.linalg.eigvalsh(b) - expected),
+    }
+    iso = isometry_check(b, q, rng)
+    z = chart_map(ChartPoint(rng.normal(size=(p, r)),
+                             rng.uniform(-2, 2, size=(r, q - r))))
+    rank_preserved = numerical_rank(b @ z) == r == numerical_rank(z)
+    tb, nb = stratum_bases(x, r)
     tangents = {
         "cone_direction": _off_span(tb, x),
         "column_family": _off_span(
             tb, _tangent_family(x_rank, rng, "column")),
         "row_family": _off_span(tb, _tangent_family(x_rank, rng, "row")),
     }
-    worst_reversal = reversal(refl.matrix, nb, x.shape)
+    worst_reversal = reversal(b, nb, x.shape)
     counter = _off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0
     return Certificate(residuals, iso, rank_preserved, tangents,
                        worst_reversal, counter)

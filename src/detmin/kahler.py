@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidChartPoint, SingularGram
 from .linalg import (ProjectedTraces, cofactors, fill_blocks,
-                     gradient_projector, max_abs, projected_traces,
-                     second_cofactors, svd_rank)
+                     gradient_projector, max_abs, numerical_rank,
+                     projected_traces, second_cofactors, svd_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def sample_zeta_point(n, rng):
         z = z / np.linalg.norm(z)
         point = flatten(z)
         u, v = pair.values(point)
-        ranks = np.linalg.matrix_rank(z)
-        if abs(u) <= 1e-12 and abs(v) <= 1e-12 and ranks == n - 1:
+        if (abs(u) <= 1e-12 and abs(v) <= 1e-12
+                and numerical_rank(z) == n - 1):
             return point
     raise InvalidChartPoint(f"no admissible det = 0 point for n = {n}")

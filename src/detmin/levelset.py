@@ -33,8 +33,8 @@ from itertools import product
 import numpy as np
 
 from .errors import ConventionFailure, InvalidChartPoint
-from .linalg import (cofactors, gradient_projector, max_abs, projected_traces,
-                     second_cofactors, svd_rank)
+from .linalg import (cofactors, gradient_projector, max_abs, numerical_rank,
+                     projected_traces, second_cofactors)
 from .parametric import ChartPoint, chart_map
 
 # Draws each sampler below makes before giving up.
@@ -147,7 +147,7 @@ def sample_on_variety(n, rng):
         rows_ok = (np.linalg.norm(a[0]) > 0.05 and np.linalg.norm(a[-1]) > 0.05)
         middle = a[1:n, :]
         if (abs(chi1) <= 1e-12 and abs(chi2) <= 1e-12 and rows_ok
-                and svd_rank(middle).rank == n - 1):
+                and numerical_rank(middle) == n - 1):
             return a
     raise InvalidChartPoint(f"no admissible on-variety point for n={n} "
                             f"after {MAX_DRAWS} draws")
@@ -267,7 +267,7 @@ def row_coefficients(a):
     a = np.asarray(a, dtype=float)
     n = a.shape[1]
     middle = a[1:n, :]
-    if svd_rank(middle).rank != n - 1:
+    if numerical_rank(middle) != n - 1:
         raise ConventionFailure("middle rows do not span the row space")
     scale = max(1.0, np.linalg.norm(a))
     sol_first, *_ = np.linalg.lstsq(middle.T, a[0], rcond=None)
@@ -374,9 +374,9 @@ def sample_singular_matrix(n, rng):
     for _ in range(MAX_DRAWS):
         m = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
         m /= np.linalg.norm(m)
-        if svd_rank(m).rank != n - 1:
+        if numerical_rank(m) != n - 1:
             continue
-        if svd_rank(m[1:, :]).rank == n - 1 and svd_rank(m[:, 1:]).rank == n - 1:
+        if numerical_rank(m[1:, :]) == numerical_rank(m[:, 1:]) == n - 1:
             return m
     raise InvalidChartPoint(f"no admissible singular matrix for n={n}")
 

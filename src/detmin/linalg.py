@@ -1,6 +1,7 @@
 """Shared numerical substrate: rank decisions, block inversion, Kronecker
 products, cofactor determinants, constraint projectors, stratum
-tangent/normal bases, column-space reflections, inertia, seeded RNG.
+tangent/normal bases, column-space reflections and their invariant
+residuals, inertia, seeded RNG.
 
 Every pipeline routes its rank questions through :func:`svd_rank`, or
 through :func:`numerical_rank` where only the count is read (of one matrix
@@ -102,8 +103,11 @@ def fill_blocks(top_left, top_right, bottom_left, bottom_right):
 
 
 def require_finite(m, name="matrix"):
-    """Reject NaN/inf input with a diagnostic instead of letting LAPACK fail."""
-    m = np.asarray(m, dtype=float)
+    """Reject NaN/inf input with a diagnostic instead of letting LAPACK fail.
+
+    Real input comes back as float, complex input as complex.
+    """
+    m = _float_or_complex(m)
     if not np.isfinite(m).all():
         bad = ~np.isfinite(m)
         raise ValueError(f"{name} has {int(bad.sum())} non-finite entries "
@@ -151,7 +155,8 @@ def svd_rank(m):
     if m.size == 0:
         return RankResult(0, np.zeros(0), np.zeros((rows, 0)), np.eye(rows),
                           np.zeros((cols, 0)), 0.0)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    # a wide input's reduced U is square; a tall one's kernel needs full U
+    u, s, vt = np.linalg.svd(m, full_matrices=rows > cols)
     tol = _rank_tolerance(s, m.shape)
     rank = int(np.count_nonzero(s > tol))
     return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T, tol)
@@ -198,8 +203,8 @@ def kron(a, b):
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def stratum_bases(x):
-    """Orthonormal tangent and normal bases of the rank stratum at ``x``.
+def stratum_bases(x, r):
+    """Orthonormal tangent and normal bases of the rank-``r`` stratum at ``x``.
 
     The stratum through a p x q matrix X is the orbit of X under
     X -> g X h^-1, so its tangent space is {A X + X B} (Vandereycken, SIAM
@@ -207,13 +212,19 @@ def stratum_bases(x):
     A = E_ij and B = E_ij are the columns of kron(I_p, X^T) and
     kron(X, I_q); one rank decision on them splits the ambient space into
     the tangent span and its orthocomplement.  Returns (tangent, normal)
-    as column matrices with r(p + q - r) and (p - r)(q - r) columns.
+    as column matrices with r(p + q - r) and (p - r)(q - r) columns; a
+    tangent span of another dimension contradicts the declared rank and
+    raises :class:`InvalidChartPoint`.
     """
     x = np.asarray(x, dtype=float)
     p, q = x.shape
     gens = np.concatenate([kron(identity(p), x.T), kron(x, identity(q))],
                           axis=1)
     rank = svd_rank(gens)
+    if rank.rank != r * (p + q - r):
+        raise InvalidChartPoint(
+            f"declared rank {r} but the tangent space has dimension "
+            f"{rank.rank}, not r(p + q - r) = {r * (p + q - r)}")
     return rank.range_basis, rank.kernel_basis
 
 
@@ -232,20 +243,41 @@ def column_reflection(x_rank, signs):
     ``x_rank`` is the :func:`svd_rank` (or :func:`declared_rank`) result of
     x and ``signs`` the diagonal of the form on its rows; all ones give the
     euclidean reflection 2 Q Q^T - I.  The form restricted to the column
-    space must be nondegenerate, otherwise the form-complement fails to be
-    a complement and no such reflection exists (raises
-    :class:`DegenerateMetric`).
+    space, G = Q^T S Q, must be safely nondegenerate: B = 2 Q G^-1 Q^T S - I
+    has ||B||_2 <= 2 ||G^-1||_2 + 1, so a ||G^-1||_2 = 1 / min |lambda(G)|
+    beyond COND_LIMIT raises :class:`DegenerateMetric` (at a null column
+    space the form-complement fails to be a complement and no reflection
+    exists at all).
     """
     basis = x_rank.range_basis
     n = basis.shape[0]
     if not basis.size:
         return -identity(n)
     gram = basis.T @ (signs[:, None] * basis)
-    if inertia(np.linalg.eigvalsh(gram))[2] > 0:
+    if np.abs(np.linalg.eigvalsh(gram)).min() * COND_LIMIT < 1.0:
         raise DegenerateMetric("the form restricted to the column space "
-                               "is degenerate; no reflection")
+                               "is (nearly) degenerate; no reflection")
     proj = basis @ np.linalg.solve(gram, basis.T * signs[None, :])
     return 2.0 * proj - identity(n)
+
+
+def reflection_residuals(b, signs, x):
+    """Invariant residuals of B as a reflection of S = diag(signs) fixing x.
+
+    ``isometry`` is ||B^T S B - S||_max and ``involution`` ||B B - I||_max,
+    both divided by max(1, ||B||_2^2), which makes them backward errors: a
+    B with B^T S B = S has cond_2(B) = ||B||_2^2 (Higham, SIAM Rev. 45,
+    2003), so rounding alone leaves raw residuals of that size times eps.
+    ``fixes_point`` is ||B x - x||_max / max(1, ||x||_max), relative to x
+    only.  All ones in ``signs`` make ``isometry`` the euclidean
+    orthogonality residual.
+    """
+    scale = max(1.0, float(np.linalg.svd(b, compute_uv=False)[0]) ** 2)
+    return {
+        "isometry": max_abs((b.T * signs) @ b - np.diag(signs)) / scale,
+        "involution": max_abs(b @ b - identity(b.shape[0])) / scale,
+        "fixes_point": max_abs(b @ x - x) / max(1.0, max_abs(x)),
+    }
 
 
 def reversal(b, normals, shape):

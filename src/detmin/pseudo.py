@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetric, InvalidChartPoint
-from .linalg import (COND_LIMIT, column_reflection, identity, inertia,
-                     max_abs, reversal, stratum_bases)
+from .linalg import (COND_LIMIT, column_reflection, inertia, max_abs,
+                     reversal, stratum_bases)
 from .parametric import (MAX_DRAWS, ChartPoint, chart_second_derivatives,
                          sample_chart_point)
 
@@ -70,10 +70,6 @@ class IndefiniteForm:
     @cached_property
     def n_minus(self):
         return int((self.signs < 0).sum())
-
-    @property
-    def matrix(self):
-        return np.diag(self.signs)
 
     def is_definite(self):
         return self.n_minus == 0 or self.n_plus == 0
@@ -324,26 +320,14 @@ def pseudo_minimality(cp, eta, zeta):
 # form-compatible reflection
 
 
-def form_normal_basis(x, eta, zeta):
+def form_normal_basis(x, r, eta, zeta):
     """Orthonormal basis of the K-orthocomplement of the tangent space at x.
 
     K = kron(eta, zeta) is a +-1 diagonal, so K maps the euclidean normal
-    space onto the K-orthocomplement and keeps the basis orthonormal.
+    space onto the K-orthocomplement and keeps the basis orthonormal.  ``r``
+    declares the stratum; see :func:`~detmin.linalg.stratum_bases`.
     """
-    return ambient_gram(eta, zeta)[:, None] * stratum_bases(x)[1]
-
-
-@dataclass(frozen=True)
-class FormReflection:
-    matrix: np.ndarray
-
-    def invariant_residuals(self, x, eta):
-        b, k = self.matrix, eta.matrix
-        return {
-            "isometry": max_abs(b.T @ k @ b - k),
-            "involution": max_abs(b @ b - identity(b.shape[0])),
-            "fixes_point": max_abs(b @ x - x) / max(1.0, max_abs(x)),
-        }
+    return ambient_gram(eta, zeta)[:, None] * stratum_bases(x, r)[1]
 
 
 def form_reflection(x_rank, eta):
@@ -352,15 +336,16 @@ def form_reflection(x_rank, eta):
     ``x_rank`` is the :func:`~detmin.linalg.svd_rank` (or
     :func:`~detmin.linalg.declared_rank`) result of x; see
     :func:`~detmin.linalg.column_reflection`, which raises
-    :class:`DegenerateMetric` when eta is degenerate on the column space.
+    :class:`DegenerateMetric` when eta is (nearly) degenerate on the column
+    space.
     """
-    return FormReflection(column_reflection(x_rank, eta.signs))
+    return column_reflection(x_rank, eta.signs)
 
 
-def normal_reversal(x, eta, zeta, refl):
+def normal_reversal(x, r, eta, zeta, b):
     """Worst norm of B W + W over an orthonormal basis of form-normals at x.
 
-    ``refl`` is the :func:`form_reflection` of ``x``.
+    ``b`` is the :func:`form_reflection` of ``x``.
     """
-    return reversal(refl.matrix, form_normal_basis(x, eta, zeta),
+    return reversal(b, form_normal_basis(x, r, eta, zeta),
                     np.asarray(x).shape)

@@ -34,7 +34,7 @@ from itertools import count
 from . import helicoidal, kahler, levelset, parametric, pseudo
 from .errors import (ConventionFailure, DegenerateMetric, InvalidChartPoint,
                      SingularGram)
-from .linalg import checked_seed, derived_rng, max_abs
+from .linalg import checked_seed, derived_rng, max_abs, reflection_residuals
 from .report import VerificationReport, record, skipped
 
 SKIP_ERRORS = (DegenerateMetric, InvalidChartPoint, SingularGram,
@@ -531,11 +531,11 @@ def _pseudo_point(p, q, r, eta, zeta, rng):
     cp = pseudo.sample_pseudo_point(p, q, r, eta, zeta, rng)
     pm = pseudo.pseudo_minimality(cp, eta, zeta)
     x = parametric.chart_map(cp)
-    refl = pseudo.form_reflection(cp.x_rank, eta)
-    reversal = pseudo.normal_reversal(x, eta, zeta, refl)
+    b = pseudo.form_reflection(cp.x_rank, eta)
+    reversal = pseudo.normal_reversal(x, r, eta, zeta, b)
     sig = pseudo.induced_signature_check(cp, eta, zeta)
     return (pm.max_component / pm.metric_scale,
-            max(refl.invariant_residuals(x, eta).values()),
+            max(reflection_residuals(b, eta.signs, x).values()),
             reversal,
             _flag(sig["symmetric_ok"]),
             _flag(sig["duplicated_ok"]))

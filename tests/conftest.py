@@ -1,4 +1,11 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the one hypothesis profile."""
+
+from hypothesis import settings
+
+# every run draws the same examples and no failure is replayed from a local
+# example database, so the suite is deterministic
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def assert_certificate(cert, where=None):

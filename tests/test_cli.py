@@ -228,11 +228,10 @@ def test_a_form_without_the_pseudo_pipeline_is_a_config_error(capsys):
 
 def test_a_form_is_used_where_its_shape_is(tmp_path):
     out = tmp_path / "r.json"
-    # not a config error; the exit status is the records' business (the
-    # open pseudo.reflection defect FAILs one of these points)
+    # not a config error, and every record passes
     assert main(["verify", "pseudo", "--p", "2..3", "--q", "2", "--r", "1",
                  "--samples", "1", "--form", "eta=+-+,zeta=+-",
-                 "--format", "json", "--out", str(out)]) in (0, 1)
+                 "--format", "json", "--out", str(out)]) == 0
     points = {r["point"] for r in json.loads(out.read_text())["records"]
               if r["check"] == "pseudo.minimality"}
     # the form replaces the defaults at p = 3 and leaves p = 2 alone

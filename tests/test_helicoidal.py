@@ -7,7 +7,8 @@ from detmin.errors import InvalidChartPoint
 from detmin.helicoidal import (helicoidal_certificate, isometry_check,
                                normal_reversal, reflection,
                                sample_tangent_family, tangent_membership)
-from detmin.linalg import make_rng, max_abs, stratum_bases
+from detmin.linalg import (make_rng, max_abs, reflection_residuals,
+                           stratum_bases)
 from detmin.parametric import chart_map, sample_chart_point
 
 from conftest import assert_certificate
@@ -21,19 +22,18 @@ class TestFrozenRankOnePoint:
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
 
     def test_reflection_matrix(self):
-        refl = reflection(self.x, 1)
-        assert np.allclose(refl.matrix, np.diag([1.0, -1.0]))
+        assert np.allclose(reflection(self.x, 1), np.diag([1.0, -1.0]))
 
     def test_invariants_vanish(self):
-        res = reflection(self.x, 1).invariant_residuals(self.x)
+        res = reflection_residuals(reflection(self.x, 1), np.ones(2), self.x)
         assert max(res.values()) < 1e-15
 
     def test_determinant_sign(self):
         # det B = (-1)^(p - r): one reversed direction here
-        assert np.linalg.det(reflection(self.x, 1).matrix) == pytest.approx(-1.0)
+        assert np.linalg.det(reflection(self.x, 1)) == pytest.approx(-1.0)
 
     def test_normal_space_is_bottom_right_corner(self):
-        nb = stratum_bases(self.x)[1]
+        nb = stratum_bases(self.x, 1)[1]
         assert nb.shape == (4, 1)
         w = nb[:, 0].reshape(2, 2)
         assert abs(w[1, 1]) == pytest.approx(1.0)
@@ -71,7 +71,7 @@ def test_tangent_families_are_tangent(p, q, r):
 def test_generic_normal_is_not_tangent(p, q, r):
     rng = make_rng(200 + p + q + r)
     x = chart_map(sample_chart_point(p, q, r, rng))
-    nb = stratum_bases(x)[1]
+    nb = stratum_bases(x, r)[1]
     for k in range(nb.shape[1]):
         resid = tangent_membership(x, nb[:, k].reshape(p, q), r)
         assert resid > 0.9  # orthonormal normal: residual is 1
@@ -81,7 +81,7 @@ def test_tangent_basis_dimension():
     rng = make_rng(7)
     for p, q, r in TRIPLES:
         x = chart_map(sample_chart_point(p, q, r, rng))
-        tb, nb = stratum_bases(x)
+        tb, nb = stratum_bases(x, r)
         assert tb.shape[1] == r * (p - r) + q * r
         assert nb.shape[1] == (q - r) * (p - r)
         assert tb.shape[1] + nb.shape[1] == p * q - (p - r) * (q - r) \
@@ -113,7 +113,7 @@ def test_batched_isometry_check_equals_the_loop():
     mats = []
     for p, q, r in TRIPLES + [(6, 6, 5), (4, 4, 2)]:
         x = chart_map(sample_chart_point(p, q, r, make_rng(40 + p + q + r)))
-        mats.append((reflection(x, r).matrix, q))
+        mats.append((reflection(x, r), q))
     rng = make_rng(41)
     mats += [(np.diag([2.0, 1.0, 1.0]), 2), (rng.normal(size=(5, 5)), 4),
              (np.eye(1), 1), (rng.normal(size=(3, 2)), 6)]
@@ -145,8 +145,7 @@ def test_certificate_passes_on_stratum(p, q, r):
 def test_certificate_rank_zero_reflects_through_origin():
     rng = make_rng(9)
     x = np.zeros((3, 2))
-    refl = reflection(x, 0)
-    assert np.allclose(refl.matrix, -np.eye(3))
+    assert np.allclose(reflection(x, 0), -np.eye(3))
     assert_certificate(helicoidal_certificate(x, 0, rng))
     # every ambient direction is normal at the origin of the cone
-    assert stratum_bases(x)[1].shape == (6, 6)
+    assert stratum_bases(x, 0)[1].shape == (6, 6)

@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
 every module-level private function is referenced somewhere, and no library
-function decides a verdict of its own."""
+function decides a verdict of its own; every rank question goes through
+the one tolerance policy in linalg, and hypothesis draws deterministically."""
 
 import ast
 from pathlib import Path
 
+import hypothesis
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,3 +122,15 @@ def test_no_library_function_decides_a_verdict():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.name in VERDICT_NAMES]
     assert not deciders, f"functions deciding a verdict: {deciders}"
+
+
+def test_no_rank_decision_bypasses_the_linalg_policy():
+    # np.linalg.matrix_rank thresholds without RANK_TOL_FACTOR
+    callers = [path.name for path in SOURCES
+               if "matrix_rank" in path.read_text(encoding="utf-8")]
+    assert not callers, f"rank decided outside linalg's policy: {callers}"
+
+
+def test_hypothesis_draws_deterministically():
+    assert hypothesis.settings.default.derandomize is True
+    assert hypothesis.settings.default.database is None

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmin.errors import InvalidChartPoint
-from detmin.linalg import (block_inverse, cofactors, declared_rank,
-                           derived_rng, fill_blocks, identity, kron, make_rng,
-                           max_abs, numerical_rank, require_finite, reversal,
+from detmin.errors import DegenerateMetric, InvalidChartPoint
+from detmin.linalg import (block_inverse, cofactors, column_reflection,
+                           declared_rank, derived_rng, fill_blocks, identity,
+                           kron, make_rng, max_abs, numerical_rank,
+                           reflection_residuals, require_finite, reversal,
                            second_cofactors, stratum_bases, svd_rank)
 
 
@@ -142,7 +143,7 @@ def _orbit_generators(x):
 def test_stratum_bases_split_off_the_orbit_generators(p, q, r):
     rng = make_rng(70 + 10 * p + q + r)
     x = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
-    tangent, normal = stratum_bases(x)
+    tangent, normal = stratum_bases(x, r)
     assert tangent.shape == (p * q, r * (p + q - r))
     assert normal.shape == (p * q, (p - r) * (q - r))
     both = np.hstack([tangent, normal])
@@ -150,6 +151,62 @@ def test_stratum_bases_split_off_the_orbit_generators(p, q, r):
     gens = _orbit_generators(x)
     assert max_abs(gens - tangent @ (tangent.T @ gens)) < 1e-12
     assert max_abs(normal.T @ gens) < 1e-12
+
+
+def test_stratum_bases_refuse_a_wrong_declared_rank():
+    x = np.diag([1.0, 2.0, 0.0])
+    assert stratum_bases(x, 2)[1].shape == (9, 1)
+    for r in (1, 3):
+        with pytest.raises(InvalidChartPoint, match="tangent space"):
+            stratum_bases(x, r)
+
+
+def _indefinite_reflections(seed, count):
+    """(B, signs, x) for count random column spaces of an indefinite form."""
+    rng = make_rng(seed)
+    while count:
+        p = int(rng.integers(2, 7))
+        r = int(rng.integers(1, p))
+        n_plus = int(rng.integers(1, p))
+        signs = np.concatenate([np.ones(n_plus), -np.ones(p - n_plus)])
+        x = rng.normal(size=(p, r)) @ rng.normal(size=(r, p))
+        try:
+            b = column_reflection(svd_rank(x), signs)
+        except DegenerateMetric:
+            continue
+        count -= 1
+        yield b, signs, x, rng
+
+
+def test_reflection_residuals_pass_the_form_reflection():
+    for b, signs, x, _ in _indefinite_reflections(31, 40):
+        res = reflection_residuals(b, signs, x)
+        assert max(res.values()) <= 1e-12, res
+
+
+def test_reflection_residuals_fail_a_wrong_reflection():
+    for b, signs, x, rng in _indefinite_reflections(32, 40):
+        # the euclidean reflection through the same column space fixes x
+        # but is no isometry of the indefinite form
+        euclidean = column_reflection(svd_rank(x), np.ones(len(signs)))
+        assert reflection_residuals(euclidean, signs, x)["isometry"] > 1e-12
+        # nor is the form reflection moved by 1e-9 relative
+        moved = b * (1.0 + 1e-9 * rng.normal(size=b.shape))
+        assert max(reflection_residuals(moved, signs, x).values()) > 1e-12
+
+
+def test_reflection_residuals_are_scaled_by_the_norm_squared():
+    # B = [[c, -s], [s, -c]] with c = cosh t, s = sinh t is an involution
+    # and a diag(1, -1) isometry with ||B||_2 = e^t; in double precision its
+    # raw residuals are about e^(2t) eps, far above 1e-12, while the
+    # backward errors stay at a few eps
+    t = 10.0
+    b = np.array([[np.cosh(t), -np.sinh(t)], [np.sinh(t), -np.cosh(t)]])
+    signs = np.array([1.0, -1.0])
+    assert max_abs(b @ b - np.eye(2)) > 1e-9
+    assert max_abs((b.T * signs) @ b - np.diag(signs)) > 1e-9
+    res = reflection_residuals(b, signs, np.zeros((2, 1)))
+    assert max(res.values()) < 1e-14, res
 
 
 @pytest.mark.parametrize("p,q,m", [(3, 2, 4), (4, 3, 1), (2, 2, 0)])
@@ -250,6 +307,28 @@ def test_require_finite():
     with pytest.raises(ValueError):
         require_finite(np.array([1.0, np.nan]))
     require_finite(np.ones(3))
+    assert require_finite(np.arange(3)).dtype == float
+    assert require_finite(np.array([1j, 2.0])).dtype == complex
+    with pytest.raises(ValueError):
+        require_finite(np.array([1.0, complex(np.inf, 0.0)]))
+
+
+def test_complex_rank_is_taken_over_the_complex_numbers():
+    # the second row is i times the first; the real part alone has rank 2
+    z = np.array([[1.0, 1j], [1j, -1.0]])
+    assert numerical_rank(z) == svd_rank(z).rank == 1
+    assert numerical_rank(z.real) == 2
+
+
+def test_wide_svd_rank_bases_fill_the_rows():
+    rng = make_rng(14)
+    m = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 7))
+    res = svd_rank(m)
+    assert (res.rank, res.range_basis.shape, res.kernel_basis.shape,
+            res.row_basis.shape) == (2, (3, 2), (3, 1), (7, 2))
+    both = np.hstack([res.range_basis, res.kernel_basis])
+    assert max_abs(both.T @ both - np.eye(3)) < 1e-12
+    assert max_abs(m.T @ res.kernel_basis) < 1e-12
 
 
 def _real_and_complex(n, seed):

@@ -5,7 +5,7 @@ import pytest
 
 from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import (declared_rank, inertia, make_rng, max_abs,
-                           stratum_bases, svd_rank)
+                           reflection_residuals, stratum_bases, svd_rank)
 from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
 from detmin.pseudo import (IndefiniteForm, ambient_gram, degeneracy_scan,
@@ -29,7 +29,6 @@ class TestIndefiniteForm:
         assert (f.n_plus, f.n_minus, f.dim) == (2, 1, 3)
         assert str(f) == "++-"
         assert not f.is_definite()
-        assert np.array_equal(f.matrix, np.diag([1.0, 1.0, -1.0]))
 
     def test_from_counts_matches_string(self):
         assert str(IndefiniteForm.from_counts(2, 1)) == "++-"
@@ -176,9 +175,9 @@ class TestFormReflection:
         rng = make_rng(7)
         x = chart_map(sample_chart_point(3, 3, 2, rng))
         eta = IndefiniteForm.from_counts(3, 0)
-        refl = form_reflection(svd_rank(x), eta)
+        b = form_reflection(svd_rank(x), eta)
         q = np.linalg.qr(x[:, :2])[0]
-        assert np.allclose(refl.matrix, 2.0 * q @ q.T - np.eye(3), atol=1e-12)
+        assert np.allclose(b, 2.0 * q @ q.T - np.eye(3), atol=1e-12)
 
     def test_invariants_on_admissible_points(self):
         eta = IndefiniteForm.from_string("++-")
@@ -187,15 +186,18 @@ class TestFormReflection:
             cp = sample_pseudo_point(3, 2, 1, eta,
                                      IndefiniteForm.from_counts(2, 0), rng)
             x = chart_map(cp)
-            refl = form_reflection(svd_rank(x), eta)
-            res = refl.invariant_residuals(x, eta)
-            assert max(res.values()) < 1e-10, res
+            b = form_reflection(svd_rank(x), eta)
+            res = reflection_residuals(b, eta.signs, x)
+            assert max(res.values()) < 1e-12, res
 
     def test_null_column_space_has_no_reflection(self):
-        # the single column is eta-null: the complement is not a complement
-        x = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DegenerateMetric):
-            form_reflection(svd_rank(x), HYP)
+        # the single column is eta-null: the complement is not a complement;
+        # along (1, 1 + 1e-7) it is nearly null, |u^T eta u| about 1e-7, and
+        # the reflection's norm near 2e7 is beyond COND_LIMIT
+        for second in (1.0, 1.0 + 1e-7):
+            x = np.array([[1.0, 0.0], [second, 0.0]])
+            with pytest.raises(DegenerateMetric):
+                form_reflection(svd_rank(x), HYP)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(InvalidChartPoint):
@@ -203,8 +205,8 @@ class TestFormReflection:
                             IndefiniteForm.from_counts(3, 0))
 
     def test_rank_zero_reflects_through_origin(self):
-        refl = form_reflection(declared_rank(np.zeros((2, 2)), 0), HYP)
-        assert np.allclose(refl.matrix, -np.eye(2))
+        b = form_reflection(declared_rank(np.zeros((2, 2)), 0), HYP)
+        assert np.allclose(b, -np.eye(2))
 
 
 class TestTangentAndNormal:
@@ -213,7 +215,7 @@ class TestTangentAndNormal:
     def test_tangent_dimension(self, p, q, r):
         rng = make_rng(300 + 10 * p + q + r)
         x = chart_map(sample_chart_point(p, q, r, rng))
-        basis = stratum_bases(x)[0]
+        basis = stratum_bases(x, r)[0]
         dim = r * (p - r) + q * r
         assert basis.shape == (p * q, dim)
         forms = [(IndefiniteForm.from_counts(p, 0),
@@ -221,16 +223,24 @@ class TestTangentAndNormal:
                  (IndefiniteForm.from_counts(p - 1, 1),
                   IndefiniteForm.from_counts(1, q - 1))]
         for eta, zeta in forms:
-            nb = form_normal_basis(x, eta, zeta)
+            nb = form_normal_basis(x, r, eta, zeta)
             assert nb.shape == (p * q, (p - r) * (q - r))
             assert max_abs(nb.T @ nb - np.eye(nb.shape[1])) < 1e-12
             k_tangent = ambient_gram(eta, zeta)[:, None] * basis
             assert max_abs(nb.T @ k_tangent) < 1e-12
 
+    def test_normal_basis_refuses_a_wrong_declared_rank(self):
+        x = chart_map(sample_chart_point(3, 2, 1, make_rng(17)))
+        eta = IndefiniteForm.from_string("+-+")
+        assert form_normal_basis(x, 1, eta, HYP).shape == (6, 2)
+        for r in (0, 2):
+            with pytest.raises(InvalidChartPoint):
+                form_normal_basis(x, r, eta, HYP)
+
     def test_normal_reversal_frozen(self):
         x = chart_map(ChartPoint(np.array([[1.0], [0.0]]), np.array([[2.0]])))
-        refl = form_reflection(svd_rank(x), EYE2)
-        assert normal_reversal(x, EYE2, HYP, refl) < 1e-12
+        b = form_reflection(svd_rank(x), EYE2)
+        assert normal_reversal(x, 1, EYE2, HYP, b) < 1e-12
 
     @pytest.mark.parametrize("p,q,r,es,zs", CASES)
     def test_normal_reversal_sampled(self, p, q, r, es, zs):
@@ -240,8 +250,8 @@ class TestTangentAndNormal:
         for _ in range(3):
             x = chart_map(sample_pseudo_point(p, q, r, eta, zeta, rng))
             try:
-                refl = form_reflection(svd_rank(x), eta)
-                assert normal_reversal(x, eta, zeta, refl) < 1e-10
+                b = form_reflection(svd_rank(x), eta)
+                assert normal_reversal(x, r, eta, zeta, b) < 1e-10
             except DegenerateMetric:
                 continue
 

@@ -5,6 +5,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmin import kahler, levelset, parametric, pseudo, sweep
 from detmin.errors import DegenerateMetric
@@ -90,6 +92,31 @@ def test_run_config_pipeline_selection():
     assert RunConfig(pipeline="levelset").pipelines() == ("levelset",)
     with pytest.raises(ValueError):
         RunConfig(pipeline="bogus").pipelines()
+
+
+def _fails(report):
+    return [(r.check, r.point, r.residual) for r in report.records
+            if r.verdict == "FAIL"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_default_run_certifies(seed):
+    assert not _fails(run_sweep(RunConfig(seed=seed)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pseudo_certifies_on_the_wide_grid(seed):
+    grid = tuple(range(2, 7))
+    assert not _fails(run_sweep(RunConfig(pipeline="pseudo", p_values=grid,
+                                          q_values=grid, seed=seed)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pseudo_certifies_at_any_seed(seed):
+    assert not _fails(run_sweep(RunConfig(
+        pipeline="pseudo", p_values=(2, 3, 4), q_values=(2, 3), samples=2,
+        seed=seed)))
 
 
 def test_all_pipelines_tiny_grid():
