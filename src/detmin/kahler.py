@@ -311,14 +311,26 @@ def twin_harmonic_suite(n, point):
 
 
 def rho_value(n, point):
-    """The cubic-contraction multiplier u.Hu.u / u at a point with u != 0."""
+    """The cubic-contraction multiplier u.Hu.u / u at a point with u != 0.
+
+    u.Hu.u is the second derivative of u along its own gradient.  With Z
+    the complex matrix of the point and W that of grad u, it is
+    d2/dt2 Re det(Z + t W) at t = 0: twice the sum, over row pairs i < k,
+    of Re det Z with rows i and k taken from W.  That is C(n, 2)
+    determinants of size n, and no Hessian.
+    """
     pair = TwinHarmonicPair(n)
     u, _ = pair.values(point)
     if abs(u) < 1e-12:
         raise SingularGram("rho undefined where u vanishes")
     gu, _ = pair.gradients(point)
-    hu, _ = pair.hessians(point)
-    return float(gu @ hu @ gu) / u
+    z, w = unflatten(n, point), unflatten(n, gu)
+    i, k = np.triu_indices(n, 1)
+    polar = np.repeat(z[None], len(i), axis=0)
+    at = np.arange(len(i))
+    polar[at, i] = w[i]
+    polar[at, k] = w[k]
+    return 2.0 * float(np.linalg.det(polar).sum().real) / u
 
 
 @dataclass(frozen=True)

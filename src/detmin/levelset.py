@@ -11,10 +11,10 @@ d chi_1 / d A_{1a} = d chi_2 / d A_{n+1,a} hold exactly everywhere.  The
 matrix is flattened row-major, x_{a + (K-1) n} = A_{K a}, so gradients and
 Hessians of the constraints are indexed by that same order.
 
-Gradients are cofactor vectors and Hessian entries are determinants of the
-constraint blocks with two rows replaced by coordinate rows; both are exact
+Gradients are cofactor vectors, signed (n-1)-minors of the constraint
+blocks, and Hessian entries are their signed (n-2)-minors; both are exact
 multilinear-algebra evaluations (no differencing), and the Hessian diagonal
-vanishes identically, which makes both constraints harmonic on the nose.
+is an exact zero, which makes both constraints harmonic on the nose.
 
 Minimality of the stratum is the statement tr(P d2chi_alpha) = 0 on the
 variety, with P the orthoprojector onto the common tangent space of the two
@@ -96,7 +96,7 @@ class ConstraintSystem:
         return out[0], out[1]
 
     def hessians(self, a):
-        """Flat Hessians; each nonzero entry is a two-row-replaced determinant."""
+        """Flat Hessians; each nonzero entry is a signed (n-2)-minor."""
         a = np.asarray(a, dtype=float)
         n = self.n
         out = []

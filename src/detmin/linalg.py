@@ -13,7 +13,10 @@ once, in closed form (``ChartPoint.invertible_metric``).  Matrices assembled
 from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and identity
 operands come from :func:`identity`, one cached read-only array per size.
 Cofactors and the codimension-k trace tr(P d2 chi) live here as substrate
-only; each pipeline keeps its own closed forms.
+only; each pipeline keeps its own closed forms.  Every exact derivative of
+a determinant is a signed minor of the input: :func:`cofactors` takes the
+(n-1)-minors and :func:`second_cofactors` the (n-2)-minors, each in one
+batched determinant call indexed by one table cached per n.
 """
 
 from __future__ import annotations
@@ -265,18 +268,20 @@ def reflection_residuals(b, signs, x):
     """Invariant residuals of B as a reflection of S = diag(signs) fixing x.
 
     ``isometry`` is ||B^T S B - S||_max and ``involution`` ||B B - I||_max,
-    both divided by max(1, ||B||_2^2), which makes them backward errors: a
-    B with B^T S B = S has cond_2(B) = ||B||_2^2 (Higham, SIAM Rev. 45,
-    2003), so rounding alone leaves raw residuals of that size times eps.
-    ``fixes_point`` is ||B x - x||_max / max(1, ||x||_max), relative to x
-    only.  All ones in ``signs`` make ``isometry`` the euclidean
-    orthogonality residual.
+    both divided by max(1, ||B||_2^2), and ``fixes_point`` is
+    ||B x - x||_max / max(1, ||x||_max) divided by max(1, ||B||_2).  That
+    makes all three backward errors: a B with B^T S B = S has
+    cond_2(B) = ||B||_2^2 (Higham, SIAM Rev. 45, 2003), so rounding alone
+    leaves raw residuals of that size times eps, and rounding in B x alone
+    is about ||B||_2 ||x|| eps.  All ones in ``signs`` make ``isometry``
+    the euclidean orthogonality residual.
     """
-    scale = max(1.0, float(np.linalg.svd(b, compute_uv=False)[0]) ** 2)
+    norm = max(1.0, float(np.linalg.svd(b, compute_uv=False)[0]))
+    scale = norm ** 2
     return {
         "isometry": max_abs((b.T * signs) @ b - np.diag(signs)) / scale,
         "involution": max_abs(b @ b - identity(b.shape[0])) / scale,
-        "fixes_point": max_abs(b @ x - x) / max(1.0, max_abs(x)),
+        "fixes_point": max_abs(b @ x - x) / (max(1.0, max_abs(x)) * norm),
     }
 
 
@@ -350,44 +355,82 @@ def _float_or_complex(m):
     return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
 
 
-def _row_replaced(m, rows, cols):
-    """Copies of ``m``; in copy t, row rows[s][t] becomes e_{cols[s][t]} for each s."""
-    stacked = np.repeat(m[None, :, :], len(rows[0]), axis=0)
-    idx = np.arange(len(rows[0]))
-    for row, col in zip(rows, cols):
-        stacked[idx, row, :] = 0.0
-        stacked[idx, row, col] = 1.0
-    return stacked
+@dataclass(frozen=True)
+class _MinorTable:
+    """Index sets of the signed minors of an n x n matrix, built once per n.
+
+    ``keep_at[i, j]`` holds the flat positions of the (n-1)-minor that drops
+    row i and column j, and ``sign[i, j]`` is (-1)^(i + j).  Entry (a, b) of
+    ``pair_keep_at`` holds those of the (n-2)-minor that drops the a-th row
+    pair i < k and the b-th column pair j < l (lexicographic).
+    ``pair_at`` holds the four flat positions in an (n, n, n, n) array that
+    this minor fills, (i, j, k, l), (k, l, i, j), (i, l, k, j) and
+    (k, j, i, l), and ``pair_sign`` their signs, +-(-1)^(i + j + k + l).
+    """
+
+    keep_at: np.ndarray
+    sign: np.ndarray
+    pair_keep_at: np.ndarray
+    pair_at: np.ndarray
+    pair_sign: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _minor_table(n):
+    idx = np.arange(n)
+    keep = np.array([np.delete(idx, i) for i in idx])
+    i, k = np.triu_indices(n, 1)
+    pair_keep = np.array([np.delete(idx, pair) for pair in zip(i, k)],
+                         dtype=int).reshape(len(i), max(n - 2, 0))
+    # row pair (ri, rk) against column pair (cj, cl), row pairs outermost
+    ri, rk = np.repeat(i, len(i)), np.repeat(k, len(i))
+    cj, cl = np.tile(i, len(i)), np.tile(k, len(i))
+    sign = (-1.0) ** (ri + rk + cj + cl)
+    pair_at = np.ravel_multi_index(
+        (np.stack([ri, rk, ri, rk]), np.stack([cj, cl, cl, cj]),
+         np.stack([rk, ri, rk, ri]), np.stack([cl, cj, cj, cl])), (n,) * 4)
+    table = _MinorTable(_submatrices_at(keep, n),
+                        (-1.0) ** np.add.outer(idx, idx),
+                        _submatrices_at(pair_keep, n), pair_at,
+                        np.stack([sign, sign, -sign, -sign]))
+    for array in vars(table).values():
+        array.setflags(write=False)
+    return table
+
+
+def _submatrices_at(keep, n):
+    """Flat positions of m[keep[a], keep[b]] in an n x n m, for every (a, b)."""
+    return keep[:, None, :, None] * n + keep[None, :, None, :]
 
 
 def cofactors(m):
     """Cofactor matrix cof[i, j] = d det / d m_{ij} of a real or complex matrix.
 
-    Entry (i, j) is the determinant of ``m`` with row i replaced by the unit
-    row e_j: an exact multilinear evaluation, one batched determinant call.
+    Entry (i, j) is the signed (n-1)-minor (-1)^(i+j) det m[~i, ~j]: an
+    exact multilinear evaluation, one batched determinant call.
     """
     m = _float_or_complex(m)
-    k = m.shape[0]
-    i, j = np.indices((k, k)).reshape(2, -1)
-    return np.linalg.det(_row_replaced(m, [i], [j])).reshape(k, k)
+    table = _minor_table(m.shape[0])
+    return np.linalg.det(np.take(m, table.keep_at)) * table.sign
 
 
 def second_cofactors(m):
     """Second derivatives c2[i, j, k, l] = d2 det / (d m_{ij} d m_{kl}).
 
-    For i < k the entry is the determinant of ``m`` with rows i and k
-    replaced by e_j and e_l; it is mirrored to (k, l, i, j), and entries
-    with i == k vanish exactly, since det is linear in each row.
+    For i < k and j < l the entry is the signed (n-2)-minor
+    (-1)^(i+j+k+l) det m[~{i, k}, ~{j, l}], one batched determinant call
+    over the C(n, 2)^2 row and column pairs.  It is mirrored to (k, l, i, j)
+    and enters (i, l, k, j) and (k, j, i, l) with the opposite sign, since
+    det is antisymmetric in its columns; entries with i == k or j == l are
+    exact zeros, since det is linear in each row and each column.
     """
     m = _float_or_complex(m)
     n = m.shape[0]
-    idx = np.indices((n,) * 4).reshape(4, -1)
-    i, j, k, l = idx[:, idx[0] < idx[2]]
-    dets = np.linalg.det(_row_replaced(m, [i, k], [j, l]))
-    c2 = np.zeros((n, n, n, n), dtype=dets.dtype)
-    c2[i, j, k, l] = dets
-    c2[k, l, i, j] = dets
-    return c2
+    table = _minor_table(n)
+    dets = np.linalg.det(np.take(m, table.pair_keep_at)).ravel()
+    c2 = np.zeros(n ** 4, dtype=dets.dtype)
+    c2[table.pair_at] = table.pair_sign * dets
+    return c2.reshape((n,) * 4)
 
 
 def gradient_projector(grads):

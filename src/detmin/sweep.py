@@ -459,6 +459,12 @@ def _sign_form(n_plus, n_minus):
     return pseudo.IndefiniteForm.from_counts(n_plus, n_minus)
 
 
+@lru_cache(maxsize=256)
+def _parsed_form(text):
+    """One shared form per sign pattern; forms are read-only."""
+    return pseudo.IndefiniteForm.from_string(text)
+
+
 def _form_code(text):
     return int("1" + "".join("1" if c == "+" else "0" for c in text), 2)
 
@@ -496,8 +502,7 @@ def _pseudo_cells(config):
 
     def cell(p, q, r):
         for eta_s, zeta_s in _forms_for(config, p, q):
-            eta = pseudo.IndefiniteForm.from_string(eta_s)
-            zeta = pseudo.IndefiniteForm.from_string(zeta_s)
+            eta, zeta = _parsed_form(eta_s), _parsed_form(zeta_s)
             rng = derived_rng(config.seed, 5, p, q, r,
                               _form_code(eta_s), _form_code(zeta_s))
             for i in range(config.samples):

@@ -181,6 +181,22 @@ class TestTwinPair:
             scaled = rho_value(n, t * point)
             assert scaled == pytest.approx(t ** degree * base, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rho_value_equals_the_hessian_sandwich(self, n):
+        # rho_value reads u.Hu.u from C(n, 2) determinants, the suite from
+        # the full Hessian
+        rng = make_rng(40 + n)
+        pair = TwinHarmonicPair(n)
+        for _ in range(5):
+            point = _generic_point(n, rng)
+            u, _ = pair.values(point)
+            gu, _ = pair.gradients(point)
+            hu, _ = pair.hessians(point)
+            rho = rho_value(n, point)
+            assert rho == pytest.approx(float(gu @ hu @ gu) / u, rel=1e-12)
+            assert rho == pytest.approx(twin_harmonic_suite(n, point).rho,
+                                        rel=1e-12)
+
     def test_suite_refuses_vanishing_twin(self):
         # real entries force v = 0 identically
         with pytest.raises(SingularGram):

@@ -1,11 +1,14 @@
 """Rank, kernel, block-inverse and cofactor helpers against exact oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ_I
+from sympy.polys.matrices import DomainMatrix
 
 from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import (block_inverse, cofactors, column_reflection,
@@ -15,27 +18,42 @@ from detmin.linalg import (block_inverse, cofactors, column_reflection,
                            second_cofactors, stratum_bases, svd_rank)
 
 
-def rational_rank(m_int):
-    """Row reduction over Q; exact for integer matrices."""
+def _rational_pivots(m_int):
+    """Pivots of row reduction over Q, and the parity of its row swaps."""
     rows = [[Fraction(int(v)) for v in row] for row in m_int]
-    rank, lead = 0, 0
+    pivots, swaps, lead = [], 0, 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((i for i in range(lead, len(rows)) if rows[i][col] != 0),
                      None)
         if pivot is None:
             continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
+        if pivot != lead:
+            rows[lead], rows[pivot] = rows[pivot], rows[lead]
+            swaps ^= 1
         pv = rows[lead][col]
         for i in range(lead + 1, len(rows)):
             f = rows[i][col] / pv
             if f:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[lead])]
+        pivots.append(pv)
         lead += 1
-        rank += 1
         if lead == len(rows):
             break
-    return rank
+    return pivots, swaps
+
+
+def rational_rank(m_int):
+    """Row reduction over Q; exact for integer matrices."""
+    return len(_rational_pivots(m_int)[0])
+
+
+def rational_det(m_int):
+    """Determinant by row reduction over Q; exact for integer matrices."""
+    pivots, swaps = _rational_pivots(m_int)
+    if len(pivots) < len(m_int):
+        return Fraction(0)
+    return (-1) ** swaps * math.prod(pivots, start=Fraction(1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,6 +227,19 @@ def test_reflection_residuals_are_scaled_by_the_norm_squared():
     assert max(res.values()) < 1e-14, res
 
 
+def test_fixes_point_is_scaled_by_the_norm():
+    # the column (1, 1 + 1e-5) is nearly null for diag(1, -1): its form
+    # reflection passes the column_reflection guard with ||B||_2 = 2e5, and
+    # rounding in B x alone leaves ||B x - x|| near ||B||_2 ||x|| eps
+    signs = np.array([1.0, -1.0])
+    x = np.outer([1.0, 1.0 + 1e-5], [3.0, -2.0, 0.5])
+    b = column_reflection(svd_rank(x), signs)
+    assert np.linalg.svd(b, compute_uv=False)[0] > 1e5
+    assert max_abs(b @ x - x) / max(1.0, max_abs(x)) > 1e-12
+    res = reflection_residuals(b, signs, x)
+    assert max(res.values()) <= 1e-12, res
+
+
 @pytest.mark.parametrize("p,q,m", [(3, 2, 4), (4, 3, 1), (2, 2, 0)])
 def test_reversal_is_the_worst_column_norm(p, q, m):
     rng = make_rng(90 + 10 * p + q + m)
@@ -337,13 +368,55 @@ def _real_and_complex(n, seed):
     return real, real + 1j * rng.normal(size=(n, n))
 
 
-def _replaced_det(m, *row_cols):
-    """Determinant of ``m`` with each listed row replaced by a unit row."""
+def _integer_matrices(n, seed):
+    """Integer and Gaussian-integer n x n matrices of rank n, n - 1, n - 2.
+
+    Each is a product of small integer factors, its rank confirmed over Q
+    (a Gaussian-integer matrix through its real 2n x 2n form, of twice the
+    rank).
+    """
+    rng = make_rng(seed)
+    for r in range(max(n - 2, 0), n + 1):
+        for gaussian in (False, True):
+            while True:
+                left, right = (rng.integers(-2, 3, size=(2,) + shape)
+                               for shape in ((n, r), (r, n)))
+                if gaussian:
+                    m = (left[0] + 1j * left[1]) @ (right[0] + 1j * right[1])
+                    rank = rational_rank(
+                        np.block([[m.real, -m.imag], [m.imag, m.real]])) // 2
+                else:
+                    m = left[0] @ right[0]
+                    rank = rational_rank(m)
+                if rank == r:
+                    yield m
+                    break
+
+
+def _exact_replaced_det(m, *row_cols):
+    """Exact determinant of ``m`` with each listed row replaced by a unit row.
+
+    Integer matrices go through :func:`rational_det`, Gaussian-integer ones
+    through sympy's determinant over Z[i]; both return a Python complex of
+    the exact integer parts.
+    """
     m = m.copy()
     for row, col in row_cols:
-        m[row] = 0.0
-        m[row, col] = 1.0
-    return np.linalg.det(m)
+        m[row] = 0
+        m[row, col] = 1
+    if not np.iscomplexobj(m):
+        return complex(rational_det(m))
+    n = m.shape[0]
+    det = DomainMatrix(
+        [[ZZ_I(int(v.real), int(v.imag)) for v in row] for row in m],
+        (n, n), ZZ_I).det()
+    return complex(det.x, det.y)
+
+
+def _rounds_to(value, exact):
+    value = complex(value)
+    return (np.rint(value.real), np.rint(value.imag)) == (exact.real,
+                                                         exact.imag)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -351,9 +424,14 @@ def test_cofactors_invert_up_to_the_determinant(n):
     for m in _real_and_complex(n, 50 + n):
         cof = cofactors(m)
         assert cof.dtype == m.dtype
-        assert cof[n - 1, 0] == _replaced_det(m, (n - 1, 0))
         scale = np.linalg.norm(m) * np.linalg.norm(cof)
         assert max_abs(m @ cof.T - np.linalg.det(m) * np.eye(n)) <= 1e-14 * scale
+    # cof[i, j] is det m with row i replaced by e_j, exactly
+    for m in _integer_matrices(n, 70 + n):
+        cof = cofactors(m)
+        for i, j in np.ndindex(n, n):
+            assert _rounds_to(cof[i, j], _exact_replaced_det(m, (i, j))), (
+                m, i, j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -362,9 +440,19 @@ def test_second_cofactors_symmetric_and_zero_on_a_shared_row(n):
         c2 = second_cofactors(m)
         assert c2.shape == (n,) * 4 and c2.dtype == m.dtype
         assert np.array_equal(c2, c2.transpose(2, 3, 0, 1))
-        assert c2[0, 1, n - 1, 0] == _replaced_det(m, (0, 1), (n - 1, 0))
         for i in range(n):
             assert not c2[i, :, i, :].any()
+    # c2[i, j, k, l] for i != k is det m with rows i and k replaced by e_j
+    # and e_l, exactly; a shared row or column is an exact zero
+    for m in _integer_matrices(n, 80 + n):
+        c2 = second_cofactors(m)
+        for i, j, k, l in np.ndindex((n,) * 4):
+            if i == k or j == l:
+                assert c2[i, j, k, l] == 0, (m, i, j, k, l)
+            elif i < k:
+                exact = _exact_replaced_det(m, (i, j), (k, l))
+                assert _rounds_to(c2[i, j, k, l], exact), (m, i, j, k, l)
+                assert _rounds_to(c2[k, l, i, j], exact), (m, i, j, k, l)
 
 
 def test_make_rng_is_reproducible():

@@ -111,6 +111,15 @@ def test_pseudo_certifies_on_the_wide_grid(seed):
                                           q_values=grid, seed=seed)))
 
 
+@pytest.mark.parametrize("pipeline", ["levelset", "complex"])
+@pytest.mark.parametrize("seed", range(5))
+def test_determinant_routes_certify_up_to_n6(pipeline, seed):
+    # detmin verify all on p,q 2..6 runs these routes for n = 2..6
+    report = run_sweep(RunConfig(pipeline=pipeline,
+                                 q_values=tuple(range(2, 7)), seed=seed))
+    assert report.exit_status() == 0, _fails(report)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_pseudo_certifies_at_any_seed(seed):
