@@ -71,16 +71,13 @@ def _config_from_args(args):
         value = getattr(args, key)
         if value is not None:
             raw[key] = value
-    if args.tol:
-        tols = {}
-        for item in args.tol:
-            if "=" not in item:
-                raise ValueError(f"--tol expects CHECK=VALUE, got {item!r}")
-            name, value = item.split("=", 1)
-            tols[name.strip()] = float(value)
-        raw["tol"] = tols
+    for item in args.tol:
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"--tol expects CHECK=VALUE, got {item!r}")
+        raw[f"tol.{name.strip()}"] = value
     if args.form:
-        raw["forms"] = list(args.form)
+        raw["form"] = args.form
     return config_from_mapping(raw)
 
 

@@ -32,6 +32,9 @@ from .linalg import (ProjectedTraces, cofactors, fill_blocks,
                      gradient_projector, max_abs, numerical_rank,
                      projected_traces, second_cofactors, svd_rank)
 
+# Draws each sampler below makes before giving up.
+MAX_DRAWS = 100
+
 
 # ---------------------------------------------------------------------------
 # the 3 x 2 chart
@@ -166,12 +169,13 @@ def complex_chart_geometry(cp):
 
 
 def sample_complex_chart_point(rng):
-    while True:
+    for _ in range(MAX_DRAWS):
         x = rng.normal(size=3)
         y = rng.normal(size=3)
         if x @ x + y @ y > 0.1:
             return ComplexChartPoint(x, y, float(rng.uniform(-2, 2)),
                                      float(rng.uniform(-2, 2)))
+    raise InvalidChartPoint(f"no 3 x 2 chart point after {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +363,7 @@ def zeta_minimality(n, point):
 def sample_zeta_point(n, rng):
     """Unit-norm flat point with det = 0 and complex rank exactly n - 1."""
     pair = TwinHarmonicPair(n)
-    for _ in range(100):
+    for _ in range(MAX_DRAWS):
         a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
         lam = rng.normal(size=(n - 1,)) + 1j * rng.normal(size=(n - 1,))
         z = np.concatenate([a, (a @ lam)[:, None]], axis=1)

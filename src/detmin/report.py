@@ -105,9 +105,6 @@ class VerificationReport:
     def add(self, rec):
         self.records.append(rec)
 
-    def extend(self, recs):
-        self.records.extend(recs)
-
     def summary(self):
         counts = {v: 0 for v in VERDICTS}
         worst = {}

@@ -7,6 +7,9 @@ parameter grid, draws seeded sample points per cell and emits one record
 per check per point.  Each cell gets its own derived random stream, so
 the record list depends only on the configuration and seed.
 
+``RunConfig`` alone decides whether a run is valid, when it is made, so
+``run_sweep``, its cells and the worker raise no configuration error.
+
 No cell reads another's stream, so a cell can run in another process: on
 Linux with at least two usable CPUs, ``run_sweep`` forks one worker that
 runs every other cell and streams its records back, and the report is byte
@@ -22,14 +25,17 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import pickle
 import signal
 import threading
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
+from types import MappingProxyType
 
 from . import helicoidal, kahler, levelset, parametric, pseudo
 from .errors import (ConventionFailure, DegenerateMetric, InvalidChartPoint,
@@ -183,24 +189,67 @@ CHECKS = {c.name: c for c in _CHECK_LIST}
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A sweep's configuration; ``ValueError`` if it is no valid run.
+
+    The command line, config files and library callers all build one, so
+    they get the same errors, before any cell runs or any worker forks.
+    """
+
     pipeline: str = "all"
     p_values: tuple = (2, 3, 4)
     q_values: tuple = (2, 3, 4)
     r_values: tuple | None = None
     samples: int = 5
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
     forms: tuple = ()
 
+    def __post_init__(self):
+        if self.pipeline != "all" and self.pipeline not in PIPELINES:
+            raise ValueError(f"unknown pipeline {self.pipeline!r}")
+        if not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError(
+                f"samples must be an integer of at least 1, "
+                f"got {self.samples!r}")
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        checked_seed(self.seed)
+        tolerances = {}
+        for name, value in self.tolerances.items():
+            if name not in CHECKS:
+                raise ValueError(f"unknown check {name!r} in tolerances")
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"tolerance of {name!r} must be a finite "
+                                 f"number, got {value!r}")
+            tolerances[name] = float(value)
+        object.__setattr__(self, "tolerances", MappingProxyType(tolerances))
+        names = self.pipelines()
+        if not any(_CELLS[name](self) for name in names):
+            r = None if self.r_values is None else list(self.r_values)
+            raise ValueError(
+                f"no parameter cell for pipeline {self.pipeline!r}: "
+                f"p={list(self.p_values)} q={list(self.q_values)} r={r} "
+                f"(cells need q <= p and 0 <= r < q, or n >= 2 from q for "
+                f"levelset and complex)")
+        if self.forms and "pseudo" not in names:
+            raise ValueError(
+                f"a form is read only by the pseudo pipeline, which pipeline "
+                f"{self.pipeline!r} does not run")
+        shapes = {(p, q) for p, q, _ in shape_triples(self)}
+        for eta, zeta in self.forms:
+            for signs in (eta, zeta):
+                _form(signs)  # raises on a bad sign pattern
+            if (len(eta), len(zeta)) not in shapes:
+                raise ValueError(
+                    f"form eta={eta},zeta={zeta} matches no pseudo cell: "
+                    f"its lengths ({len(eta)}, {len(zeta)}) are no (p, q) "
+                    f"of the grid")
+
     def tol(self, name):
-        return float(self.tolerances.get(name, CHECKS[name].tolerance))
+        return self.tolerances.get(name, CHECKS[name].tolerance)
 
     def pipelines(self):
-        if self.pipeline == "all":
-            return PIPELINES
-        if self.pipeline not in PIPELINES:
-            raise ValueError(f"unknown pipeline {self.pipeline!r}")
-        return (self.pipeline,)
+        return PIPELINES if self.pipeline == "all" else (self.pipeline,)
 
 
 def shape_triples(config):
@@ -454,15 +503,9 @@ def _complex_locus(n, rng):
 
 
 @lru_cache(maxsize=256)
-def _sign_form(n_plus, n_minus):
-    """One shared form per sign count; forms are read-only."""
-    return pseudo.IndefiniteForm.from_counts(n_plus, n_minus)
-
-
-@lru_cache(maxsize=256)
-def _parsed_form(text):
-    """One shared form per sign pattern; forms are read-only."""
-    return pseudo.IndefiniteForm.from_string(text)
+def _form(signs):
+    """One shared form per sign pattern such as "++-"; forms are read-only."""
+    return pseudo.IndefiniteForm.from_string(signs)
 
 
 def _form_code(text):
@@ -490,8 +533,8 @@ def _pseudo_cells(config):
         for p, q in shapes:
             for p1 in range(p + 1):
                 for q1 in range(q + 1):
-                    eta = _sign_form(p1, p - p1)
-                    zeta = _sign_form(q1, q - q1)
+                    eta = _form("+" * p1 + "-" * (p - p1))
+                    zeta = _form("+" * q1 + "-" * (q - q1))
                     adj = pseudo.signature_adjudication(eta, zeta)
                     yield _checked(
                         config, f"p={p} q={q} eta={eta} zeta={zeta}",
@@ -502,7 +545,7 @@ def _pseudo_cells(config):
 
     def cell(p, q, r):
         for eta_s, zeta_s in _forms_for(config, p, q):
-            eta, zeta = _parsed_form(eta_s), _parsed_form(zeta_s)
+            eta, zeta = _form(eta_s), _form(zeta_s)
             rng = derived_rng(config.seed, 5, p, q, r,
                               _form_code(eta_s), _form_code(zeta_s))
             for i in range(config.samples):
@@ -549,7 +592,7 @@ def _pseudo_point(p, q, r, eta, zeta, rng):
 def _euclidean_reduction(p, q, r, rng):
     """Identity forms against the euclidean trace and mean curvature."""
     cp = parametric.sample_chart_point(p, q, r, rng)
-    pm = pseudo.pseudo_minimality(cp, _sign_form(p, 0), _sign_form(q, 0))
+    pm = pseudo.pseudo_minimality(cp, _form("+" * p), _form("+" * q))
     mc = parametric.mean_curvature(cp)
     scale = max(1.0, max_abs(mc.trace_vector))
     gap = max(max_abs(pm.trace_flat.reshape(p, q) - mc.trace_vector),
@@ -583,11 +626,11 @@ def run_sweep(config):
     """Execute the configured pipelines; returns the assembled report.
 
     On Linux with at least two CPUs this process may run on and no other
-    thread running, a forked worker runs every other cell (the odd ones, counted over all pipelines
-    in record order) while this process runs the even ones and writes every
-    record, the worker's as they arrive, in the order of a one-process run.
-    Each cell draws from its own stream, so the records are the same
-    either way.
+    thread running, a forked worker runs every other cell (the odd ones,
+    counted over all pipelines in record order) while this process runs the
+    even ones and writes every record, the worker's as they arrive, in the
+    order of a one-process run.  Each cell draws from its own stream, so the
+    records are the same either way.
     """
     report = VerificationReport(meta={
         "pipeline": config.pipeline,
@@ -596,31 +639,12 @@ def run_sweep(config):
         "r": None if config.r_values is None else list(config.r_values),
         "samples": config.samples,
         "seed": config.seed,
-        "tolerances": {k: float(v) for k, v in
-                       sorted(config.tolerances.items())},
+        "tolerances": dict(sorted(config.tolerances.items())),
         "forms": [list(f) for f in config.forms],
     })
     names = config.pipelines()
-    cells = sum(len(_CELLS[name](config)) for name in names)
-    if not cells:
-        raise ValueError(
-            f"no parameter cell for pipeline {config.pipeline!r}: "
-            f"p={report.meta['p']} q={report.meta['q']} "
-            f"r={report.meta['r']} (cells need q <= p and 0 <= r < q, "
-            f"or n >= 2 from q for levelset and complex)")
-    if config.forms and "pseudo" not in names:
-        raise ValueError(
-            f"a form is read only by the pseudo pipeline, which pipeline "
-            f"{config.pipeline!r} does not run")
-    if "pseudo" in names:
-        shapes = {(p, q) for p, q, _ in shape_triples(config)}
-        for eta, zeta in config.forms:
-            if (len(eta), len(zeta)) not in shapes:
-                raise ValueError(
-                    f"form eta={eta},zeta={zeta} matches no pseudo cell: "
-                    f"its lengths ({len(eta)}, {len(zeta)}) are no (p, q) "
-                    f"of the grid")
-    if cells < 2 or not _can_fork():
+    cells = [cell for name in names for cell in _CELLS[name](config)]
+    if len(cells) < 2 or not _can_fork():
         for name in names:
             _RUNNERS[name](config, report)
         return report
@@ -628,7 +652,7 @@ def run_sweep(config):
     # writes to the heap pages they share after the fork
     gc.freeze()
     try:
-        with _worker(config, names) as deal:
+        with _worker(cells[1::2]) as deal:
             for name in names:
                 _RUNNERS[name](config, report, deal)
     finally:
@@ -652,20 +676,21 @@ def _can_fork():
 
 
 @contextmanager
-def _worker(config, names):
-    """Fork a worker that runs the odd cells; yield the parent's ``deal``.
+def _worker(cells):
+    """Fork a worker that runs ``cells``; yield the parent's ``deal``.
 
-    The parent runs each even cell itself and, for each odd one, reads the
-    worker's batches from a one-way pipe as the worker sends them.  A
-    worker exception is re-raised in the parent at its cell's turn; a
-    worker that dies is a ``ChildProcessError``.  On any exception in the
-    parent the worker is killed, and the worker is always reaped.
+    ``cells`` are the odd cells of the run.  The parent runs each even cell
+    itself and, for each odd one, reads the worker's batches from a one-way
+    pipe as the worker sends them.  A worker exception is re-raised in the
+    parent at its cell's turn; a worker that dies is a
+    ``ChildProcessError``.  On any exception in the parent the worker is
+    killed, and the worker is always reaped.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
-        _work(config, names, write_fd)
+        _work(cells, write_fd)
     os.close(write_fd)
     turn = count()
     with os.fdopen(read_fd, "rb") as pipe:
@@ -693,8 +718,8 @@ def _relay(pipe):
         yield message
 
 
-def _work(config, names, write_fd):
-    """The worker: run the odd cells, send each point's records, exit.
+def _work(cells, write_fd):
+    """The worker: run ``cells``, send each point's records, exit.
 
     A message is a pickled list of records (one sample point), None
     (the end of a cell) or the exception that stopped the worker, which the
@@ -708,18 +733,11 @@ def _work(config, names, write_fd):
                 pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
                 pipe.flush()
 
-            turn = count()
-
-            def deal(cell):
-                if next(turn) % 2:
+            try:
+                for cell in cells:
                     for batch in cell:
                         send(batch)
                     send(None)
-                return ()
-
-            try:
-                for name in names:  # deal hands back no batch to write
-                    _RUNNERS[name](config, None, deal)
                 status = 0
             except BaseException as exc:
                 try:
@@ -751,93 +769,73 @@ def parse_range(text):
 
 def _parse_form(text):
     """"eta=++-,zeta=+-" -> ("++-", "+-")."""
-    parts = dict(
-        piece.split("=", 1) for piece in str(text).strip().split(","))
-    missing = {"eta", "zeta"} - set(parts)
-    if missing:
-        raise ValueError(f"form spec {text!r} missing {sorted(missing)}")
-    return (parts["eta"].strip(), parts["zeta"].strip())
+    parts = {}
+    for piece in str(text).split(","):
+        key, _, value = piece.partition("=")
+        parts[key.strip()] = value.strip()
+    if set(parts) != {"eta", "zeta"}:
+        raise ValueError(f"form spec {text!r} is not eta=<signs>,zeta=<signs>")
+    return parts["eta"], parts["zeta"]
 
 
 def config_from_mapping(raw):
-    """Build a RunConfig from a loosely-typed mapping (JSON or key=value)."""
-    config = RunConfig()
-    updates = {}
-    if "pipeline" in raw:
-        updates["pipeline"] = str(raw["pipeline"]).strip()
-    for key, attr in (("p", "p_values"), ("q", "q_values")):
-        if key in raw and raw[key] is not None:
-            updates[attr] = _as_values(raw[key])
-    if "r" in raw:
-        updates["r_values"] = (None if raw["r"] is None
-                               else _as_values(raw["r"]))
-    if "samples" in raw:
-        updates["samples"] = int(raw["samples"])
-        if updates["samples"] < 1:
-            raise ValueError(f"samples must be at least 1, got {raw['samples']}")
-    if "seed" in raw:
-        updates["seed"] = checked_seed(raw["seed"])
-    if "tol" in raw or "tolerances" in raw:
-        tols = dict(raw.get("tolerances") or raw.get("tol"))
-        for name in tols:
-            if name not in CHECKS:
-                raise ValueError(f"unknown check {name!r} in tolerances")
-        updates["tolerances"] = {k: float(v) for k, v in tols.items()}
-    if "forms" in raw and raw["forms"]:
-        forms = []
-        for entry in raw["forms"]:
-            if isinstance(entry, str):
-                forms.append(_parse_form(entry))
-            elif isinstance(entry, dict):
-                forms.append((str(entry["eta"]), str(entry["zeta"])))
-            else:
-                forms.append((str(entry[0]), str(entry[1])))
-        updates["forms"] = tuple(forms)
-    unknown = set(raw) - {"pipeline", "p", "q", "r", "samples", "seed",
-                          "tol", "tolerances", "forms"}
+    """A RunConfig from ``pipeline``, ``p``, ``q``, ``r``, ``samples``,
+    ``seed``, ``tol.<check>`` and ``form`` (one spec or a list) keys.
+
+    Values are text (key=value files, the command line) or JSON values.
+    """
+    unknown = [key for key in raw if not key.startswith("tol.") and key not in
+               ("pipeline", "p", "q", "r", "samples", "seed", "form")]
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return replace(config, **updates)
+    fields = {"tolerances": {key[4:]: _parsed(value, float)
+                             for key, value in raw.items()
+                             if key.startswith("tol.")}}
+    if "pipeline" in raw:
+        fields["pipeline"] = raw["pipeline"]
+    for key in ("p", "q", "r"):
+        if raw.get(key) is not None:
+            fields[f"{key}_values"] = _as_values(raw[key])
+    for key in ("samples", "seed"):
+        if key in raw:
+            fields[key] = _parsed(raw[key], int)
+    if "form" in raw:
+        specs = raw["form"] if isinstance(raw["form"], list) else [raw["form"]]
+        fields["forms"] = tuple(_parse_form(spec) for spec in specs)
+    return RunConfig(**fields)
+
+
+def _parsed(value, kind):
+    return kind(value) if isinstance(value, str) else value
 
 
 def _as_values(value):
     if isinstance(value, (list, tuple)):
         return tuple(int(v) for v in value)
-    if isinstance(value, int):
-        return (value,)
     return parse_range(value)
 
 
 def load_config(path):
     """Read a sweep configuration: JSON object or key=value lines.
 
-    The key=value form accepts one pair per line, '#' comments, repeated
-    ``form=`` lines, and ``tol.<check>=<value>`` entries.
+    Both use the vocabulary of ``config_from_mapping``.  The key=value form
+    takes one pair per line, '#' comments and repeated ``form=`` lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return config_from_mapping(json.loads(text))
     raw = {}
-    tols = {}
-    forms = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ValueError(f"bad config line {line!r}")
-        key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
-        if key.startswith("tol."):
-            tols[key[4:]] = float(value)
-        elif key == "form":
-            forms.append(_parse_form(value))
+        if key == "form":
+            raw.setdefault("form", []).append(value)
         else:
             raw[key] = value
-    if tols:
-        raw["tolerances"] = tols
-    if forms:
-        raw["forms"] = forms
     return config_from_mapping(raw)

@@ -238,3 +238,112 @@ def test_a_form_is_used_where_its_shape_is(tmp_path):
     assert points == {"p=2 q=2 r=1 eta=++ zeta=++ i=0",
                       "p=2 q=2 r=1 eta=+- zeta=+- i=0",
                       "p=3 q=2 r=1 eta=+-+ zeta=+- i=0"}
+
+
+# every rule of a valid run, each as a config mapping in the README's
+# vocabulary and, where a library caller can say the same, as RunConfig
+# keywords; each is refused with one message by every entry point
+INVALID = {
+    "samples-0": ({"samples": 0}, {"samples": 0}),
+    "samples-negative": ({"samples": -2}, {"samples": -2}),
+    "seed-negative": ({"seed": -1}, {"seed": -1}),
+    "unknown-tolerance": ({"tol.no.such": 1.0},
+                          {"tolerances": {"no.such": 1.0}}),
+    "tolerance-inf": ({"tol.parametric.tangency": float("inf")},
+                      {"tolerances": {"parametric.tangency": float("inf")}}),
+    "tolerance-nan": ({"tol.parametric.tangency": float("nan")},
+                      {"tolerances": {"parametric.tangency": float("nan")}}),
+    "bad-sign-pattern": (
+        {"pipeline": "pseudo", "p": 2, "q": 2, "form": "eta=+x,zeta=+-"},
+        {"pipeline": "pseudo", "p_values": (2,), "q_values": (2,),
+         "forms": (("+x", "+-"),)}),
+    "form-without-pseudo": (
+        {"pipeline": "levelset", "q": 2, "form": "eta=++,zeta=+-"},
+        {"pipeline": "levelset", "q_values": (2,),
+         "forms": (("++", "+-"),)}),
+    "form-matching-no-cell": (
+        {"pipeline": "pseudo", "p": 3, "q": 3, "form": ["eta=++,zeta=+-"]},
+        {"pipeline": "pseudo", "p_values": (3,), "q_values": (3,),
+         "forms": (("++", "+-"),)}),
+    "grid-without-cell": ({"pipeline": "parametric", "p": 2, "q": 3},
+                          {"pipeline": "parametric", "p_values": (2,),
+                           "q_values": (3,)}),
+    "unknown-key": ({"bogus": 1}, None),
+    # spellings that were once accepted besides tol.<check> and form
+    "tol-table": ({"tol": {"parametric.tangency": 1e-8}}, None),
+    "tolerances-table": ({"tolerances": {"parametric.tangency": 1e-8}},
+                         None),
+    "forms-list": ({"pipeline": "pseudo", "p": 2, "q": 2,
+                    "forms": [["++", "+-"]]}, None),
+}
+
+
+def _key_value_text(mapping):
+    lines = []
+    for key, value in mapping.items():
+        for item in (value if isinstance(value, list) else [value]):
+            lines.append(f"{key} = {item}")
+    return "\n".join(lines) + "\n"
+
+
+def _verify_argv(mapping):
+    argv = ["verify", mapping.get("pipeline", "all")]
+    for key, value in mapping.items():
+        if key.startswith("tol."):
+            argv += ["--tol", f"{key[4:]}={value}"]
+        elif key == "form":
+            for spec in (value if isinstance(value, list) else [value]):
+                argv += ["--form", spec]
+        elif key != "pipeline":
+            argv += [f"--{key}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("mapping, keywords", INVALID.values(),
+                         ids=list(INVALID))
+def test_every_entry_point_refuses_an_invalid_run(mapping, keywords,
+                                                   tmp_path, capsys):
+    with pytest.raises(ValueError) as refused:
+        config_from_mapping(mapping)
+    message = str(refused.value)
+    if keywords is not None:
+        # before any cell runs, so nothing forks
+        with pytest.raises(ValueError) as library:
+            RunConfig(**keywords)
+        assert str(library.value) == message
+    json_file = tmp_path / "run.json"
+    json_file.write_text(json.dumps(mapping))
+    key_value_file = tmp_path / "run.cfg"
+    key_value_file.write_text(_key_value_text(mapping))
+    runs = []
+    for path in (json_file, key_value_file):
+        with pytest.raises(ValueError) as loaded:
+            load_config(path)
+        assert str(loaded.value) == message
+        runs.append(["sweep", "--config", str(path)])
+    if keywords is not None:
+        runs.append(_verify_argv(mapping))
+    for argv in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"detmin: {message}\n")
+
+
+def test_a_json_config_shares_the_key_value_vocabulary(tmp_path):
+    key_value_file = tmp_path / "run.cfg"
+    key_value_file.write_text(
+        "pipeline = pseudo\n"
+        "p = 2\n"
+        "q = 2\n"
+        "samples = 1\n"
+        "seed = 11\n"
+        "tol.pseudo.minimality = 1e-8\n"
+        "form = eta=++,zeta=+-\n")
+    json_file = tmp_path / "run.json"
+    json_file.write_text(json.dumps({
+        "pipeline": "pseudo", "p": 2, "q": 2, "samples": 1, "seed": 11,
+        "tol.pseudo.minimality": 1e-8, "form": ["eta=++,zeta=+-"]}))
+    config = load_config(json_file)
+    assert config == load_config(key_value_file)
+    with pytest.raises(TypeError):
+        config.tolerances["pseudo.minimality"] = 1.0
+    assert config.tol("pseudo.minimality") == 1e-8

@@ -44,8 +44,7 @@ CASES = [
     ["verify", "all", "--p", "2..3", "--q", "2..3", "--samples", "1",
      "--tol", "parametric.mean-curvature=1e-300",
      "--tol", "pseudo.reflection=1e-300", "--seed", "9"],
-    # a bad form: the worker's (2, 2, 0) cell raises first, then the
-    # parent's (2, 2, 1) cell; with r = 0 only the worker's cell reads it
+    # a bad form is refused before any cell runs, so neither run forks
     ["verify", "pseudo", "--p", "2..3", "--q", "2..3",
      "--form", "eta=+x,zeta=+-"],
     ["verify", "pseudo", "--p", "2..3", "--q", "2..3", "--r", "0",
@@ -93,7 +92,7 @@ def test_forked_runs_equal_the_one_cpu_runs(tmp_path, monkeypatch, capsys):
         code = main(argv + ["--format", "json", "--out", out])
         runs.append([code, capsys.readouterr().err])
         assert gc.get_freeze_count() == 0
-    assert len(forks) == len(CASES)
+    assert len(forks) == len(CASES) - 2
 
     one = [str(tmp_path / f"one-{k}.json") for k in range(len(CASES))]
     proc = subprocess.run(
@@ -128,10 +127,18 @@ def test_a_worker_error_is_raised_in_the_parent(monkeypatch):
     _no_child_left()
 
 
-def test_an_error_in_the_parent_stops_the_worker():
-    # the parent's own first cell refuses the seed; the worker is killed
-    with pytest.raises(ValueError, match="seed"):
-        run_sweep(RunConfig(p_values=(2, 3), q_values=(2, 3), seed=-1))
+def test_an_error_in_the_parent_stops_the_worker(monkeypatch):
+    parent, point = os.getpid(), sweep._parametric_point
+
+    def refusing(p, q, r, rng):
+        if os.getpid() == parent:
+            raise ValueError(f"refused at p={p} q={q} r={r}")
+        return point(p, q, r, rng)
+
+    monkeypatch.setattr(sweep, "_parametric_point", refusing)
+    # the parent's own first cell raises; the worker is killed
+    with pytest.raises(ValueError, match=r"^refused at p=2 q=2 r=0$"):
+        run_sweep(RunConfig(p_values=(2, 3), q_values=(2, 3)))
     _no_child_left()
 
 

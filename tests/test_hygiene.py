@@ -124,6 +124,28 @@ def test_no_library_function_decides_a_verdict():
     assert not deciders, f"functions deciding a verdict: {deciders}"
 
 
+# RunConfig decides whether a run is valid; the parsers only read text
+CONFIG_DECIDERS = {"RunConfig", "parse_range", "_parse_form",
+                   "config_from_mapping", "load_config"}
+
+
+def _raises_value_error(node):
+    return any(isinstance(sub, ast.Raise) and sub.exc is not None
+               and "ValueError" in {n.id for n in ast.walk(sub.exc)
+                                    if isinstance(n, ast.Name)}
+               for sub in ast.walk(node))
+
+
+def test_only_the_config_refuses_a_run():
+    # a configuration error raised by run_sweep, a runner, a cell or the
+    # worker would come after the fork, or after some cells had run
+    tree = ast.parse((ROOT / "src" / "detmin" / "sweep.py").read_text("utf-8"))
+    raising = {getattr(node, "name", f"line {node.lineno}")
+               for node in tree.body if _raises_value_error(node)}
+    assert "RunConfig" in raising, "the check no longer sees RunConfig"
+    assert raising <= CONFIG_DECIDERS, raising - CONFIG_DECIDERS
+
+
 def test_no_rank_decision_bypasses_the_linalg_policy():
     # np.linalg.matrix_rank thresholds without RANK_TOL_FACTOR
     callers = [path.name for path in SOURCES

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from detmin import kahler
 from detmin.dual import gradient_of, hessian_of
 from detmin.errors import InvalidChartPoint, SingularGram
 from detmin.kahler import (ComplexChartPoint, TwinHarmonicPair,
@@ -13,6 +14,7 @@ from detmin.kahler import (ComplexChartPoint, TwinHarmonicPair,
                            sample_zeta_point, twin_harmonic_suite, unflatten,
                            zeta_minimality)
 from detmin.linalg import make_rng, max_abs
+from detmin.sweep import RunConfig, run_sweep
 
 
 def _embed_generic(flat):
@@ -70,6 +72,32 @@ class TestComplexChart:
             assert geo.normal_residual < 1e-12
             assert geo.normals.shape == (4, 12)
             assert max_abs(geo.mean_curvature) < 1e-12
+
+    def test_sampler_gives_up_after_its_draw_cap(self, monkeypatch):
+        class NeverPasses:
+            """Generator stand-in whose normal draws are all zero."""
+            draws = 0
+
+            def normal(self, size):
+                self.draws += 1
+                assert self.draws <= 10 * kahler.MAX_DRAWS, "no draw cap"
+                return np.zeros(size)
+
+        rng = NeverPasses()
+        with pytest.raises(InvalidChartPoint):
+            sample_complex_chart_point(rng)
+        assert rng.draws == 2 * kahler.MAX_DRAWS
+        monkeypatch.setattr(kahler, "sample_complex_chart_point",
+                            lambda _: sample_complex_chart_point(
+                                NeverPasses()))
+        report = run_sweep(RunConfig(pipeline="complex", q_values=(2,),
+                                     samples=2))
+        chart = [r for r in report.records if r.check in
+                 ("complex.chart-minimality", "complex.chart-blocks")]
+        assert len(chart) == 4
+        assert all(r.verdict == "SKIPPED-DEGENERATE"
+                   and r.point.endswith("[InvalidChartPoint]") for r in chart)
+        assert report.exit_status() == 0
 
     def test_embedding_matches_complex_product(self):
         rng = make_rng(4)

@@ -44,7 +44,7 @@ def test_unknown_verdict_rejected():
 
 def test_exit_status_and_summary():
     rep = VerificationReport()
-    rep.extend(_recs())
+    rep.records.extend(_recs())
     assert rep.exit_status() == 1  # one FAIL gates
     s = rep.summary()
     assert s["counts"] == {"PASS": 1, "FAIL": 1, "EVIDENCE": 1,
@@ -59,7 +59,7 @@ def test_exit_status_and_summary():
 
 def test_json_round_trip():
     rep = VerificationReport(meta={"seed": 7})
-    rep.extend(_recs())
+    rep.records.extend(_recs())
     back = VerificationReport.from_json(rep.to_json())
     assert back.meta == {"seed": 7}
     assert len(back.records) == len(rep.records)
@@ -69,7 +69,7 @@ def test_json_round_trip():
 
 def test_json_records_are_the_record_fields_in_order():
     rep = VerificationReport()
-    rep.extend(_recs())
+    rep.records.extend(_recs())
     payload = json.loads(rep.to_json())
     for rec, got in zip(rep.records, payload["records"]):
         want = asdict(rec)
@@ -116,7 +116,7 @@ def test_records_json_excludes_meta_and_digest_is_stable():
     rep1 = VerificationReport(meta={"elapsed_seconds": 1.23})
     rep2 = VerificationReport(meta={"elapsed_seconds": 9.87})
     for rep in (rep1, rep2):
-        rep.extend(_recs()[:3])
+        rep.records.extend(_recs()[:3])
     assert "elapsed_seconds" not in rep1.records_json()
     assert rep1.records_json() == rep2.records_json()
     assert rep1.records_digest() == rep2.records_digest()
