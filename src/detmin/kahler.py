@@ -98,7 +98,14 @@ def complex_chart_jacobian(cp):
 
 
 def complex_chart_second_derivatives(cp):
-    """Closed-form (12, 8, 8) second derivatives; only x/y cross lam/mu."""
+    """Closed-form (12, 8, 8) second derivatives; only x/y cross lam/mu.
+
+    The tensor depends on no input and is shared read-only.
+    """
+    return _COMPLEX_SECOND_DERIVATIVES
+
+
+def _complex_second_derivatives():
     d2 = np.zeros((12, 8, 8))
     for i in range(3):
         for (coord, par, block, sign) in (
@@ -108,7 +115,11 @@ def complex_chart_second_derivatives(cp):
                 (3 + i, 7, 6, -1.0)): # d(y_i) d(mu)  -> -Re slot
             d2[block + i, coord, par] += sign
             d2[block + i, par, coord] += sign
+    d2.setflags(write=False)
     return d2
+
+
+_COMPLEX_SECOND_DERIVATIVES = _complex_second_derivatives()
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ vanishes; the functions below verify that numerically rather than assume it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -525,17 +525,30 @@ class MeanCurvature:
     against the closed-form tangent value -2 DX(0, (a^T a)^{-1} lam).
     ``ambient_vector`` is the normal projection of the trace vector,
     assembled through the dual frame since the frame is not orthonormal.
+
+    ``tangency_residual`` is computed on first read, from the chart point
+    kept in a hidden field: of the checks, only the parametric tangency gate
+    reads it.  ``ambient_vector`` is computed with the components: the
+    euclidean reduction reads it, so deferring it would only move its cost
+    to its first reader.
     """
 
     components: np.ndarray
     ambient_vector: np.ndarray
     trace_vector: np.ndarray
-    tangency_residual: float
     metric_scale: float
+    _chart: ChartPoint = field(repr=False, compare=False)
 
     @property
     def max_component(self):
         return max_abs(self.components)
+
+    @cached_property
+    def tangency_residual(self):
+        cp = self._chart
+        tangent_target = -2.0 * chart_derivative(
+            cp, np.zeros((cp.p, cp.r)), cp.a_gram_inv @ cp.lam)
+        return float(np.linalg.norm(self.trace_vector - tangent_target))
 
 
 def mean_curvature(cp, use_autodiff=False):
@@ -563,17 +576,13 @@ def mean_curvature(cp, use_autodiff=False):
         trace = np.zeros((p, q))
         trace[:, r:] = 2.0 * contracted
 
-    tangent_target = -2.0 * chart_derivative(
-        cp, np.zeros((p, r)), cp.a_gram_inv @ cp.lam)
-    tangency = float(np.linalg.norm(trace - tangent_target))
-
     flat = frame.flat()
     dual_coeff = (np.linalg.solve(frame.gram, comps.ravel()) if flat.size
                   else comps.ravel())
     ambient = (dual_coeff @ flat).reshape(p, q) if flat.size else np.zeros((p, q))
 
     scale = max(1.0, max_abs(ginv))
-    return MeanCurvature(comps, ambient, trace, tangency, scale)
+    return MeanCurvature(comps, ambient, trace, scale, cp)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ is part of the verified record rather than silently patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -285,17 +285,29 @@ class PseudoMinimality:
     K-orthogonal projector onto the tangent space and T is the flat
     contraction Ghat^{mu nu} d2 X / (du^mu du^nu).  Minimality is the
     statement that T is tangent, i.e. the normal part vanishes.
+
+    ``projector_residual`` is computed on first read, from J, Ghat^-1 and
+    Ghat kept in hidden fields: no check reads it.
     """
 
     normal_flat: np.ndarray
     trace_flat: np.ndarray
-    projector_residual: float
     signature: tuple
     metric_scale: float
+    _jacobian: np.ndarray = field(repr=False, compare=False)
+    _ginv: np.ndarray = field(repr=False, compare=False)
+    _gram: np.ndarray = field(repr=False, compare=False)
 
     @property
     def max_component(self):
         return max_abs(self.normal_flat)
+
+    @cached_property
+    def projector_residual(self):
+        """Idempotence of Pi: ||Pi J - J||max, relative to J."""
+        jac = self._jacobian
+        pi_j = jac @ (self._ginv @ self._gram)
+        return max_abs(pi_j - jac) / max(1.0, max_abs(jac))
 
 
 def pseudo_minimality(cp, eta, zeta):
@@ -309,11 +321,8 @@ def pseudo_minimality(cp, eta, zeta):
     trace = np.einsum("fab,ab->f", chart_second_derivatives(cp), ginv)
     tangent_part = jac @ (ginv @ (jac.T @ (kdiag * trace)))
     normal = trace - tangent_part
-    # Pi must be idempotent; feeds the report as a conditioning witness
-    pi_j = jac @ (ginv @ report.gram)
-    proj_residual = max_abs(pi_j - jac) / max(1.0, max_abs(jac))
     scale = max(1.0, max_abs(ginv))
-    return PseudoMinimality(normal, trace, proj_residual, sig, scale)
+    return PseudoMinimality(normal, trace, sig, scale, jac, ginv, report.gram)
 
 
 # ---------------------------------------------------------------------------

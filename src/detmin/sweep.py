@@ -214,6 +214,14 @@ class RunConfig:
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         checked_seed(self.seed)
+        for name in ("p_values", "q_values", "r_values"):
+            values = getattr(self, name)
+            # true and false are ints to Python, not grid entries
+            if values is not None and not all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in values):
+                raise ValueError(f"{name[0]} grid entries must be "
+                                 f"integers, got {list(values)!r}")
         tolerances = {}
         for name, value in self.tolerances.items():
             if name not in CHECKS:
@@ -811,7 +819,7 @@ def _parsed(value, kind):
 
 def _as_values(value):
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+        return tuple(value)
     return parse_range(value)
 
 
@@ -819,12 +827,20 @@ def load_config(path):
     """Read a sweep configuration: JSON object or key=value lines.
 
     Both use the vocabulary of ``config_from_mapping``.  The key=value form
-    takes one pair per line, '#' comments and repeated ``form=`` lines.
+    takes one pair per line, '#' comments and repeated ``form=`` lines.  Any
+    other repeated key is refused; JSON lists its forms in one array.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return config_from_mapping(json.loads(text))
+        def unique(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            if repeated:
+                raise ValueError(f"repeated config keys: {repeated}")
+            return dict(pairs)
+
+        return config_from_mapping(json.loads(text, object_pairs_hook=unique))
     raw = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -836,6 +852,8 @@ def load_config(path):
         key, value = key.strip(), value.strip()
         if key == "form":
             raw.setdefault("form", []).append(value)
+        elif key in raw:
+            raise ValueError(f"repeated config keys: [{key!r}]")
         else:
             raw[key] = value
     return config_from_mapping(raw)

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -115,10 +116,12 @@ def test_sweep_key_value_config(tmp_path):
         "samples = 1\n"
         "seed = 11\n"
         "tol.pseudo.minimality = 1e-8\n"
-        "form = eta=++,zeta=+-\n")
+        "form = eta=++,zeta=+-\n"
+        "form = eta=+-,zeta=++\n")
     cfg = load_config(config)
     assert cfg.pipeline == "pseudo"
-    assert cfg.forms == (("++", "+-"),)
+    # form is the one key that may repeat
+    assert cfg.forms == (("++", "+-"), ("+-", "++"))
     assert cfg.tolerances == {"pseudo.minimality": 1e-8}
     assert main(["sweep", "--config", str(config), "--out",
                  str(tmp_path / "out.txt")]) == 0
@@ -269,6 +272,10 @@ INVALID = {
                           {"pipeline": "parametric", "p_values": (2,),
                            "q_values": (3,)}),
     "unknown-key": ({"bogus": 1}, None),
+    # a JSON null has no key=value or command-line spelling, so only the
+    # JSON file runs
+    "grid-entry-null": ({"pipeline": "parametric", "p": [2, None],
+                         "q": [2]}, None),
     # spellings that were once accepted besides tol.<check> and form
     "tol-table": ({"tol": {"parametric.tangency": 1e-8}}, None),
     "tolerances-table": ({"tolerances": {"parametric.tangency": 1e-8}},
@@ -282,6 +289,8 @@ def _key_value_text(mapping):
     lines = []
     for key, value in mapping.items():
         for item in (value if isinstance(value, list) else [value]):
+            if item is None:
+                return None
             lines.append(f"{key} = {item}")
     return "\n".join(lines) + "\n"
 
@@ -313,10 +322,14 @@ def test_every_entry_point_refuses_an_invalid_run(mapping, keywords,
         assert str(library.value) == message
     json_file = tmp_path / "run.json"
     json_file.write_text(json.dumps(mapping))
-    key_value_file = tmp_path / "run.cfg"
-    key_value_file.write_text(_key_value_text(mapping))
+    paths = [json_file]
+    key_value_text = _key_value_text(mapping)
+    if key_value_text is not None:
+        key_value_file = tmp_path / "run.cfg"
+        key_value_file.write_text(key_value_text)
+        paths.append(key_value_file)
     runs = []
-    for path in (json_file, key_value_file):
+    for path in paths:
         with pytest.raises(ValueError) as loaded:
             load_config(path)
         assert str(loaded.value) == message
@@ -326,6 +339,24 @@ def test_every_entry_point_refuses_an_invalid_run(mapping, keywords,
     for argv in runs:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"detmin: {message}\n")
+
+
+# a mapping cannot repeat a key, so these are files; JSON lists its forms
+# in one array, so only a key=value file may repeat form
+@pytest.mark.parametrize("name, text, key", [
+    ("run.cfg", "seed = 1\nsamples = 1\nseed = 2\n", "seed"),
+    ("run.json", '{"seed": 1, "samples": 1, "seed": 2}', "seed"),
+    ("run.json", '{"form": "eta=++,zeta=++", "form": "eta=+-,zeta=+-"}',
+     "form"),
+])
+def test_a_repeated_config_key_is_refused(name, text, key, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    message = f"repeated config keys: [{key!r}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(path)
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"detmin: {message}\n")
 
 
 def test_a_json_config_shares_the_key_value_vocabulary(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detmin.dual import (Dual, finite_difference_gradient,
+from detmin.dual import (Dual, HyperDual, finite_difference_gradient,
                          finite_difference_hessian, gradient_of, hessian_of,
                          value)
 
@@ -179,10 +179,29 @@ def test_one_pass_equals_scalar_passes_on_scalar_and_affine_outputs():
         return np.array([2.5, 3.0 * v[0] - v[2], v[1] * v[3] + v[0], v[3]],
                         dtype=object)
 
+    def powers_and_quotients(v):
+        # division by a constant divides each part, as Dual does; at this
+        # x, dividing by 7 and multiplying by 1 / 7 differ in the last bit
+        return np.array([v[3] ** 3 - v[0] ** 2 * v[1], v[2] ** 0 + v[1] ** 1,
+                         v[0] * v[1] * v[2] / 7.0, (v[3] - 1.0) ** 2 / 7.0],
+                        dtype=object)
+
+    assert x[2] / 7.0 != x[2] * (1.0 / 7.0)
     _assert_both_passes_equal(scalar, x)
     _assert_both_passes_equal(mixed, x)
+    _assert_both_passes_equal(powers_and_quotients, x)
     assert np.array_equal(hessian_of(mixed, x)[:2], np.zeros((2, 4, 4)))
     assert np.array_equal(gradient_of(mixed, x)[0], np.zeros(4))
+
+
+def test_hyper_duals_divide_only_by_constants():
+    z = HyperDual(2.0, np.ones(2), 0.0)
+    with pytest.raises(TypeError):
+        z / HyperDual(3.0, np.zeros(2), 0.0)
+    with pytest.raises(TypeError):
+        1.0 / z
+    with pytest.raises(TypeError):
+        z ** 0.5
 
 
 def test_each_pass_evaluates_once():

@@ -48,6 +48,7 @@ class TestComplexChart:
         rng = make_rng(2)
         cp = sample_complex_chart_point(rng)
         d2 = complex_chart_second_derivatives(cp)
+        assert not d2.flags.writeable
         flat = _flat(cp)
         for f in range(12):
             h_ad = hessian_of(lambda v: _embed_generic(v)[f], flat)

@@ -505,6 +505,24 @@ def test_sampler_rejects_a_rank_deficient_draw():
                                                    np.zeros((1, 2)))]))
 
 
+@pytest.mark.parametrize("use_autodiff", [False, True])
+def test_tangency_residual_is_computed_when_read(monkeypatch, use_autodiff):
+    cp = sample_chart_point(4, 3, 2, make_rng(21))
+    calls = []
+    real = parametric.chart_derivative
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(parametric, "chart_derivative", counted)
+    mc = mean_curvature(cp, use_autodiff=use_autodiff)
+    assert calls == []
+    first = mc.tangency_residual
+    assert mc.tangency_residual == first < 1e-9
+    assert calls == [1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 4),
        st.integers(0, 10 ** 6))

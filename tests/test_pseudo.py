@@ -155,6 +155,29 @@ def test_minimality_on_nondegenerate_points(p, q, r, es, zs):
         assert sum(pm.signature[:2]) == r * (p - r) + q * r
 
 
+def test_projector_residual_is_computed_when_read(monkeypatch):
+    eta, zeta = IndefiniteForm.from_string("++-"), HYP
+    cp = sample_pseudo_point(3, 2, 1, eta, zeta, make_rng(22))
+    products = []
+
+    class CountedInverse(np.ndarray):
+        """An inverse that records the rank of each operand it multiplies."""
+
+        def __matmul__(self, other):
+            products.append(np.ndim(other))
+            return np.asarray(self) @ other
+
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda m: real_inv(m).view(CountedInverse))
+    pm = pseudo_minimality(cp, eta, zeta)
+    # G-hat^-1 meets only the vector J^T K T until Pi J is asked for
+    assert 2 not in products
+    first = pm.projector_residual
+    assert pm.projector_residual == first < 1e-9
+    assert products.count(2) == 1
+
+
 @pytest.mark.parametrize("p,q,r,es,zs", CASES)
 def test_induced_signature_symmetric_reading(p, q, r, es, zs):
     eta, zeta = IndefiniteForm.from_string(es), IndefiniteForm.from_string(zs)
