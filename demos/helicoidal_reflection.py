@@ -11,10 +11,10 @@ script checks each ingredient numerically at a sample point.
 
 import numpy as np
 
-from detmin.helicoidal import (helicoidal_certificate, normal_reversal,
-                               reflection, sample_tangent_family,
-                               tangent_membership)
-from detmin.linalg import make_rng, reflection_residuals, stratum_bases
+from detmin.helicoidal import (helicoidal_certificate, off_span, reflection,
+                               tangent_family)
+from detmin.linalg import (declared_rank, make_rng, reflection_residuals,
+                           reversal, stratum_bases)
 from detmin.parametric import chart_map, sample_chart_point
 from detmin.sweep import CHECKS
 
@@ -41,8 +41,12 @@ def show_certificate(title, cert):
 rng = make_rng(13)
 p, q, r = 5, 4, 2
 x = chart_map(sample_chart_point(p, q, r, rng))
+# declaring the rank refuses a point off the stratum; the column space,
+# the row space and the orbit bases are each read once
+x_rank = declared_rank(x, r)
+tangent, normal = stratum_bases(x, r)
 
-b = reflection(x, r)
+b = reflection(x_rank)
 res = reflection_residuals(b, np.ones(p), x)
 print(f"reflection at a rank-{r} point of the {p} x {q} space")
 for name, value in res.items():
@@ -57,7 +61,7 @@ print(f"\nrank of B @ Y for another stratum point: "
 
 # matrices whose column (or row) space sits inside that of x are tangent
 for kind in ("column", "row"):
-    resid = tangent_membership(x, sample_tangent_family(x, r, rng, kind), r)
+    resid = off_span(tangent, tangent_family(x_rank, rng, kind))
     print(f"{kind:>6}-family tangent vector: "
           f"{against('helicoidal.tangent-membership', resid)}")
 
@@ -66,10 +70,10 @@ for kind in ("column", "row"):
 # the orthocomplement of col(x), so B multiplies it by -1; a generic
 # normal is nowhere near tangent
 print(f"\nnormal reversal |B W + W|: "
-      f"{against('helicoidal.normal-reversal', normal_reversal(x, r))}")
-w = stratum_bases(x, r)[1][:, 0].reshape(p, q)
+      f"{against('helicoidal.normal-reversal', reversal(b, normal, x.shape))}")
+w = normal[:, 0].reshape(p, q)
 print(f"same normal tested as tangent (should be order one): "
-      f"{against('helicoidal.counter-control', tangent_membership(x, w, r))}")
+      f"{against('helicoidal.counter-control', off_span(tangent, w))}")
 
 show_certificate("\nfull certificate:", helicoidal_certificate(x, r, rng))
 

@@ -34,18 +34,14 @@ from .linalg import (column_reflection, declared_rank, max_abs,
 from .parametric import ChartPoint, chart_map
 
 
-def reflection(x, r=None):
-    """Reflection through the column space of ``x``.
+def reflection(x_rank):
+    """Reflection B = 2 Q Q^T - I through the column space of a matrix.
 
-    Returns B = 2 Q Q^T - I with Q spanning the column space.  ``r``
-    declares the stratum; a mismatch with the numerical rank raises
-    :class:`InvalidChartPoint` rather than silently reflecting through the
-    wrong subspace.
+    ``x_rank`` is the matrix's :func:`~detmin.linalg.declared_rank`
+    result, whose ``range_basis`` is Q; declaring the rank there refuses a
+    point off the stratum rather than reflecting through the wrong
+    subspace.
     """
-    return _reflection(declared_rank(x, r))
-
-
-def _reflection(x_rank):
     return column_reflection(x_rank, np.ones(x_rank.range_basis.shape[0]))
 
 
@@ -66,28 +62,21 @@ def isometry_check(a, q, rng):
     return max([0.0, *deviation.tolist()])
 
 
-def _off_span(basis, y):
+def off_span(basis, y):
     """Relative norm of the part of ``y`` outside the span of ``basis``."""
     v = np.asarray(y, dtype=float).ravel()
     return float(np.linalg.norm(v - basis @ (basis.T @ v))
                  / max(1.0, np.linalg.norm(v)))
 
 
-def tangent_membership(x, y, r):
-    """Relative part of ``y`` outside the stratum tangent space at ``x``."""
-    return _off_span(stratum_bases(x, r)[0], y)
+def tangent_family(x_rank, rng, kind):
+    """Random matrix whose column (or row) space sits inside that of x.
 
-
-def sample_tangent_family(x, r, rng, kind="column"):
-    """Random matrix whose column (or row) space sits inside that of ``x``.
-
-    Such matrices are tangent to the stratum at ``x``; they are the
-    derivative-free tangent vectors the synthetic argument is built on.
+    ``x_rank`` is the :func:`~detmin.linalg.declared_rank` result of x and
+    ``kind`` is ``"column"`` or ``"row"``.  Such matrices are tangent to
+    the stratum at x; they are the derivative-free tangent vectors the
+    synthetic argument is built on.
     """
-    return _tangent_family(declared_rank(x, r), rng, kind)
-
-
-def _tangent_family(x_rank, rng, kind):
     p, r = x_rank.range_basis.shape
     q = x_rank.row_basis.shape[0]
     if kind == "column":
@@ -95,12 +84,6 @@ def _tangent_family(x_rank, rng, kind):
     if kind == "row":
         return rng.normal(size=(p, r)) @ x_rank.row_basis.T
     raise ValueError(f"unknown tangent family {kind!r}")
-
-
-def normal_reversal(x, r):
-    """Worst residual of B W = -W over an orthonormal normal basis at ``x``."""
-    return reversal(reflection(x, r), stratum_bases(x, r)[1],
-                    np.asarray(x).shape)
 
 
 @dataclass(frozen=True)
@@ -120,7 +103,7 @@ def helicoidal_certificate(x, r, rng):
     x = np.asarray(x, dtype=float)
     p, q = x.shape
     x_rank = declared_rank(x, r)
-    b = _reflection(x_rank)
+    b = reflection(x_rank)
     # euclidean only: det B = (-1)^(p - r), and the symmetric B has the
     # spectrum of p - r reversed and r fixed directions (ascending)
     expected = np.concatenate([-np.ones(p - r), np.ones(r)])
@@ -135,12 +118,11 @@ def helicoidal_certificate(x, r, rng):
     rank_preserved = numerical_rank(b @ z) == r == numerical_rank(z)
     tb, nb = stratum_bases(x, r)
     tangents = {
-        "cone_direction": _off_span(tb, x),
-        "column_family": _off_span(
-            tb, _tangent_family(x_rank, rng, "column")),
-        "row_family": _off_span(tb, _tangent_family(x_rank, rng, "row")),
+        "cone_direction": off_span(tb, x),
+        "column_family": off_span(tb, tangent_family(x_rank, rng, "column")),
+        "row_family": off_span(tb, tangent_family(x_rank, rng, "row")),
     }
     worst_reversal = reversal(b, nb, x.shape)
-    counter = _off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0
+    counter = off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0
     return Certificate(residuals, iso, rank_preserved, tangents,
                        worst_reversal, counter)

@@ -73,13 +73,6 @@ class ComplexChartPoint:
         return float(self.x @ self.x + self.y @ self.y)
 
 
-def complex_chart_embedding(cp):
-    """R^12 realification (x, y, Re col2, Im col2)."""
-    re2 = cp.lam * cp.x - cp.mu * cp.y
-    im2 = cp.lam * cp.y + cp.mu * cp.x
-    return np.concatenate([cp.x, cp.y, re2, im2])
-
-
 def complex_chart_jacobian(cp):
     """Analytic 12 x 8 Jacobian; columns ordered (x1..3, y1..3, lam, mu)."""
     jac = np.zeros((12, 8))
@@ -245,32 +238,6 @@ class TwinHarmonicPair:
         hu = fill_blocks(re, neg_im, neg_im, -re)
         hv = fill_blocks(im, re, re, neg_im)
         return hu, hv
-
-    def values_generic(self, flat):
-        """(u, v) via pair arithmetic; dual-number oracle path."""
-        n = self.n
-        flat = np.asarray(flat, dtype=object)
-        re = flat[:n * n].reshape((n, n)).T  # column-major
-        im = flat[n * n:].reshape((n, n)).T
-        u, v = _complex_det_generic(re, im)
-        return np.array([u, v], dtype=object)
-
-
-def _complex_det_generic(re, im):
-    """Cofactor-expansion determinant on (re, im) pair entries."""
-    k = re.shape[0]
-    if k == 1:
-        return re[0, 0], im[0, 0]
-    total_re, total_im = 0.0, 0.0
-    sign = 1.0
-    for j in range(k):
-        mre = np.delete(np.delete(re, 0, axis=0), j, axis=1)
-        mim = np.delete(np.delete(im, 0, axis=0), j, axis=1)
-        sub_re, sub_im = _complex_det_generic(mre, mim)
-        total_re = total_re + sign * (re[0, j] * sub_re - im[0, j] * sub_im)
-        total_im = total_im + sign * (re[0, j] * sub_im + im[0, j] * sub_re)
-        sign = -sign
-    return total_re, total_im
 
 
 @dataclass(frozen=True)

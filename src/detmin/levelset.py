@@ -78,12 +78,6 @@ class ConstraintSystem:
         return (float(np.linalg.det(self._block(a, 1))),
                 self.sign2 * float(np.linalg.det(self._block(a, 2))))
 
-    def values_generic(self, flat):
-        """Constraint pair on a flat object array; dual-number oracle path."""
-        a = np.asarray(flat, dtype=object).reshape(self.n + 1, self.n)
-        return np.array([_det_generic(a[:self.n, :]),
-                         self.sign2 * _det_generic(a[1:, :])], dtype=object)
-
     def gradients(self, a):
         """Cofactor gradients, each as an (n+1, n) array in matrix layout."""
         a = np.asarray(a, dtype=float)
@@ -113,20 +107,6 @@ class ConstraintSystem:
         grad1, grad2 = self.gradients(a)
         hess1, hess2 = self.hessians(a)
         return ConstraintValues(chi1, chi2, grad1, grad2, hess1, hess2)
-
-
-def _det_generic(m):
-    """Determinant by cofactor expansion; works on object (dual) entries."""
-    k = m.shape[0]
-    if k == 1:
-        return m[0, 0]
-    total = 0.0
-    sign = 1.0
-    for j in range(k):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total = total + sign * m[0, j] * _det_generic(minor)
-        sign = -sign
-    return total
 
 
 def sample_on_variety(n, rng):
@@ -392,9 +372,6 @@ class ConjectureEvidence:
     verdict; this is observational data about a conjecture.
     """
 
-    lhs: float
-    printed_rhs: float
-    swapped_rhs: float
     printed_residual: float
     swapped_residual: float
 
@@ -409,6 +386,5 @@ def conjecture_evidence(cv):
     printed = 0.25 * cv.chi2 * tr12 + 0.25 * cv.chi1 * tr22
     swapped = 0.25 * cv.chi2 * tr11 + 0.25 * cv.chi1 * tr12
     den = max(1.0, np.linalg.norm(g1) * np.linalg.norm(g2) * np.linalg.norm(h1))
-    return ConjectureEvidence(lhs, printed, swapped,
-                              abs(lhs - printed) / den,
+    return ConjectureEvidence(abs(lhs - printed) / den,
                               abs(lhs - swapped) / den)

@@ -355,7 +355,7 @@ def induced_metric(cp):
     return cp.metric
 
 
-def operator_form_inverse(cp, bottom_left_sign=-1.0):
+def operator_form_inverse(cp):
     """Closed multiplicative form of the inverse metric.
 
     With Q = a (a^T a)^{-1} a^T, P = I - Q and
@@ -363,12 +363,12 @@ def operator_form_inverse(cp, bottom_left_sign=-1.0):
 
         top-left:     I - kron(P, M)
         top-right:    -kron(a (a^T a)^{-1}, lam)
-        bottom-left:  sign * kron((a^T a)^{-1} a^T, lam^T)
+        bottom-left:  -kron((a^T a)^{-1} a^T, lam^T)
         bottom-right: kron((a^T a)^{-1}, I + lam^T lam)
 
-    Symmetry of the inverse forces ``bottom_left_sign = -1``; the positive
-    reading is kept selectable so callers can demonstrate numerically that
-    it does not invert the metric (see ``operator_sign_adjudication``).
+    Symmetry of the inverse forces the minus sign of the bottom-left block;
+    ``operator_sign_adjudication`` shows numerically that the plus sign
+    does not invert the metric.
     """
     p, q, r = cp.p, cp.q, cp.r
     iata = cp.a_gram_inv
@@ -376,7 +376,7 @@ def operator_form_inverse(cp, bottom_left_sign=-1.0):
     m = cp.lam @ cp.lam.T @ np.linalg.inv(identity(r) + cp.lam @ cp.lam.T)
     top_left = identity(p * r) - kron(proj_out, m)
     top_right = -kron(cp.a @ iata, cp.lam)
-    bottom_left = bottom_left_sign * kron(iata @ cp.a.T, cp.lam.T)
+    bottom_left = -kron(iata @ cp.a.T, cp.lam.T)
     bottom_right = kron(iata, identity(q - r) + cp.lam.T @ cp.lam)
     return fill_blocks(top_left, top_right, bottom_left, bottom_right)
 
@@ -424,14 +424,16 @@ def operator_sign_adjudication(cp):
     """Residuals of both sign readings of the closed-form lower-left block.
 
     Returns ``{-1.0: residual, +1.0: residual}`` of ``route @ metric - I``;
-    the reading that inverts the metric is the negative one.
+    the reading that inverts the metric is the negative one.  The positive
+    reading is the closed form with its lower-left block negated.
     """
     metric = cp.metric.assembled
     eye = identity(metric.shape[0])
-    out = {}
-    for sign in (-1.0, +1.0):
-        out[sign] = max_abs(operator_form_inverse(cp, sign) @ metric - eye)
-    return out
+    negative = operator_form_inverse(cp)
+    positive = negative.copy()
+    positive[cp.p * cp.r:, :cp.p * cp.r] *= -1.0
+    return {-1.0: max_abs(negative @ metric - eye),
+            +1.0: max_abs(positive @ metric - eye)}
 
 
 @dataclass(frozen=True)
@@ -447,8 +449,8 @@ class NormalFrame:
     is orthogonal to every tangent vector; gamma_{s'} = (1 + sum_k
     lam_{k s'}^2)^{-1/2} makes each element unit length.  Elements sharing a
     kernel direction are *not* mutually orthogonal: the frame Gram is
-    kron(diag(gamma) (I + lam^T lam) diag(gamma), I_{p-r}), which is what
-    :meth:`gram_closed_form` returns and tests pin down.
+    kron(diag(gamma) (I + lam^T lam) diag(gamma), I_{p-r}), which the tests
+    pin down against :attr:`gram`.
     """
 
     normals: np.ndarray       # (frame_size, p, q)
@@ -468,45 +470,17 @@ class NormalFrame:
         f = self.flat()
         return _read_only(f @ f.T)
 
-    def gram_closed_form(self, lam):
-        qr = len(self.gamma)
-        blk = np.diag(self.gamma) @ (np.eye(qr) + lam.T @ lam) @ np.diag(self.gamma)
-        p_r = self.kernel_basis.shape[1]
-        return kron(blk, np.eye(p_r))
-
 
 def normal_frame(cp):
     """Normal frame of size (q - r)(p - r); see :class:`NormalFrame`."""
     return cp.frame
 
 
-def second_fundamental_form(cp):
-    """Scalar second fundamental forms h^{(s' s'')} in closed form.
-
-    Shape (q - r, p - r, dim, dim).  Entry (s', s'') pairs coordinate
-    a_{J s} with lam_{s t'} and equals -gamma_{s'} delta_{s' t'} e_{s'', J};
-    the sign follows the frame's -e_{s''} column.
-    """
-    p, q, r = cp.p, cp.q, cp.r
-    frame = cp.frame
-    h = np.zeros((q - r, p - r, cp.dim, cp.dim))
-    for sp in range(q - r):
-        for spp in range(p - r):
-            coeff = -frame.gamma[sp] * frame.kernel_basis[:, spp]
-            for j in range(p):
-                for s in range(r):
-                    ia = j * r + s
-                    il = p * r + s * (q - r) + sp
-                    h[sp, spp, ia, il] += coeff[j]
-                    h[sp, spp, il, ia] += coeff[j]
-    return h
-
-
 def second_fundamental_form_autodiff(cp):
     """h via contraction of the frame with the dual-number chart Hessian.
 
-    Independent oracle for :func:`second_fundamental_form`: no closed-form
-    structure is assumed, the full (pq, dim, dim) Hessian is contracted.
+    No closed-form structure is assumed: the full (pq, dim, dim) Hessian is
+    contracted.  The tests hold it against the closed form.
     """
     d2x = chart_hessian_autodiff(cp)
     flat = cp.frame.flat()

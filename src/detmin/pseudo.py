@@ -71,9 +71,6 @@ class IndefiniteForm:
     def n_minus(self):
         return int((self.signs < 0).sum())
 
-    def is_definite(self):
-        return self.n_minus == 0 or self.n_plus == 0
-
     @cached_property
     def _pattern(self):
         return "".join("+" if s > 0 else "-" for s in self.signs)
@@ -116,11 +113,6 @@ def signature_adjudication(eta, zeta):
 def _check_shapes(cp, eta, zeta):
     if eta.dim != cp.p or zeta.dim != cp.q:
         raise ValueError("form dimensions must match the chart ambient")
-
-
-def induced_gram(cp, eta, zeta):
-    """G-hat = J^T K J for the rank-r chart in the indefinite ambient."""
-    return degeneracy_scan(cp, eta, zeta).gram
 
 
 @dataclass(frozen=True)
@@ -174,7 +166,7 @@ def hyperbolic_det_residual(a, lam):
     cp = ChartPoint(a, np.array([[float(lam)]]))
     eta = IndefiniteForm.from_counts(2, 0)
     zeta = IndefiniteForm.from_string("+-")
-    det = np.linalg.det(induced_gram(cp, eta, zeta))
+    det = np.linalg.det(degeneracy_scan(cp, eta, zeta).gram)
     expected = float((a * a).sum()) * (float(lam) ** 2 - 1.0)
     return abs(det - expected) / max(1.0, abs(expected))
 

@@ -187,6 +187,12 @@ _CHECK_LIST = [
 CHECKS = {c.name: c for c in _CHECK_LIST}
 
 
+def _integer(value):
+    # true and false are ints to Python, not counts, seeds, grid entries or
+    # tolerances
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A sweep's configuration; ``ValueError`` if it is no valid run.
@@ -207,26 +213,24 @@ class RunConfig:
     def __post_init__(self):
         if self.pipeline != "all" and self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if not _integer(self.samples) or self.samples < 1:
             raise ValueError(
                 f"samples must be an integer of at least 1, "
                 f"got {self.samples!r}")
-        if not isinstance(self.seed, int):
+        if not _integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         checked_seed(self.seed)
         for name in ("p_values", "q_values", "r_values"):
             values = getattr(self, name)
-            # true and false are ints to Python, not grid entries
-            if values is not None and not all(
-                    isinstance(v, int) and not isinstance(v, bool)
-                    for v in values):
+            if values is not None and not all(_integer(v) for v in values):
                 raise ValueError(f"{name[0]} grid entries must be "
                                  f"integers, got {list(values)!r}")
         tolerances = {}
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r} in tolerances")
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (not (_integer(value) or isinstance(value, float))
+                    or not math.isfinite(value)):
                 raise ValueError(f"tolerance of {name!r} must be a finite "
                                  f"number, got {value!r}")
             tolerances[name] = float(value)

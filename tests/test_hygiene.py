@@ -1,9 +1,11 @@
 """Source hygiene: every name a module imports is used in that module,
-every module-level private function is referenced somewhere, and no library
-function decides a verdict of its own; every rank question goes through
-the one tolerance policy in linalg, and hypothesis draws deterministically."""
+every function and method of the package is read by a run, the bench or a
+demo, not by the tests alone, and no library function decides a verdict of
+its own; every rank question goes through the one tolerance policy in
+linalg, and hypothesis draws deterministically."""
 
 import ast
+import json
 from pathlib import Path
 
 import hypothesis
@@ -11,8 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "detmin").glob("*.py"))
-# every file whose code may call into the package
-READERS = sorted(path for part in ("src", "tests", "demos")
+# every file outside the package whose code may call into it, tests aside
+READERS = sorted(path for part in ("demos", "perfbench")
                  for path in (ROOT / part).rglob("*.py"))
 
 
@@ -51,31 +53,63 @@ def test_every_import_is_used(path):
     assert not unused, f"imported and never used: {unused}"
 
 
-def _referenced(tree):
-    """Names a file reads: identifiers, attributes and string constants
-    (``monkeypatch.setattr(module, "name", ...)`` names a function too)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+def _reads(nodes):
+    """Names some code reads: its identifiers and attributes."""
+    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
 
 
-def test_every_private_function_is_referenced():
-    referenced = set()
+def _defs(tree):
+    """(qualified name, node) for each module-level function and each
+    method of a module-level class; dunder methods are called by Python."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _bench_spans():
+    """The function or method each per-layer span of the bench times, e.g.
+    ``hessians`` for ``kahler.TwinHarmonicPair.hessians.ms``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"].split(".")[-2] for metric in spec["per_layer"]}
+
+
+def test_every_def_is_read_outside_the_tests():
+    # a def that only tests read is a test oracle kept in the package; it
+    # belongs next to its test.  Reads are matched by name: a def is read
+    # when a demo, the bench's code or span table, module-level code of the
+    # package or another def of the package that is read itself names it
+    outside = set()
     for path in READERS:
+        outside |= _reads(list(ast.walk(ast.parse(path.read_text("utf-8")))))
+    defs, module_level = {}, set()
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        referenced.update(_referenced(tree))
-    orphans = [f"{path.name}:{node.lineno} {node.name}" for path in SOURCES
-               for node in ast.parse(path.read_text(encoding="utf-8")).body
-               if isinstance(node, ast.FunctionDef)
-               and node.name.startswith("_") and not node.name.startswith("__")
-               and node.name not in referenced]
-    assert not orphans, f"private functions nothing references: {orphans}"
+        inside = set()
+        for qualname, node in _defs(tree):
+            body = list(ast.walk(node))
+            inside |= {id(sub) for sub in body}
+            defs[f"{path.name}:{node.lineno} {qualname}"] = (
+                node.name, _reads(body))
+        module_level |= _reads([sub for sub in ast.walk(tree)
+                                if id(sub) not in inside])
+    roots = outside | module_level | _bench_spans()
+    unread = set()
+    while True:
+        newly = {where for where, (name, _) in defs.items()
+                 if where not in unread and name not in roots
+                 and not any(name in names
+                             for other, (_, names) in defs.items()
+                             if other != where and other not in unread)}
+        if not newly:
+            break
+        unread |= newly
+    assert not unread, f"defs only the tests read: {sorted(unread)}"
 
 
 # process-level scheduling: modules that start processes, and os calls

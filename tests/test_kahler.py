@@ -1,5 +1,7 @@
 """Complex chart, determinant twin pair, and the det = 0 locus."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from detmin import kahler
 from detmin.dual import gradient_of, hessian_of
 from detmin.errors import InvalidChartPoint, SingularGram
 from detmin.kahler import (ComplexChartPoint, TwinHarmonicPair,
-                           complex_chart_embedding, complex_chart_geometry,
-                           complex_chart_jacobian,
+                           complex_chart_geometry, complex_chart_jacobian,
                            complex_chart_second_derivatives, flatten,
                            rho_value, sample_complex_chart_point,
                            sample_zeta_point, twin_harmonic_suite, unflatten,
@@ -27,6 +28,33 @@ def _embed_generic(flat):
 
 def _flat(cp):
     return np.concatenate([cp.x, cp.y, [cp.lam, cp.mu]])
+
+
+def _complex_det_generic(re, im):
+    """Cofactor-expansion determinant on (re, im) pair entries."""
+    k = re.shape[0]
+    if k == 1:
+        return re[0, 0], im[0, 0]
+    total_re, total_im = 0.0, 0.0
+    sign = 1.0
+    for j in range(k):
+        mre = np.delete(np.delete(re, 0, axis=0), j, axis=1)
+        mim = np.delete(np.delete(im, 0, axis=0), j, axis=1)
+        sub_re, sub_im = _complex_det_generic(mre, mim)
+        total_re = total_re + sign * (re[0, j] * sub_re - im[0, j] * sub_im)
+        total_im = total_im + sign * (re[0, j] * sub_im + im[0, j] * sub_re)
+        sign = -sign
+    return total_re, total_im
+
+
+def twin_pair_generic(pair, flat):
+    """(u, v) of ``pair`` on a flat object array by pair arithmetic: the
+    dual-number oracle for its cofactor derivatives."""
+    n = pair.n
+    flat = np.asarray(flat, dtype=object)
+    re = flat[:n * n].reshape((n, n)).T  # column-major
+    im = flat[n * n:].reshape((n, n)).T
+    return np.array(_complex_det_generic(re, im), dtype=object)
 
 
 class TestComplexChart:
@@ -105,7 +133,7 @@ class TestComplexChart:
         cp = sample_complex_chart_point(rng)
         z1 = cp.x + 1j * cp.y
         z2 = (cp.lam + 1j * cp.mu) * z1
-        emb = complex_chart_embedding(cp)
+        emb = _embed_generic(_flat(cp)).astype(float)
         assert np.allclose(emb, np.concatenate([z1.real, z1.imag,
                                                 z2.real, z2.imag]))
 
@@ -145,7 +173,7 @@ class TestTwinPair:
         rng = make_rng(12 + n)
         pair = TwinHarmonicPair(n)
         point = rng.normal(size=2 * n * n)
-        grads_ad = gradient_of(pair.values_generic, point)
+        grads_ad = gradient_of(partial(twin_pair_generic, pair), point)
         gu, gv = pair.gradients(point)
         assert np.allclose(np.stack([gu, gv]), grads_ad, atol=1e-12)
 
@@ -155,8 +183,8 @@ class TestTwinPair:
         pair = TwinHarmonicPair(n)
         point = rng.normal(size=2 * n * n)
         hu, hv = pair.hessians(point)
-        hu_ad = hessian_of(lambda v: pair.values_generic(v)[0], point)
-        hv_ad = hessian_of(lambda v: pair.values_generic(v)[1], point)
+        hu_ad = hessian_of(lambda v: twin_pair_generic(pair, v)[0], point)
+        hv_ad = hessian_of(lambda v: twin_pair_generic(pair, v)[1], point)
         assert np.allclose(hu, hu_ad, atol=1e-12)
         assert np.allclose(hv, hv_ad, atol=1e-12)
 

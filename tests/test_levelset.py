@@ -1,5 +1,7 @@
 """Level-set route: two minor constraints cutting the top stratum."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,29 @@ from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              row_coefficients, sample_on_variety,
                              sample_singular_matrix, tangent_projector)
 from detmin.linalg import make_rng, max_abs
+
+
+def _det_generic(m):
+    """Determinant by cofactor expansion; works on object (dual) entries."""
+    k = m.shape[0]
+    if k == 1:
+        return m[0, 0]
+    total = 0.0
+    sign = 1.0
+    for j in range(k):
+        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
+        total = total + sign * m[0, j] * _det_generic(minor)
+        sign = -sign
+    return total
+
+
+def constraint_pair_generic(system, flat):
+    """The constraint pair of ``system`` on a flat object array, by cofactor
+    expansion: the dual-number oracle for its cofactor derivatives."""
+    n = system.n
+    a = np.asarray(flat, dtype=object).reshape(n + 1, n)
+    return np.array([_det_generic(a[:n, :]),
+                     system.sign2 * _det_generic(a[1:, :])], dtype=object)
 
 
 class TestFrozenRepeatedRow:
@@ -52,14 +77,15 @@ def test_gradients_and_hessians_match_dual_numbers(n):
     a = rng.normal(size=(n + 1, n))
     flat = a.ravel()
 
-    grads_ad = gradient_of(system.values_generic, flat)
+    pair = partial(constraint_pair_generic, system)
+    grads_ad = gradient_of(pair, flat)
     g1, g2 = system.gradients(a)
     assert np.allclose(np.stack([g1.ravel(), g2.ravel()]), grads_ad,
                        atol=1e-12)
 
     h1, h2 = system.hessians(a)
-    h1_ad = hessian_of(lambda v: system.values_generic(v)[0], flat)
-    h2_ad = hessian_of(lambda v: system.values_generic(v)[1], flat)
+    h1_ad = hessian_of(lambda v: pair(v)[0], flat)
+    h2_ad = hessian_of(lambda v: pair(v)[1], flat)
     assert np.allclose(h1, h1_ad, atol=1e-12)
     assert np.allclose(h2, h2_ad, atol=1e-12)
 

@@ -10,7 +10,7 @@ from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
 from detmin.pseudo import (IndefiniteForm, ambient_gram, degeneracy_scan,
                            form_normal_basis, form_reflection,
-                           hyperbolic_det_residual, induced_gram,
+                           hyperbolic_det_residual,
                            induced_signature_check,
                            induced_signature_readings,
                            normal_reversal, pseudo_minimality,
@@ -28,11 +28,10 @@ class TestIndefiniteForm:
         assert np.array_equal(f.signs, [1.0, 1.0, -1.0])
         assert (f.n_plus, f.n_minus, f.dim) == (2, 1, 3)
         assert str(f) == "++-"
-        assert not f.is_definite()
 
     def test_from_counts_matches_string(self):
         assert str(IndefiniteForm.from_counts(2, 1)) == "++-"
-        assert IndefiniteForm.from_counts(3, 0).is_definite()
+        assert IndefiniteForm.from_counts(3, 0).n_minus == 0
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +72,7 @@ class TestHyperbolicChart:
 
     def test_frozen_determinant(self):
         cp = ChartPoint(np.array([[1.0], [0.0]]), np.array([[2.0]]))
-        det = np.linalg.det(induced_gram(cp, EYE2, HYP))
+        det = np.linalg.det(degeneracy_scan(cp, EYE2, HYP).gram)
         assert det == pytest.approx(3.0, rel=1e-12)
         assert hyperbolic_det_residual(np.array([1.0, 0.0]), 2.0) < 1e-12
 

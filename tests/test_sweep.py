@@ -1,5 +1,6 @@
 """Check registry consistency and whole-sweep behavior."""
 
+import hashlib
 from collections import Counter
 from functools import cached_property
 
@@ -102,6 +103,23 @@ def _fails(report):
 @pytest.mark.parametrize("seed", range(10))
 def test_the_default_run_certifies(seed):
     assert not _fails(run_sweep(RunConfig(seed=seed)))
+
+
+# sha256 of the check, point and verdict of every record of the default run
+# at seed 0: 1932 PASS and 367 EVIDENCE records.  Verdicts, unlike
+# residuals, do not move with the last bits of a BLAS, so a change of the
+# program that must keep every verdict is held to this pin
+DEFAULT_VERDICTS = (
+    "460f178087d8d8760d41dde1a563dfedf26dfec51a60d10500cc474c9ec29b35")
+
+
+def test_the_default_run_keeps_every_verdict():
+    report = run_sweep(RunConfig(pipeline="all", seed=0))
+    lines = [f"{r.check}\t{r.point}\t{r.verdict}" for r in report.records]
+    assert Counter(r.verdict for r in report.records) == {"PASS": 1932,
+                                                          "EVIDENCE": 367}
+    assert (hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            == DEFAULT_VERDICTS)
 
 
 @pytest.mark.parametrize("seed", range(3))
