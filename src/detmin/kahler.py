@@ -117,10 +117,8 @@ _COMPLEX_SECOND_DERIVATIVES = _complex_second_derivatives()
 
 @dataclass(frozen=True)
 class ComplexChartGeometry:
-    """Metric, inverse, normals and mean curvature of the 3 x 2 chart."""
+    """Normals, mean curvature and block residuals of the 3 x 2 chart."""
 
-    metric: np.ndarray
-    inverse: np.ndarray
     normals: np.ndarray           # (4, 12)
     mean_curvature: np.ndarray    # (4,)
     block_residual: float         # metric vs closed-form blocks
@@ -167,9 +165,8 @@ def complex_chart_geometry(cp):
     d2 = complex_chart_second_derivatives(cp)
     trace = np.einsum("fab,ab->f", d2, inverse)
     h = normals @ trace
-    return ComplexChartGeometry(metric, inverse, normals, h, block_residual,
-                                schur_residual, offdiag_residual,
-                                normal_residual)
+    return ComplexChartGeometry(normals, h, block_residual, schur_residual,
+                                offdiag_residual, normal_residual)
 
 
 def sample_complex_chart_point(rng):

@@ -138,7 +138,6 @@ class GramProjector:
     """Orthoprojector onto the intersection of the two tangent hyperplanes."""
 
     projector: np.ndarray
-    gram: np.ndarray
     rank: int
 
 
@@ -147,12 +146,12 @@ def tangent_projector(cv):
 
     ``cv`` holds the constraint values there.
     """
-    p, gram = gradient_projector(np.stack(cv.grads_flat()))
+    p, _ = gradient_projector(np.stack(cv.grads_flat()))
     # for an idempotent matrix the eigenvalues cluster at 0 and 1, so the
     # robust rank is the count above 1/2; a raw singular-value cutoff can
     # miscount when the Gram solve leaves noise above machine precision
     rank = int((np.linalg.eigvalsh(p) > 0.5).sum())
-    return GramProjector(p, gram, rank)
+    return GramProjector(p, rank)
 
 
 def levelset_mean_curvature(cv, proj):
@@ -180,7 +179,7 @@ class IdentityReport:
     harmonicity: np.ndarray
 
 
-def identity_suite(cv, on_variety=True):
+def identity_suite(cv, on_variety):
     n = cv.grad1.shape[1]
     g = cv.grads_flat()
     h = (cv.hess1, cv.hess2)
@@ -316,7 +315,6 @@ def logarithmic_gradient_residual(a, cv):
 class RankOneReport:
     """Cofactor-matrix degeneracy on the singular locus of square matrices."""
 
-    singular_values: np.ndarray
     sigma_ratio: float
     factor_residual: float
 
@@ -346,7 +344,7 @@ def gradient_rank_one(m):
     rho = np.concatenate([[-1.0], np.linalg.lstsq(cols, m[:, 0], rcond=None)[0]])
     predicted = np.outer(lam, rho) * cof[0, 0]
     factor_residual = max_abs(cof - predicted) / scale
-    return RankOneReport(s, ratio, factor_residual)
+    return RankOneReport(ratio, factor_residual)
 
 
 def sample_singular_matrix(n, rng):

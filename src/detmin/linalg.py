@@ -105,7 +105,7 @@ def fill_blocks(top_left, top_right, bottom_left, bottom_right):
     return out
 
 
-def require_finite(m, name="matrix"):
+def require_finite(m, name):
     """Reject NaN/inf input with a diagnostic instead of letting LAPACK fail.
 
     Real input comes back as float, complex input as complex.
@@ -134,7 +134,6 @@ class RankResult:
     range_basis: np.ndarray
     kernel_basis: np.ndarray
     row_basis: np.ndarray
-    tolerance: float
 
 
 def _rank_tolerance(s, shape):
@@ -157,12 +156,11 @@ def svd_rank(m):
     rows, cols = m.shape
     if m.size == 0:
         return RankResult(0, np.zeros(0), np.zeros((rows, 0)), np.eye(rows),
-                          np.zeros((cols, 0)), 0.0)
+                          np.zeros((cols, 0)))
     # a wide input's reduced U is square; a tall one's kernel needs full U
     u, s, vt = np.linalg.svd(m, full_matrices=rows > cols)
-    tol = _rank_tolerance(s, m.shape)
-    rank = int(np.count_nonzero(s > tol))
-    return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T, tol)
+    rank = int(np.count_nonzero(s > _rank_tolerance(s, m.shape)))
+    return RankResult(rank, s, u[:, :rank], u[:, rank:], vt[:rank].T)
 
 
 def numerical_rank(m):
@@ -180,7 +178,7 @@ def numerical_rank(m):
             else np.count_nonzero(above, axis=-1))
 
 
-def declared_rank(m, r=None):
+def declared_rank(m, r):
     """:func:`svd_rank` of ``m``, refused when it contradicts a declared rank.
 
     ``r`` declares the stratum ``m`` should lie on; a different numerical
@@ -188,7 +186,7 @@ def declared_rank(m, r=None):
     work with the wrong column space.
     """
     rank = svd_rank(m)
-    if r is not None and rank.rank != r:
+    if rank.rank != r:
         raise InvalidChartPoint(
             f"declared rank {r} but numerical rank is {rank.rank} "
             f"(singular values {rank.singular_values})")
@@ -300,7 +298,7 @@ def reversal(b, normals, shape):
     return float(np.linalg.norm(moved, axis=(0, 1)).max())
 
 
-def block_inverse(g, b, d, pivot="leading"):
+def block_inverse(g, b, d, pivot):
     """Inverse of the symmetric block matrix ``[[G, B], [B^T, D]]``.
 
     ``pivot="leading"`` eliminates through ``G`` first, ``pivot="trailing"``

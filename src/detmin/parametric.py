@@ -317,24 +317,16 @@ def _second_derivatives(p, q, r):
 
 
 def chart_hessian_autodiff(cp):
-    """Chart second derivatives via nested dual numbers (oracle route).
+    """Chart second derivatives via dual numbers (oracle route)."""
+    p, q, r = cp.p, cp.q, cp.r
+    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
 
-    Kept read-only in the point's memo, so the autodiff curvature and its
-    second fundamental form share one evaluation.
-    """
-    d2x = cp.memo.get("parametric.chart_hessian_autodiff")
-    if d2x is None:
-        p, q, r = cp.p, cp.q, cp.r
-        x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
+    def flat_chart(vec):
+        a = np.asarray(vec[:p * r]).reshape(p, r)
+        lam = np.asarray(vec[p * r:]).reshape(r, q - r)
+        return chart_map_generic(a, lam).ravel()
 
-        def flat_chart(vec):
-            a = np.asarray(vec[:p * r]).reshape(p, r)
-            lam = np.asarray(vec[p * r:]).reshape(r, q - r)
-            return chart_map_generic(a, lam).ravel()
-
-        d2x = cp.memo["parametric.chart_hessian_autodiff"] = _read_only(
-            dual.hessian_of(flat_chart, x0))
-    return d2x
+    return dual.hessian_of(flat_chart, x0)
 
 
 @dataclass(frozen=True)
@@ -476,18 +468,6 @@ def normal_frame(cp):
     return cp.frame
 
 
-def second_fundamental_form_autodiff(cp):
-    """h via contraction of the frame with the dual-number chart Hessian.
-
-    No closed-form structure is assumed: the full (pq, dim, dim) Hessian is
-    contracted.  The tests hold it against the closed form.
-    """
-    d2x = chart_hessian_autodiff(cp)
-    flat = cp.frame.flat()
-    return np.einsum("af,fmn->amn", flat, d2x).reshape(
-        cp.q - cp.r, cp.p - cp.r, cp.dim, cp.dim)
-
-
 @dataclass(frozen=True)
 class MeanCurvature:
     """Unnormalised mean curvature data at a chart point.
@@ -531,17 +511,17 @@ def mean_curvature(cp, use_autodiff=False):
     The metric inverse is generic (LU solve of the assembled metric); the
     second derivatives are analytic.  With ``use_autodiff`` the closed-form
     second derivatives are replaced by the dual-number Hessian route, which
-    is slower but shares no code with the primary path.
+    is slower but shares no code with the primary path: the full
+    (pq, dim, dim) Hessian is traced against the inverse metric, and the
+    components are the frame against that trace.
     """
     p, q, r = cp.p, cp.q, cp.r
     ginv = cp.metric_inv
     frame = cp.frame
 
     if use_autodiff:
-        h = second_fundamental_form_autodiff(cp)
-        comps = np.einsum("abmn,mn->ab", h, ginv)
-        d2x = chart_hessian_autodiff(cp)
-        trace_flat = np.einsum("fmn,mn->f", d2x, ginv)
+        trace_flat = np.einsum("fmn,mn->f", chart_hessian_autodiff(cp), ginv)
+        comps = (frame.flat() @ trace_flat).reshape(q - r, p - r)
         trace = trace_flat.reshape(p, q)
     else:
         off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)

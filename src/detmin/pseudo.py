@@ -126,7 +126,6 @@ class DegeneracyReport:
     kdiag: np.ndarray
     gram: np.ndarray
     eigenvalues: np.ndarray
-    determinant: float
     signature: tuple
 
     @property
@@ -150,8 +149,7 @@ def degeneracy_scan(cp, eta, zeta):
         gram = jac.T @ (kdiag[:, None] * jac)
         gram.setflags(write=False)
         eig = np.linalg.eigvalsh(gram)
-        det = float(np.prod(eig)) if eig.size else 1.0
-        report = cp.memo[key] = DegeneracyReport(kdiag, gram, eig, det,
+        report = cp.memo[key] = DegeneracyReport(kdiag, gram, eig,
                                                  inertia(eig))
     return report
 
@@ -238,8 +236,6 @@ def induced_signature_check(cp, eta, zeta):
         "duplicated": readings["duplicated"],
         "symmetric_ok": readings["symmetric"] == observed,
         "duplicated_ok": readings["duplicated"] == observed,
-        "column_signature": membership["column_signature"],
-        "row_signature": membership["row_signature"],
     }
 
 

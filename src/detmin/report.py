@@ -92,7 +92,7 @@ def record(check, anchor, point, residual, tolerance, gate=True):
                        verdict)
 
 
-def skipped(check, anchor, point, reason, tolerance=float("nan")):
+def skipped(check, anchor, point, reason, tolerance):
     return CheckRecord(check, anchor, f"{point} [{reason}]", float("nan"),
                        tolerance, "SKIPPED-DEGENERATE")
 

@@ -12,8 +12,8 @@ the record list depends only on the configuration and seed.
 
 No cell reads another's stream, so a cell can run in another process: on
 Linux with at least two usable CPUs, ``run_sweep`` forks one worker that
-runs every other cell and streams its records back, and the report is byte
-for byte the one a one-process run writes.
+runs every other cell of the run's one cell list and streams its records
+back, and the report is byte for byte the one a one-process run writes.
 
 Grid semantics: the ``parametric``, ``helicoidal`` and ``pseudo``
 pipelines run over matrix shape triples (p, q, r) with q <= p and
@@ -31,10 +31,9 @@ import pickle
 import signal
 import threading
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 from types import MappingProxyType
 
 from . import helicoidal, kahler, levelset, parametric, pseudo
@@ -45,8 +44,6 @@ from .report import VerificationReport, record, skipped
 
 SKIP_ERRORS = (DegenerateMetric, InvalidChartPoint, SingularGram,
                ConventionFailure)
-
-PIPELINES = ("parametric", "levelset", "helicoidal", "complex", "pseudo")
 
 
 @dataclass(frozen=True)
@@ -248,7 +245,7 @@ class RunConfig:
                 f"a form is read only by the pseudo pipeline, which pipeline "
                 f"{self.pipeline!r} does not run")
         shapes = {(p, q) for p, q, _ in shape_triples(self)}
-        for eta, zeta in self.forms:
+        for k, (eta, zeta) in enumerate(self.forms):
             for signs in (eta, zeta):
                 _form(signs)  # raises on a bad sign pattern
             if (len(eta), len(zeta)) not in shapes:
@@ -256,6 +253,9 @@ class RunConfig:
                     f"form eta={eta},zeta={zeta} matches no pseudo cell: "
                     f"its lengths ({len(eta)}, {len(zeta)}) are no (p, q) "
                     f"of the grid")
+            # a second copy would only repeat the first's records
+            if (eta, zeta) in self.forms[:k]:
+                raise ValueError(f"form eta={eta},zeta={zeta} is given twice")
 
     def tol(self, name):
         return self.tolerances.get(name, CHECKS[name].tolerance)
@@ -305,23 +305,22 @@ def _flag(ok):
 # ---------------------------------------------------------------------------
 # pipeline runners
 #
-# A runner walks its grid as a list of cells in record order: one per
+# A pipeline's cell builder lists its grid as cells in record order: one per
 # (p, q, r) or per n, each drawing from its own derived stream, and pseudo's
 # form-only signature block.  A cell is an unstarted generator that yields
-# one sample point's records at a time.  ``deal`` (see ``run_sweep``) maps
-# a cell to the batches to write in its place; without it every cell runs
-# here.
+# one sample point's records at a time.  A runner writes the cells
+# ``run_sweep`` hands it, some of which may be the worker's relayed ones.
 
 
-def _write(report, cells, deal):
+def _write(report, cells):
     for cell in cells:
-        for batch in (cell if deal is None else deal(cell)):
+        for batch in cell:
             for rec in batch:
                 report.add(rec)
 
 
-def run_parametric(config, report, deal=None):
-    _write(report, _parametric_cells(config), deal)
+def run_parametric(report, cells):
+    _write(report, cells)
 
 
 def _parametric_cells(config):
@@ -360,8 +359,8 @@ def _generic_nonsingular(system, rng):
     raise SingularGram("could not draw a comfortably nonsingular matrix")
 
 
-def run_levelset(config, report, deal=None):
-    _write(report, _levelset_cells(config), deal)
+def run_levelset(report, cells):
+    _write(report, cells)
 
 
 def _levelset_cells(config):
@@ -419,8 +418,8 @@ def _levelset_rank_one(n, rng):
     return (max(rank_one.sigma_ratio, rank_one.factor_residual),)
 
 
-def run_helicoidal(config, report, deal=None):
-    _write(report, _helicoidal_cells(config), deal)
+def run_helicoidal(report, cells):
+    _write(report, cells)
 
 
 def _helicoidal_cells(config):
@@ -456,8 +455,8 @@ def _generic_twin_point(pair, rng, floor=0.05):
     raise SingularGram("no comfortably generic point for the pair")
 
 
-def run_complex(config, report, deal=None):
-    _write(report, _complex_cells(config), deal)
+def run_complex(report, cells):
+    _write(report, cells)
 
 
 def _complex_cells(config):
@@ -535,8 +534,8 @@ def _forms_for(config, p, q):
     return defaults
 
 
-def run_pseudo(config, report, deal=None):
-    _write(report, _pseudo_cells(config), deal)
+def run_pseudo(report, cells):
+    _write(report, cells)
 
 
 def _pseudo_cells(config):
@@ -632,17 +631,19 @@ _CELLS = {
     "complex": _complex_cells,
     "pseudo": _pseudo_cells,
 }
+PIPELINES = tuple(_CELLS)
 
 
 def run_sweep(config):
     """Execute the configured pipelines; returns the assembled report.
 
-    On Linux with at least two CPUs this process may run on and no other
-    thread running, a forked worker runs every other cell (the odd ones,
-    counted over all pipelines in record order) while this process runs the
-    even ones and writes every record, the worker's as they arrive, in the
-    order of a one-process run.  Each cell draws from its own stream, so the
-    records are the same either way.
+    Each pipeline's cells are built once, and the run walks them in one
+    loop.  On Linux with at least two CPUs this process may run on and no
+    other thread running, a forked worker runs every other cell (the odd
+    ones of that list, counted over all pipelines in record order) while
+    this process runs the even ones and writes every record, the worker's
+    as they arrive, in the order of a one-process run.  Each cell draws from
+    its own stream, so the records are the same either way.
     """
     report = VerificationReport(meta={
         "pipeline": config.pipeline,
@@ -654,21 +655,16 @@ def run_sweep(config):
         "tolerances": dict(sorted(config.tolerances.items())),
         "forms": [list(f) for f in config.forms],
     })
-    names = config.pipelines()
-    cells = [cell for name in names for cell in _CELLS[name](config)]
-    if len(cells) < 2 or not _can_fork():
-        for name in names:
-            _RUNNERS[name](config, report)
-        return report
-    # frozen objects are left out of collections, so neither process
-    # writes to the heap pages they share after the fork
-    gc.freeze()
-    try:
-        with _worker(cells[1::2]) as deal:
-            for name in names:
-                _RUNNERS[name](config, report, deal)
-    finally:
-        gc.unfreeze()
+    cells = {name: _CELLS[name](config) for name in config.pipelines()}
+    listed = [cell for own in cells.values() for cell in own]
+    forked = len(listed) > 1 and _can_fork()
+    with _worker(listed[1::2]) if forked else nullcontext() as pipe:
+        start = 0
+        for name, own in cells.items():
+            _RUNNERS[name](report, [
+                _relay(pipe) if forked and k % 2 else cell
+                for k, cell in enumerate(own, start)])
+            start += len(own)
     return report
 
 
@@ -689,30 +685,35 @@ def _can_fork():
 
 @contextmanager
 def _worker(cells):
-    """Fork a worker that runs ``cells``; yield the parent's ``deal``.
+    """Fork a worker that runs ``cells``; yield the pipe it writes to.
 
     ``cells`` are the odd cells of the run.  The parent runs each even cell
-    itself and, for each odd one, reads the worker's batches from a one-way
-    pipe as the worker sends them.  A worker exception is re-raised in the
-    parent at its cell's turn; a worker that dies is a
+    itself and reads each odd one's batches through ``_relay(pipe)``, in
+    cell order, as the worker sends them.  A worker exception is re-raised
+    in the parent at its cell's turn; a worker that dies is a
     ``ChildProcessError``.  On any exception in the parent the worker is
     killed, and the worker is always reaped.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _work(cells, write_fd)
-    os.close(write_fd)
-    turn = count()
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            yield lambda cell: cell if next(turn) % 2 == 0 else _relay(pipe)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.waitpid(pid, 0)
+    # frozen objects are left out of collections, so neither process
+    # writes to the heap pages they share after the fork
+    gc.freeze()
+    try:
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _work(cells, write_fd)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                yield pipe
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                os.waitpid(pid, 0)
+    finally:
+        gc.unfreeze()
 
 
 def _relay(pipe):

@@ -268,6 +268,11 @@ INVALID = {
         {"pipeline": "pseudo", "p": 3, "q": 3, "form": ["eta=++,zeta=+-"]},
         {"pipeline": "pseudo", "p_values": (3,), "q_values": (3,),
          "forms": (("++", "+-"),)}),
+    "form-repeated": (
+        {"pipeline": "pseudo", "p": 2, "q": 2,
+         "form": ["eta=++,zeta=+-", "eta=++,zeta=+-"]},
+        {"pipeline": "pseudo", "p_values": (2,), "q_values": (2,),
+         "forms": (("++", "+-"), ("++", "+-"))}),
     "grid-without-cell": ({"pipeline": "parametric", "p": 2, "q": 3},
                           {"pipeline": "parametric", "p_values": (2,),
                            "q_values": (3,)}),

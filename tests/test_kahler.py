@@ -87,7 +87,8 @@ class TestComplexChart:
         # normals live purely in the second-column slots
         cp = ComplexChartPoint(np.array([1.0, 0, 0]), np.zeros(3), 0.0, 0.0)
         geo = complex_chart_geometry(cp)
-        assert np.allclose(geo.metric, np.eye(8))
+        jac = complex_chart_jacobian(cp)
+        assert np.allclose(jac.T @ jac, np.eye(8))
         assert max_abs(geo.normals[:, :6]) == 0.0
         assert max_abs(geo.mean_curvature) < 1e-15
 

@@ -14,7 +14,7 @@ from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              logarithmic_gradient_residual, minor_inverses,
                              row_coefficients, sample_on_variety,
                              sample_singular_matrix, tangent_projector)
-from detmin.linalg import make_rng, max_abs
+from detmin.linalg import gradient_projector, make_rng, max_abs
 
 
 def _det_generic(m):
@@ -55,9 +55,10 @@ class TestFrozenRepeatedRow:
         assert np.array_equal(g2.ravel(), [0, 0, 0, 1, 0, -1])
 
     def test_gram_matrix(self):
-        proj = tangent_projector(ConstraintSystem(2).evaluate(self.A))
-        assert np.array_equal(proj.gram, [[2.0, 1.0], [1.0, 2.0]])
-        assert proj.rank == 4  # n^2 + n - 2
+        cv = ConstraintSystem(2).evaluate(self.A)
+        _, gram = gradient_projector(np.stack(cv.grads_flat()))
+        assert np.array_equal(gram, [[2.0, 1.0], [1.0, 2.0]])
+        assert tangent_projector(cv).rank == 4  # n^2 + n - 2
 
     def test_row_coefficients(self):
         rc = row_coefficients(self.A)
@@ -176,8 +177,8 @@ def test_rank_one_factorization_recovers_coefficients():
     # which is exactly the pivot the factorization routes through
     m = np.diag([0.0, 1.0, 1.0])
     rep = gradient_rank_one(m)
-    assert rep.singular_values[0] == pytest.approx(1.0)
-    assert rep.singular_values[1] == pytest.approx(0.0, abs=1e-15)
+    # cofactor singular values 1 and 0: the second over the first
+    assert rep.sigma_ratio == pytest.approx(0.0, abs=1e-15)
     assert rep.factor_residual < 1e-15
 
 

@@ -112,7 +112,6 @@ def test_row_basis_spans_the_row_space(p, q, r):
 
 def test_declared_rank_refuses_a_mismatch():
     assert declared_rank(np.eye(3), 3).rank == 3
-    assert declared_rank(np.eye(3)).rank == 3
     with pytest.raises(InvalidChartPoint):
         declared_rank(np.eye(3), 1)
 
@@ -266,8 +265,9 @@ def test_block_inverse_agrees_with_dense_inverse():
 
 def test_block_inverse_zero_size_blocks():
     g = np.eye(3) * 2.0
-    out = block_inverse(g, np.zeros((3, 0)), np.zeros((0, 0)))
-    assert np.allclose(out, np.eye(3) / 2.0)
+    for pivot in ("leading", "trailing"):
+        out = block_inverse(g, np.zeros((3, 0)), np.zeros((0, 0)), pivot)
+        assert np.allclose(out, np.eye(3) / 2.0)
 
 
 @pytest.mark.parametrize("rows,cols", [((2, 3), (4, 1)), ((0, 3), (2, 0)),
@@ -335,13 +335,13 @@ def test_numerical_rank_of_a_stack_is_svd_rank_per_matrix():
 
 
 def test_require_finite():
+    with pytest.raises(ValueError, match="^m has 1 non-finite entries"):
+        require_finite(np.array([1.0, np.nan]), "m")
+    require_finite(np.ones(3), "m")
+    assert require_finite(np.arange(3), "m").dtype == float
+    assert require_finite(np.array([1j, 2.0]), "m").dtype == complex
     with pytest.raises(ValueError):
-        require_finite(np.array([1.0, np.nan]))
-    require_finite(np.ones(3))
-    assert require_finite(np.arange(3)).dtype == float
-    assert require_finite(np.array([1j, 2.0])).dtype == complex
-    with pytest.raises(ValueError):
-        require_finite(np.array([1.0, complex(np.inf, 0.0)]))
+        require_finite(np.array([1.0, complex(np.inf, 0.0)]), "m")
 
 
 def test_complex_rank_is_taken_over_the_complex_numbers():

@@ -88,7 +88,7 @@ class TestHyperbolicChart:
         report = degeneracy_scan(cp, EYE2, HYP)
         assert report.degenerate
         assert report.signature[2] >= 1
-        assert abs(report.determinant) < 1e-12
+        assert abs(np.prod(report.eigenvalues)) < 1e-12
         with pytest.raises(DegenerateMetric):
             pseudo_minimality(cp, EYE2, HYP)
 

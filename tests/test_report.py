@@ -18,7 +18,8 @@ def _recs():
         record("alpha.check", "anchor-a", "p=2 q=2 r=1 i=0", 1e-12, 1e-9),
         record("alpha.check", "anchor-a", "p=2 q=2 r=1 i=1", 5e-9, 1e-9),
         record("beta.check", "anchor-b", "n=3 i=0", 0.2, 1e-9, gate=False),
-        skipped("gamma.check", "anchor-c", "p=2 q=2 r=1 i=2", "degenerate"),
+        skipped("gamma.check", "anchor-c", "p=2 q=2 r=1 i=2", "degenerate",
+                1e-9),
     ]
 
 
@@ -31,7 +32,7 @@ def test_record_verdicts():
 
 
 def test_skipped_record():
-    rec = skipped("c", "a", "p=2 i=0", "cone point")
+    rec = skipped("c", "a", "p=2 i=0", "cone point", 1e-9)
     assert rec.verdict == "SKIPPED-DEGENERATE"
     assert "[cone point]" in rec.point
     assert math.isnan(rec.residual)
@@ -151,7 +152,8 @@ def test_json_writer_equals_json_dumps(with_meta):
                            AWKWARD_FLOATS[-1 - i]))
             rep.add(record("beta.check", "anchor-b", point, value, value,
                            gate=False))
-    rep.add(skipped("gamma.check", "anchor-c", "p=2 \"q\"", "degenerate"))
+    rep.add(skipped("gamma.check", "anchor-c", "p=2 \"q\"", "degenerate",
+                    1e-9))
     # fields json writes as it finds them: an int and a numpy float
     rep.add(CheckRecord("delta.check", "anchor-d", "i", 3, np.float64(0.5),
                         "PASS"))

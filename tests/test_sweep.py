@@ -13,7 +13,7 @@ from detmin import kahler, levelset, parametric, pseudo, sweep
 from detmin.errors import DegenerateMetric
 from detmin.linalg import make_rng
 from detmin.parametric import ChartPoint, chart_map
-from detmin.report import VERDICTS, VerificationReport
+from detmin.report import VERDICTS
 from detmin.sweep import CHECKS, PIPELINES, RunConfig, run_sweep
 
 
@@ -93,6 +93,32 @@ def test_run_config_pipeline_selection():
     assert RunConfig(pipeline="levelset").pipelines() == ("levelset",)
     with pytest.raises(ValueError):
         RunConfig(pipeline="bogus").pipelines()
+
+
+def test_each_pipeline_has_one_runner_and_one_cell_builder():
+    # the runner table and the cell table list the same pipelines, in order
+    assert list(sweep._RUNNERS) == list(sweep.PIPELINES)
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_a_run_builds_each_pipelines_cells_once(monkeypatch, forked):
+    config = RunConfig(p_values=(2, 3), q_values=(2, 3), samples=1)
+    expected = run_sweep(config).records_json()
+    builds = Counter()
+    # counted however it is reached: through the table or by its own name
+    for name, build in list(sweep._CELLS.items()):
+        def counted(config, name=name, build=build):
+            builds[name] += 1
+            return build(config)
+        monkeypatch.setitem(sweep._CELLS, name, counted)
+        monkeypatch.setattr(sweep, build.__name__, counted)
+    forks = []
+    fork = sweep.os.fork
+    monkeypatch.setattr(sweep.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(sweep, "_can_fork", lambda: forked)
+    assert run_sweep(config).records_json() == expected
+    assert builds == {name: 1 for name in PIPELINES}
+    assert len(forks) == forked
 
 
 def _fails(report):
@@ -238,8 +264,8 @@ def test_off_variety_levelset_samples_fail(monkeypatch):
         return a + 1e-6 * make_rng(n).normal(size=a.shape)
 
     monkeypatch.setattr(levelset, "sample_on_variety", off_variety)
-    report = VerificationReport()
-    sweep.run_levelset(RunConfig(pipeline="levelset", samples=2), report)
+    monkeypatch.setattr(sweep, "_can_fork", lambda: False)
+    report = run_sweep(RunConfig(pipeline="levelset", samples=2))
     on_variety = ("levelset.minimality", "levelset.contractions",
                   "levelset.row-coefficients")
     verdicts = Counter((r.check, r.verdict) for r in report.records
@@ -296,10 +322,9 @@ def test_each_chart_point_builds_its_geometry_once(monkeypatch, pipeline):
 
     config = RunConfig(pipeline=pipeline, p_values=(3,), q_values=(3,),
                        r_values=(2,), samples=1, seed=0)
-    # the runner itself, in this process: run_sweep may give a cell to its
-    # forked worker, whose calls this process does not see
-    report = VerificationReport()
-    getattr(sweep, f"run_{pipeline}")(config, report)
+    # in this process: a forked worker's calls are not seen here
+    monkeypatch.setattr(sweep, "_can_fork", lambda: False)
+    report = run_sweep(config)
     assert report.exit_status() == 0
     assert all(n == 1 for n in builds.values())
 
