@@ -480,15 +480,16 @@ class MeanCurvature:
     ``ambient_vector`` is the normal projection of the trace vector,
     assembled through the dual frame since the frame is not orthonormal.
 
-    ``tangency_residual`` is computed on first read, from the chart point
-    kept in a hidden field: of the checks, only the parametric tangency gate
-    reads it.  ``ambient_vector`` is computed with the components: the
-    euclidean reduction reads it, so deferring it would only move its cost
-    to its first reader.
+    ``tangency_residual`` and ``ambient_vector`` are computed on first
+    read, from the chart point kept in a hidden field.  Of the checks, only
+    the parametric tangency gate reads the residual and only the euclidean
+    reduction the ambient vector, which it reads from the analytic route:
+    :func:`mean_curvature` forms it there before returning, and the
+    dual-number route, whose only reader is the autodiff oracle's
+    components, never forms it.
     """
 
     components: np.ndarray
-    ambient_vector: np.ndarray
     trace_vector: np.ndarray
     metric_scale: float
     _chart: ChartPoint = field(repr=False, compare=False)
@@ -504,39 +505,46 @@ class MeanCurvature:
             cp, np.zeros((cp.p, cp.r)), cp.a_gram_inv @ cp.lam)
         return float(np.linalg.norm(self.trace_vector - tangent_target))
 
+    @cached_property
+    def ambient_vector(self):
+        frame = self._chart.frame
+        flat = frame.flat()
+        if not flat.size:
+            return np.zeros(self.trace_vector.shape)
+        dual_coeff = np.linalg.solve(frame.gram, self.components.ravel())
+        return (dual_coeff @ flat).reshape(self.trace_vector.shape)
+
 
 def mean_curvature(cp, use_autodiff=False):
     """Mean-curvature components against the normal frame.
 
     The metric inverse is generic (LU solve of the assembled metric); the
-    second derivatives are analytic.  With ``use_autodiff`` the closed-form
-    second derivatives are replaced by the dual-number Hessian route, which
-    is slower but shares no code with the primary path: the full
+    second derivatives are analytic, and the ambient vector is formed with
+    the components.  With ``use_autodiff`` the closed-form second
+    derivatives are replaced by the dual-number Hessian route, which is
+    slower but shares no code with the primary path: the full
     (pq, dim, dim) Hessian is traced against the inverse metric, and the
-    components are the frame against that trace.
+    components are the frame against that trace.  That route forms only the
+    components and the trace; its ambient vector waits for a first read.
     """
     p, q, r = cp.p, cp.q, cp.r
     ginv = cp.metric_inv
     frame = cp.frame
+    scale = max(1.0, max_abs(ginv))
 
     if use_autodiff:
         trace_flat = np.einsum("fmn,mn->f", chart_hessian_autodiff(cp), ginv)
         comps = (frame.flat() @ trace_flat).reshape(q - r, p - r)
-        trace = trace_flat.reshape(p, q)
-    else:
-        off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
-        contracted = np.einsum("jsst->jt", off)       # (p, q - r)
-        comps = -2.0 * frame.gamma[:, None] * (contracted.T @ frame.kernel_basis)
-        trace = np.zeros((p, q))
-        trace[:, r:] = 2.0 * contracted
+        return MeanCurvature(comps, trace_flat.reshape(p, q), scale, cp)
 
-    flat = frame.flat()
-    dual_coeff = (np.linalg.solve(frame.gram, comps.ravel()) if flat.size
-                  else comps.ravel())
-    ambient = (dual_coeff @ flat).reshape(p, q) if flat.size else np.zeros((p, q))
-
-    scale = max(1.0, max_abs(ginv))
-    return MeanCurvature(comps, ambient, trace, scale, cp)
+    off = ginv[:p * r, p * r:].reshape(p, r, r, q - r)
+    contracted = np.einsum("jsst->jt", off)       # (p, q - r)
+    comps = -2.0 * frame.gamma[:, None] * (contracted.T @ frame.kernel_basis)
+    trace = np.zeros((p, q))
+    trace[:, r:] = 2.0 * contracted
+    mc = MeanCurvature(comps, trace, scale, cp)
+    mc.ambient_vector  # the euclidean reduction reads it
+    return mc
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,11 @@ class RunConfig:
             tolerances[name] = float(value)
         object.__setattr__(self, "tolerances", MappingProxyType(tolerances))
         names = self.pipelines()
-        if not any(_CELLS[name](self) for name in names):
+        shapes = {(p, q) for p, q, _ in shape_triples(self)}
+        # levelset and complex list a cell per n, the others one per
+        # (p, q, r) and pseudo its signature block when it has a shape
+        if not any(n_values(self) if name in ("levelset", "complex")
+                   else shapes for name in names):
             r = None if self.r_values is None else list(self.r_values)
             raise ValueError(
                 f"no parameter cell for pipeline {self.pipeline!r}: "
@@ -244,7 +248,6 @@ class RunConfig:
             raise ValueError(
                 f"a form is read only by the pseudo pipeline, which pipeline "
                 f"{self.pipeline!r} does not run")
-        shapes = {(p, q) for p, q, _ in shape_triples(self)}
         for k, (eta, zeta) in enumerate(self.forms):
             for signs in (eta, zeta):
                 _form(signs)  # raises on a bad sign pattern

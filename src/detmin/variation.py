@@ -19,12 +19,13 @@ I - a (a^T a)^{-1} a^T and re-orthonormalise with a sign-fixed QR, which is
 smooth near the base point and agrees with the base basis at it.
 
 Evaluation is stacked: the 2 dim chart points of the difference stencil
-are one (2 dim, p, r) / (2 dim, r, q - r) pair of arrays, whose ranks are
-decided together (one decision per point, a deficient one refused), and the
-1 + 2 (frame size) densities are one stacked determinant.  Stacked numpy
-linear algebra runs the same LAPACK and BLAS routine on every slice, and the
-elementwise steps are the same operations in the same order, so every slice
-carries the same float operations as a point evaluated alone.
+are one (2 dim, p, r) / (2 dim, r, q - r) pair of arrays, admitted by one
+closed-form guard on the singular values the base point already holds (no
+SVD of any step), and the 1 + 2 (frame size) densities are one stacked
+determinant.  Stacked numpy linear algebra runs the same LAPACK and BLAS
+routine on every slice, and the elementwise steps are the same operations
+in the same order, so every slice carries the same float operations as a
+point evaluated alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidChartPoint
-from .linalg import numerical_rank
+from .linalg import COND_LIMIT, _rank_tolerance
 from .parametric import normal_fields, normal_frame
 
 
@@ -53,22 +54,45 @@ def _offsets(cp, h):
     """Chart coordinates x0 + h e_k and x0 - h e_k for each chart coordinate k.
 
     Returns the stacks of a, shape (2 dim, p, r), and lam, shape
-    (2 dim, r, q - r), in the order k = 0, 1, ..., +h before -h.  One
-    stacked rank decision checks every a; a step that leaves one column-rank
-    deficient raises :class:`InvalidChartPoint`.
+    (2 dim, r, q - r), in the order k = 0, 1, ..., +h before -h.
+
+    The stencil is guarded in closed form, from the singular values
+    s_1 >= ... >= s_r the point's ``a_rank`` already holds.  A step moves
+    one entry of a by h, so its perturbation has spectral norm h, and by
+    Weyl's inequality (Horn & Johnson, Matrix Analysis, Cor. 7.3.5) every
+    singular value of a step's a lies within h of the same one of a.  The
+    rounding of a's SVD, of the stored step and of the step's own SVD is of
+    order max(p, r) eps s_1, the size ``_rank_tolerance`` allows for; with
+    hh = h + that tolerance, every step's a has
+
+        s_r - hh <= sigma_r(step) <= sigma_1(step) <= s_1 + hh.
+
+    The guard refuses the stencil (:class:`InvalidChartPoint`) unless
+    s_r > hh and (s_1 + hh)^2 <= COND_LIMIT (s_r - hh)^2.  Then every
+    step's a^T a, which ``_transported_kernel`` inverts, has condition
+    (sigma_1 / sigma_r)^2 <= COND_LIMIT, and since
+    sqrt(COND_LIMIT) max(p, r) eps RANK_TOL_FACTOR < 1, every sigma_r(step)
+    >= sigma_1(step) / sqrt(COND_LIMIT) lies far above the ``svd_rank``
+    threshold: each step has rank r.  A step in lam leaves a as it is, and
+    an r = 0 stencil has no singular value to guard.
     """
     p, q, r = cp.p, cp.q, cp.r
+    s = cp.a_rank.singular_values
+    if s.size:
+        hh = h + _rank_tolerance(s, cp.a.shape)
+        if not (s[-1] > hh
+                and (s[0] + hh) ** 2 <= COND_LIMIT * (s[-1] - hh) ** 2):
+            raise InvalidChartPoint(
+                f"a difference step of {h:.3e} may leave a column-rank "
+                f"deficient or ill-conditioned (singular values {s})")
     x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
     dim = x0.size
     vecs = np.repeat(x0[None, :], 2 * dim, axis=0)
     k = np.arange(dim)
     vecs[2 * k, k] += h
     vecs[2 * k + 1, k] -= h
-    a = vecs[:, :p * r].reshape(2 * dim, p, r)
-    if (numerical_rank(a) != r).any():
-        raise InvalidChartPoint(
-            "a difference step leaves a column-rank deficient")
-    return a, vecs[:, p * r:].reshape(2 * dim, r, q - r)
+    return (vecs[:, :p * r].reshape(2 * dim, p, r),
+            vecs[:, p * r:].reshape(2 * dim, r, q - r))
 
 
 def _densities(x, fields, steps, h):

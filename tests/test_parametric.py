@@ -292,6 +292,54 @@ def test_autodiff_curvature_evaluates_one_dual_hessian(monkeypatch):
     assert calls == [cp.dim]
 
 
+def _counted_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def _autodiff_reference(cp):
+    """Components, trace and ambient vector of the dual-number route, each
+    formed as the route formed all three before it deferred the last."""
+    p, q, r = cp.p, cp.q, cp.r
+    trace = np.einsum("fmn,mn->f", parametric.chart_hessian_autodiff(cp),
+                      cp.metric_inv)
+    flat = cp.frame.flat()
+    comps = (flat @ trace).reshape(q - r, p - r)
+    coeff = np.linalg.solve(flat @ flat.T, comps.ravel())
+    return comps, trace.reshape(p, q), (coeff @ flat).reshape(p, q)
+
+
+@pytest.mark.parametrize("p,q,r", [(4, 3, 2), (3, 2, 1), (5, 3, 0)])
+def test_autodiff_route_forms_only_components_and_trace(monkeypatch, p, q, r):
+    cp = sample_chart_point(p, q, r, make_rng(10 * p + q + r))
+    comps, trace, ambient = _autodiff_reference(cp)
+    calls = _counted_solves(monkeypatch)
+    mc = mean_curvature(cp, use_autodiff=True)
+    assert calls == []
+    assert np.array_equal(mc.components, comps)
+    assert np.array_equal(mc.trace_vector, trace)
+    # a reader who asks for the ambient vector still gets it, once
+    assert np.array_equal(mc.ambient_vector, ambient) and len(calls) == 1
+    assert mc.ambient_vector is mc.ambient_vector and len(calls) == 1
+
+
+def test_analytic_route_forms_its_ambient_vector_in_the_call(monkeypatch):
+    # the euclidean reduction reads it, so it is timed with the curvature
+    cp = sample_chart_point(4, 3, 2, make_rng(9))
+    calls = _counted_solves(monkeypatch)
+    mc = mean_curvature(cp)
+    assert calls == [1]
+    mc.ambient_vector
+    assert calls == [1]
+
+
 def test_cone_scaling_preserves_minimality():
     # the stratum is a cone: scaling a scales the point, and the scaled
     # point is again a chart point with the same lam

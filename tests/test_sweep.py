@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,36 @@ def test_a_run_builds_each_pipelines_cells_once(monkeypatch, forked):
     assert run_sweep(config).records_json() == expected
     assert builds == {name: 1 for name in PIPELINES}
     assert len(forks) == forked
+
+
+def test_a_valid_run_lists_its_cells_once(monkeypatch):
+    # the config decides "no cell" from the grid, without listing cells
+    builds = Counter()
+    for name, build in list(sweep._CELLS.items()):
+        def counted(config, name=name, build=build):
+            builds[name] += 1
+            return build(config)
+        monkeypatch.setitem(sweep._CELLS, name, counted)
+        monkeypatch.setattr(sweep, build.__name__, counted)
+    run_sweep(RunConfig())
+    assert builds == {name: 1 for name in PIPELINES}
+
+
+@pytest.mark.parametrize("grid", [
+    ((2, 3), (2, 3), None), ((2,), (3,), None), ((3,), (3,), (5,)),
+    ((3,), (1,), None), ((3,), (1, 2), (1,)), ((4,), (2,), (-1, 2))])
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_the_no_cell_decision_agrees_with_the_cell_builders(pipeline, grid):
+    p_values, q_values, r_values = grid
+    listed = sweep._CELLS[pipeline](SimpleNamespace(
+        p_values=p_values, q_values=q_values, r_values=r_values))
+    config = dict(pipeline=pipeline, p_values=p_values, q_values=q_values,
+                  r_values=r_values)
+    if listed:
+        RunConfig(**config)
+    else:
+        with pytest.raises(ValueError, match="no parameter cell"):
+            RunConfig(**config)
 
 
 def _fails(report):

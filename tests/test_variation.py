@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmin import variation
+from detmin import linalg, variation
 from detmin.errors import InvalidChartPoint
-from detmin.linalg import make_rng
+from detmin.linalg import COND_LIMIT, make_rng, numerical_rank
 from detmin.parametric import (ChartPoint, chart_jacobian, chart_map,
                                normal_frame, sample_chart_point)
 from detmin.variation import _densities, _offsets, volume_variation
@@ -87,13 +87,14 @@ def test_rates_equal_the_per_field_densities(p, q, r):
 
 
 def test_each_perturbed_point_is_built_once(monkeypatch):
-    # one stacked rank decision, kernel transport and determinant serve
-    # every perturbed point, and no chart point is built for any of them
+    # one stacked kernel transport and determinant serve every perturbed
+    # point, no chart point is built for any of them, and no rank is
+    # decided: the guard reads the singular values the point holds
     cp = sample_chart_point(4, 3, 1, make_rng(4))
     frame = normal_frame(cp)
     calls = {name: [] for name in ("numerical_rank", "_transported_kernel",
                                    "svd", "inv", "qr", "det")}
-    for module in (variation, np.linalg):
+    for module in (variation, linalg, np.linalg):
         for name, shapes in calls.items():
             if hasattr(module, name):
                 def counted(m, *args, fn=getattr(module, name), shapes=shapes,
@@ -105,9 +106,8 @@ def test_each_perturbed_point_is_built_once(monkeypatch):
     monkeypatch.setattr(ChartPoint, "__post_init__",
                         lambda self: built.append(self))
     volume_variation(cp)
-    stack = (2 * cp.dim, cp.p, cp.r)
-    assert calls["numerical_rank"] == calls["svd"] == [stack]
-    assert calls["_transported_kernel"] == [stack]
+    assert calls["numerical_rank"] == calls["svd"] == []
+    assert calls["_transported_kernel"] == [(2 * cp.dim, cp.p, cp.r)]
     assert calls["inv"] == [(2 * cp.dim, cp.r, cp.r)]
     assert calls["qr"] == [(2 * cp.dim, cp.p, cp.p - cp.r)]
     assert calls["det"] == [(1 + 2 * frame.frame_size, cp.dim, cp.dim)]
@@ -126,6 +126,82 @@ def test_offsets_refuse_a_rank_deficient_step():
 
 ORACLE_SHAPES = [(p, q, r) for q in range(2, 5) for p in range(q, 5)
                  for r in range(q)] + [(5, 4, 2), (6, 3, 1)]
+
+
+def _step(cp):
+    """The central-difference step ``volume_variation`` takes at ``cp``."""
+    return np.cbrt(np.finfo(float).eps) * (
+        1.0 + max(np.abs(cp.a).max(initial=0.0),
+                  np.abs(cp.lam).max(initial=0.0)))
+
+
+def _conditions(a):
+    """cond(a^T a) of each step, the matrices the kernel transport inverts."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return (s[:, 0] / s[:, -1]) ** 2
+
+
+def _a_steps(cp, h):
+    """a + h E_ij and a - h E_ij for every entry (i, j) of a, unguarded."""
+    units = np.eye(cp.a.size).reshape(-1, *cp.a.shape)
+    return np.concatenate([cp.a + h * units, cp.a - h * units])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_SHAPES), st.integers(0, 2 ** 32 - 1))
+def test_the_guard_admits_every_sampled_stencil(shape, seed):
+    # numerical_rank of the whole stack, the decision the guard replaced,
+    # is the reference here and below
+    cp = sample_chart_point(*shape, make_rng(seed))
+    a, _ = _offsets(cp, _step(cp))
+    assert (numerical_rank(a) == cp.r).all()
+    if cp.r:
+        assert _conditions(a).max() <= COND_LIMIT
+
+
+def test_the_guard_on_each_side_of_the_rank_bound():
+    # both singular values of a are 1, so the condition bound holds on
+    # either side and the rank bound s_r > h alone decides
+    cp = ChartPoint(np.eye(3, 2), np.full((2, 1), 0.5))
+    a, _ = _offsets(cp, 0.5)
+    assert (numerical_rank(a) == 2).all()
+    # h = s_r: the -h step on a_00 zeroes the first column
+    assert (numerical_rank(_a_steps(cp, 1.0)) == 1).any()
+    with pytest.raises(InvalidChartPoint):
+        _offsets(cp, 1.0)
+    # h = 2 s_r flips that column through zero: every step has rank 2, as
+    # the stacked decision saw it, but the stencil straddles a deficient a
+    assert (numerical_rank(_a_steps(cp, 2.0)) == 2).all()
+    with pytest.raises(InvalidChartPoint):
+        _offsets(cp, 2.0)
+
+
+@pytest.mark.parametrize("small,admitted", [(1.1e-3, True),
+                                            (1.0005e-3, False)])
+def test_the_guard_bounds_the_condition_of_every_step(small, admitted):
+    # cond(a^T a) = small^-2 <= COND_LIMIT at the point itself, and every
+    # step has rank 2; the -h step on a_11 takes the condition past
+    # COND_LIMIT when small - h < 1e-3
+    cp = ChartPoint(np.diag([1.0, small, 0.0])[:, :2], np.full((2, 1), 0.5))
+    h = 1e-6
+    steps = _a_steps(cp, h)
+    assert (numerical_rank(steps) == 2).all()
+    assert (_conditions(steps).max() <= COND_LIMIT) == admitted
+    if admitted:
+        a, _ = _offsets(cp, h)
+        assert _conditions(a).max() <= COND_LIMIT
+    else:
+        with pytest.raises(InvalidChartPoint):
+            _offsets(cp, h)
+
+
+def test_the_guard_passes_an_r0_stencil():
+    # no singular value to guard: no step of any size is refused
+    cp = ChartPoint(np.zeros((3, 0)), np.zeros((0, 2)))
+    for h in (1e-6, 1.0, 1e6):
+        a, lam = _offsets(cp, h)
+        assert a.shape == (0, 3, 0) and lam.shape == (0, 0, 2)
+    assert volume_variation(cp).shape == (2 * 3,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,8 +250,7 @@ def test_transported_kernel_against_independent_facts(p, q, r):
     # _transported_kernel too, so the transport is checked here on its own
     cp = sample_chart_point(p, q, r, make_rng(700 + 10 * p + q + r))
     base = cp.frame.kernel_basis
-    h = np.cbrt(np.finfo(float).eps) * (
-        1.0 + max(np.abs(cp.a).max(), np.abs(cp.lam).max()))
+    h = _step(cp)
     a, _ = _offsets(cp, h)
     kernel = variation._transported_kernel(a, base)
     kernel_t = np.swapaxes(kernel, 1, 2)
