@@ -35,7 +35,7 @@ def show_certificate(title, cert):
             # evidence, not a gate: it must stay far above its tolerance
             ("helicoidal.counter-control", cert.counter_control)):
         print(f"  {against(name, value)}")
-    print(f"  rank preserved: {cert.rank_preserved}")
+    print(f"  ranks of z and B z: {cert.sample_ranks}")
 
 
 rng = make_rng(13)

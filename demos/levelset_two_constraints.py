@@ -12,8 +12,8 @@ joint tangent projector vanishes on the variety.  No chart needed.
 import numpy as np
 
 from detmin.levelset import (ConstraintSystem, conjecture_evidence,
-                             gradient_rank_one, identity_suite,
-                             levelset_mean_curvature, row_coefficients,
+                             gradient_rank_one, levelset_mean_curvature,
+                             on_variety_contractions, row_coefficients,
                              sample_on_variety, sample_singular_matrix,
                              tangent_projector)
 from detmin.linalg import make_rng
@@ -44,7 +44,7 @@ print(f"max |tr(P d2 chi)| = {mc.max_residual:.2e}")
 rc = row_coefficients(a)
 print(f"row coefficient residuals = {rc.residuals.max():.2e}")
 
-rep = identity_suite(cv, on_variety=True)
+rep = on_variety_contractions(cv)
 print(f"on-variety contractions   = {rep.contractions.max():.2e} "
       f"(four-term {rep.four_term.max():.2e})")
 

@@ -30,8 +30,8 @@ zeta2 = IndefiniteForm.from_string("+-")
 adj = signature_adjudication(eta2, zeta2)
 print(f"eta = {eta2}, zeta = {zeta2}:")
 print(f"  eigen   {adj['eigen']}")
-print(f"  paired  {adj['paired']}  ok = {adj['paired_ok']}")
-print(f"  crossed {adj['crossed']}  ok = {adj['crossed_ok']}")
+print(f"  paired  {adj['paired']}")
+print(f"  crossed {adj['crossed']}")
 
 # the 2 x 2 rank-1 stratum in this ambient: det Ghat = a^T a (lam^2 - 1),
 # so lam = +-1 is a genuine degenerate cone inside the stratum

@@ -88,11 +88,16 @@ def tangent_family(x_rank, rng, kind):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Residuals behind the synthetic minimality argument at one point."""
+    """Residuals behind the synthetic minimality argument at one point.
+
+    ``sample_ranks`` are the numerical ranks of a random rank-r sample z
+    and of its reflection B z, in that order; B preserves the stratum when
+    both equal r.
+    """
 
     reflection_residuals: dict
     isometry_residual: float
-    rank_preserved: bool
+    sample_ranks: tuple
     tangent_residuals: dict
     normal_reversal: float
     counter_control: float
@@ -115,7 +120,7 @@ def helicoidal_certificate(x, r, rng):
     iso = isometry_check(b, q, rng)
     z = chart_map(ChartPoint(rng.normal(size=(p, r)),
                              rng.uniform(-2, 2, size=(r, q - r))))
-    rank_preserved = numerical_rank(b @ z) == r == numerical_rank(z)
+    ranks = (numerical_rank(z), numerical_rank(b @ z))
     tb, nb = stratum_bases(x, r)
     tangents = {
         "cone_direction": off_span(tb, x),
@@ -124,5 +129,5 @@ def helicoidal_certificate(x, r, rng):
     }
     worst_reversal = reversal(b, nb, x.shape)
     counter = off_span(tb, nb[:, 0]) if nb.shape[1] else 1.0
-    return Certificate(residuals, iso, rank_preserved, tangents,
+    return Certificate(residuals, iso, ranks, tangents,
                        worst_reversal, counter)

@@ -90,7 +90,7 @@ def complex_chart_jacobian(cp):
     return jac
 
 
-def complex_chart_second_derivatives(cp):
+def complex_chart_second_derivatives():
     """Closed-form (12, 8, 8) second derivatives; only x/y cross lam/mu.
 
     The tensor depends on no input and is shared read-only.
@@ -162,7 +162,7 @@ def complex_chart_geometry(cp):
         normals[k, 6:] = kernel[:, k]
     normal_residual = max_abs(normals @ jac)
 
-    d2 = complex_chart_second_derivatives(cp)
+    d2 = complex_chart_second_derivatives()
     trace = np.einsum("fab,ab->f", d2, inverse)
     h = normals @ trace
     return ComplexChartGeometry(normals, h, block_residual, schur_residual,

@@ -162,64 +162,80 @@ def levelset_mean_curvature(cv, proj):
     return projected_traces(proj.projector, (cv.hess1, cv.hess2))
 
 
+def _sandwiches(cv):
+    """Flat gradients and Hessians of ``cv``, and their relative residual.
+
+    ``rel(err, al, be, ga)`` is |err| over |grad_al| |hess_be| |grad_ga|,
+    floored at 1.
+    """
+    g = cv.grads_flat()
+    h = (cv.hess1, cv.hess2)
+    gnorm = [np.linalg.norm(v) for v in g]
+    hnorm = [np.linalg.norm(m) for m in h]
+
+    def rel(err, al, be, ga):
+        return abs(err) / max(1.0, gnorm[al] * hnorm[be] * gnorm[ga])
+
+    return g, h, rel
+
+
 @dataclass(frozen=True)
 class IdentityReport:
-    """Relative residuals of the gradient/Hessian contraction identities.
+    """Relative residuals of the identities that hold at every ambient point.
 
-    ``square`` and ``mixed`` hold at *every* ambient point; ``contractions``
-    (all eight grad/Hess/grad sandwiches) and ``four_term`` (the symmetrised
-    four-term contraction) vanish only on the variety.  ``harmonicity`` is
-    exact by construction and reported as the literal trace.
+    ``square`` and ``mixed`` are the gradient/Hessian contraction
+    identities; ``harmonicity`` is exact by construction and reported as
+    the literal trace.
     """
 
     square: np.ndarray
     mixed: np.ndarray
-    contractions: np.ndarray
-    four_term: np.ndarray
     harmonicity: np.ndarray
 
 
-def identity_suite(cv, on_variety):
-    n = cv.grad1.shape[1]
-    g = cv.grads_flat()
-    h = (cv.hess1, cv.hess2)
+def identity_suite(cv):
+    g, h, rel = _sandwiches(cv)
     chi = (cv.chi1, cv.chi2)
-    gnorm = [np.linalg.norm(v) for v in g]
-    hnorm = [np.linalg.norm(m) for m in h]
-
-    def rel(err, *idx):
-        den = 1.0
-        for kind, k in idx:
-            den *= gnorm[k] if kind == "g" else hnorm[k]
-        return abs(err) / max(1.0, den)
-
     square = np.array([
-        rel(g[k] @ h[k] @ g[k] - 0.5 * chi[k] * (h[k] * h[k]).sum(),
-            ("g", k), ("h", k), ("g", k))
+        rel(g[k] @ h[k] @ g[k] - 0.5 * chi[k] * (h[k] * h[k]).sum(), k, k, k)
         for k in range(2)])
     tr12 = (h[0] * h[1]).sum()
     mixed = np.array([
-        rel(g[1] @ h[0] @ g[1] - 0.5 * tr12 * chi[1], ("g", 1), ("h", 0), ("g", 1)),
-        rel(g[0] @ h[1] @ g[0] - 0.5 * tr12 * chi[0], ("g", 0), ("h", 1), ("g", 0)),
+        rel(g[1] @ h[0] @ g[1] - 0.5 * tr12 * chi[1], 1, 0, 1),
+        rel(g[0] @ h[1] @ g[0] - 0.5 * tr12 * chi[0], 0, 1, 0),
     ])
-
-    contractions = np.full(8, np.nan)
-    four_term = np.full(8, np.nan)
-    if on_variety:
-        hess4 = [m.reshape(n + 1, n, n + 1, n) for m in h]
-        gmat = [v.reshape(n + 1, n) for v in g]
-        for idx, (al, be, ga) in enumerate(product(range(2), repeat=3)):
-            contractions[idx] = rel(g[al] @ h[be] @ g[ga],
-                                    ("g", al), ("h", be), ("g", ga))
-            t1 = np.einsum("likj,li,kj->", hess4[be], gmat[al], gmat[ga])
-            t2 = np.einsum("likj,kj,li->", hess4[be], gmat[al], gmat[ga])
-            t3 = np.einsum("likj,lj,ki->", hess4[be], gmat[al], gmat[ga])
-            t4 = np.einsum("likj,ki,lj->", hess4[be], gmat[al], gmat[ga])
-            four_term[idx] = rel(t1 + t2 - t3 - t4,
-                                 ("g", al), ("h", be), ("g", ga))
-
     harmonicity = np.array([float(np.trace(h[0])), float(np.trace(h[1]))])
-    return IdentityReport(square, mixed, contractions, four_term, harmonicity)
+    return IdentityReport(square, mixed, harmonicity)
+
+
+@dataclass(frozen=True)
+class ContractionReport:
+    """Relative residuals of the contractions that vanish on the variety.
+
+    ``contractions`` holds all eight grad/Hess/grad sandwiches and
+    ``four_term`` the symmetrised four-term contraction, each indexed by
+    (alpha, beta, gamma) in lexicographic order.
+    """
+
+    contractions: np.ndarray
+    four_term: np.ndarray
+
+
+def on_variety_contractions(cv):
+    n = cv.grad1.shape[1]
+    g, h, rel = _sandwiches(cv)
+    hess4 = [m.reshape(n + 1, n, n + 1, n) for m in h]
+    gmat = [v.reshape(n + 1, n) for v in g]
+    contractions = np.empty(8)
+    four_term = np.empty(8)
+    for idx, (al, be, ga) in enumerate(product(range(2), repeat=3)):
+        contractions[idx] = rel(g[al] @ h[be] @ g[ga], al, be, ga)
+        t1 = np.einsum("likj,li,kj->", hess4[be], gmat[al], gmat[ga])
+        t2 = np.einsum("likj,kj,li->", hess4[be], gmat[al], gmat[ga])
+        t3 = np.einsum("likj,lj,ki->", hess4[be], gmat[al], gmat[ga])
+        t4 = np.einsum("likj,ki,lj->", hess4[be], gmat[al], gmat[ga])
+        four_term[idx] = rel(t1 + t2 - t3 - t4, al, be, ga)
+    return ContractionReport(contractions, four_term)
 
 
 @dataclass(frozen=True)
@@ -275,39 +291,17 @@ def gradient_proportionality(cv, coeffs):
             "shared_cofactor": shared / scale}
 
 
-@dataclass(frozen=True)
-class MinorInverses:
-    """Padded inverses of the two n x n constraint blocks.
-
-    ``m1`` is inv(rows 1..n) padded with a zero column for row n+1, ``m2``
-    inv(rows 2..n+1) padded with a zero column for row 1; both have shape
-    (n, n+1) and satisfy grad chi_alpha[K, i] = chi_alpha * m_alpha[i, K]
-    away from the singular locus.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-
-
-def minor_inverses(a):
-    a = np.asarray(a, dtype=float)
-    n = a.shape[1]
-    m1 = np.zeros((n, n + 1))
-    m2 = np.zeros((n, n + 1))
-    m1[:, :n] = np.linalg.inv(a[:n, :])
-    m2[:, 1:] = np.linalg.inv(a[1:, :])
-    return MinorInverses(m1, m2)
-
-
 def logarithmic_gradient_residual(a, cv):
-    """max | grad chi_alpha - chi_alpha * padded-inverse | relative, both alpha.
+    """max | grad chi_alpha - chi_alpha * inv(block_alpha)^T |, relative.
 
-    ``cv`` holds the constraint values of ``a``.
+    ``cv`` holds the constraint values of ``a``; each gradient is compared
+    on the rows of its own block, rows 1..n for chi_1 and 2..n+1 for chi_2
+    (the other row of each gradient is an exact zero).
     """
+    n = a.shape[1]
     g1, g2 = cv.grad1, cv.grad2
-    mi = minor_inverses(a)
-    r1 = max_abs(g1 - cv.chi1 * mi.m1.T)
-    r2 = max_abs(g2 - cv.chi2 * mi.m2.T)
+    r1 = max_abs(g1[:n] - cv.chi1 * np.linalg.inv(a[:n]).T)
+    r2 = max_abs(g2[1:] - cv.chi2 * np.linalg.inv(a[1:]).T)
     return max(r1, r2) / max(1.0, max_abs(g1), max_abs(g2))
 
 

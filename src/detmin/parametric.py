@@ -580,7 +580,11 @@ def o_p_structure_check(cp):
 
 
 def stratum_dimension_check(cp):
-    """Jacobian rank and frame size versus the closed-form dimension counts."""
+    """Jacobian rank and frame size beside the closed-form dimension counts.
+
+    The rank should equal ``expected_dim`` and the frame size
+    ``expected_frame``; the caller compares them.
+    """
     jac = cp.jacobian
     rank = numerical_rank(jac)
     expected_dim = cp.r * (cp.p - cp.r) + cp.q * cp.r
@@ -591,5 +595,4 @@ def stratum_dimension_check(cp):
         "expected_dim": expected_dim,
         "frame_size": frame_size,
         "expected_frame": expected_frame,
-        "ok": rank == expected_dim and frame_size == expected_frame,
     }

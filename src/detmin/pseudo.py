@@ -14,8 +14,9 @@ direction and minimality survives verbatim.
 
 Closed-form signature counts are kept in competing readings (the crossed
 vs paired ambient count, and the duplicated vs symmetric induced count)
-and adjudicated against brute-force eigenvalue counts, so any discrepancy
-is part of the verified record rather than silently patched.
+and returned beside brute-force eigenvalue counts; the sweep compares
+them, so any discrepancy is part of the verified record rather than
+silently patched.
 """
 
 from __future__ import annotations
@@ -101,8 +102,6 @@ def signature_adjudication(eta, zeta):
         "eigen": eigen,
         "paired": paired,
         "crossed": crossed,
-        "paired_ok": paired == eigen,
-        "crossed_ok": crossed == eigen,
     }
 
 
@@ -234,8 +233,6 @@ def induced_signature_check(cp, eta, zeta):
         "observed": observed,
         "symmetric": readings["symmetric"],
         "duplicated": readings["duplicated"],
-        "symmetric_ok": readings["symmetric"] == observed,
-        "duplicated_ok": readings["duplicated"] == observed,
     }
 
 

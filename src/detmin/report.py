@@ -81,7 +81,7 @@ class CheckRecord:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def record(check, anchor, point, residual, tolerance, gate=True):
+def record(check, anchor, point, residual, tolerance, gate):
     """Build a record, deciding PASS/FAIL from the tolerance when gating."""
     residual = float(residual)
     if gate:

@@ -349,17 +349,20 @@ def _parametric_point(p, q, r, rng):
             mc.tangency_residual / mc.metric_scale,
             max(inv.identity_residuals().values()),
             inv.pairwise_disagreement(),
-            _flag(dims["ok"]),
+            _flag(dims["jacobian_rank"] == dims["expected_dim"]
+                  and dims["frame_size"] == dims["expected_frame"]),
             max(struct.projection_residual, struct.closed_form_residual))
 
 
-def _generic_nonsingular(system, rng):
+def _generic_point(values, shape, floor, rng):
+    """A standard-normal draw of ``shape`` whose two constraint values both
+    exceed ``floor`` in modulus; ``SingularGram`` after 50 draws."""
     for _ in range(50):
-        a = rng.normal(size=(system.n + 1, system.n))
-        chi1, chi2 = system.values(a)
-        if min(abs(chi1), abs(chi2)) > 1e-3:
-            return a
-    raise SingularGram("could not draw a comfortably nonsingular matrix")
+        pt = rng.normal(size=shape)
+        u, v = values(pt)
+        if min(abs(u), abs(v)) > floor:
+            return pt
+    raise SingularGram(f"no draw with both constraint values above {floor}")
 
 
 def run_levelset(report, cells):
@@ -393,19 +396,20 @@ def _levelset_on(system, rng):
     cv = system.evaluate(on)
     proj = levelset.tangent_projector(cv)
     minim = levelset.levelset_mean_curvature(cv, proj)
-    ids = levelset.identity_suite(cv, on_variety=True)
+    contr = levelset.on_variety_contractions(cv)
     rows = levelset.row_coefficients(on)
     grads = levelset.gradient_proportionality(cv, rows)
     return (minim.max_residual,
             _flag(proj.rank == n * n + n - 2),
-            max(ids.contractions.max(), ids.four_term.max()),
+            max(contr.contractions.max(), contr.four_term.max()),
             max(float(rows.residuals.max()), max(grads.values())))
 
 
 def _levelset_off(system, rng):
-    off = _generic_nonsingular(system, rng)
+    n = system.n
+    off = _generic_point(system.values, (n + 1, n), 1e-3, rng)
     cv = system.evaluate(off)
-    ids = levelset.identity_suite(cv, on_variety=False)
+    ids = levelset.identity_suite(cv)
     logres = levelset.logarithmic_gradient_residual(off, cv)
     conj = levelset.conjecture_evidence(cv)
     return (max(ids.square.max(), ids.mixed.max()),
@@ -443,19 +447,10 @@ def _helicoidal_point(p, q, r, rng):
     cert = helicoidal.helicoidal_certificate(parametric.chart_map(cp), r, rng)
     return (max(cert.reflection_residuals.values()),
             cert.isometry_residual,
-            _flag(cert.rank_preserved),
+            _flag(cert.sample_ranks == (r, r)),
             max(cert.tangent_residuals.values()),
             cert.normal_reversal,
             cert.counter_control)
-
-
-def _generic_twin_point(pair, rng, floor=0.05):
-    for _ in range(50):
-        pt = rng.normal(size=pair.ambient_dim)
-        u, v = pair.values(pt)
-        if min(abs(u), abs(v)) > floor:
-            return pt
-    raise SingularGram("no comfortably generic point for the pair")
 
 
 def run_complex(report, cells):
@@ -493,7 +488,7 @@ def _complex_chart(rng):
 
 
 def _complex_generic(pair, n, rng):
-    pt = _generic_twin_point(pair, rng)
+    pt = _generic_point(pair.values, pair.ambient_dim, 0.05, rng)
     suite = kahler.twin_harmonic_suite(n, pt)
     homog = 0.0
     for t in (2.0, 3.0):
@@ -507,8 +502,8 @@ def _complex_generic(pair, n, rng):
 
 
 def _complex_rho_quadratic(pair, rng):
-    return (abs(kahler.rho_value(2, _generic_twin_point(pair, rng, floor=0.5))
-                - 2.0),)
+    pt = _generic_point(pair.values, pair.ambient_dim, 0.5, rng)
+    return (abs(kahler.rho_value(2, pt) - 2.0),)
 
 
 def _complex_locus(n, rng):
@@ -554,8 +549,8 @@ def _pseudo_cells(config):
                         config, f"p={p} q={q} eta={eta} zeta={zeta}",
                         ("pseudo.ambient-signature",
                          "pseudo.ambient-signature-crossed"),
-                        lambda: (_flag(adj["paired_ok"]),
-                                 _flag(adj["crossed_ok"])))
+                        lambda: (_flag(adj["paired"] == adj["eigen"]),
+                                 _flag(adj["crossed"] == adj["eigen"])))
 
     def cell(p, q, r):
         for eta_s, zeta_s in _forms_for(config, p, q):
@@ -599,8 +594,8 @@ def _pseudo_point(p, q, r, eta, zeta, rng):
     return (pm.max_component / pm.metric_scale,
             max(reflection_residuals(b, eta.signs, x).values()),
             reversal,
-            _flag(sig["symmetric_ok"]),
-            _flag(sig["duplicated_ok"]))
+            _flag(sig["symmetric"] == sig["observed"]),
+            _flag(sig["duplicated"] == sig["observed"]))
 
 
 def _euclidean_reduction(p, q, r, rng):

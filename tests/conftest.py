@@ -8,15 +8,16 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
-def assert_certificate(cert, where=None):
-    """The six conditions of a helicoidal certificate, at literal tolerances.
+def assert_certificate(cert, r, where=None):
+    """The six conditions of a helicoidal certificate for the rank-``r``
+    stratum, at literal tolerances.
 
     ``where`` is shown with the certificate when a condition fails.
     """
     info = (where, cert)
     assert max(cert.reflection_residuals.values()) <= 1e-12, info
     assert cert.isometry_residual <= 1e-12, info
-    assert cert.rank_preserved, info
+    assert cert.sample_ranks == (r, r), info
     assert max(cert.tangent_residuals.values()) <= 1e-9, info
     assert cert.normal_reversal <= 1e-10, info
     # a generic normal direction must not test tangent

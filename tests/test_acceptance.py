@@ -16,8 +16,8 @@ from detmin.kahler import (TwinHarmonicPair, complex_chart_geometry,
                            twin_harmonic_suite)
 from detmin.levelset import (ConstraintSystem, gradient_rank_one,
                              identity_suite, levelset_mean_curvature,
-                             sample_on_variety, sample_singular_matrix,
-                             tangent_projector)
+                             on_variety_contractions, sample_on_variety,
+                             sample_singular_matrix, tangent_projector)
 from detmin.linalg import make_rng, max_abs
 from detmin.parametric import (ChartPoint, chart_map, mean_curvature,
                                metric_inverse, sample_chart_point,
@@ -101,7 +101,8 @@ def test_criterion_04_dimension_counts():
     for p, q, r in FULL_GRID:
         for _ in range(10):
             res = stratum_dimension_check(sample_chart_point(p, q, r, rng))
-            assert res["ok"], (p, q, r, res)
+            assert res["jacobian_rank"] == res["expected_dim"], (p, q, r, res)
+            assert res["frame_size"] == res["expected_frame"], (p, q, r, res)
             assert res["jacobian_rank"] == r * (p - r) + q * r
             assert res["frame_size"] == (q - r) * (p - r)
             checked += 1
@@ -121,12 +122,11 @@ def test_criterion_05_levelset_minimality_and_identities():
             cv = system.evaluate(sample_on_variety(n, rng))
             mc = levelset_mean_curvature(cv, tangent_projector(cv))
             worst_min = max(worst_min, mc.max_residual)
-            rep = identity_suite(cv, on_variety=True)
+            rep = on_variety_contractions(cv)
             worst_contr = max(worst_contr, rep.contractions.max(),
                               rep.four_term.max())
         for _ in range(50):
-            rep = identity_suite(system.evaluate(rng.normal(size=(n + 1, n))),
-                                 on_variety=False)
+            rep = identity_suite(system.evaluate(rng.normal(size=(n + 1, n))))
             worst_ident = max(worst_ident, rep.square.max(),
                               rep.mixed.max())
     ok = worst_min <= 1e-9 and worst_ident <= 1e-10 and worst_contr <= 1e-9
@@ -158,7 +158,7 @@ def test_criterion_07_helicoidal_certificates():
         for _ in range(50):
             x = chart_map(sample_chart_point(p, q, r, rng))
             cert = helicoidal_certificate(x, r, rng)
-            assert_certificate(cert, (p, q, r))
+            assert_certificate(cert, r, (p, q, r))
             worst_refl = max(worst_refl,
                              *cert.reflection_residuals.values(),
                              cert.isometry_residual)
@@ -226,11 +226,11 @@ def test_criterion_09_pseudo_pipeline():
                         IndefiniteForm.from_counts(p1, p - p1),
                         IndefiniteForm.from_counts(q1, q - q1))
                     totals_ok &= sum(adj["eigen"]) == p * q
-                    totals_ok &= adj["paired_ok"]
+                    totals_ok &= adj["paired"] == adj["eigen"]
     flagged = signature_adjudication(IndefiniteForm.from_counts(2, 0),
                                      IndefiniteForm.from_counts(1, 1))
     flag_ok = (flagged["eigen"] == (2, 2) and flagged["crossed"] == (1, 2)
-               and not flagged["crossed_ok"])
+               and flagged["crossed"] != flagged["eigen"])
 
     worst_h = 0.0
     cases = [(2, 2, 1, "++", "+-"), (3, 2, 1, "+-+", "++"),
@@ -272,7 +272,7 @@ def test_criterion_10_cross_pipeline_agreement():
             cv = system.evaluate(x)
             worst_level = max(worst_level, levelset_mean_curvature(
                 cv, tangent_projector(cv)).max_residual)
-            assert_certificate(helicoidal_certificate(x, n - 1, rng), n)
+            assert_certificate(helicoidal_certificate(x, n - 1, rng), n - 1, n)
 
     worst_fd = 0.0
     rng = make_rng(105)

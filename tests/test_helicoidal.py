@@ -130,7 +130,7 @@ def test_certificate_passes_on_stratum(p, q, r):
         points.append(dependent)
     for x in points:
         cert = helicoidal_certificate(x, r, rng)
-        assert_certificate(cert)
+        assert_certificate(cert, r)
         assert max(cert.reflection_residuals.values()) < 1e-12
         assert cert.normal_reversal < 1e-10
 
@@ -139,6 +139,6 @@ def test_certificate_rank_zero_reflects_through_origin():
     rng = make_rng(9)
     x = np.zeros((3, 2))
     assert np.allclose(reflection(declared_rank(x, 0)), -np.eye(3))
-    assert_certificate(helicoidal_certificate(x, 0, rng))
+    assert_certificate(helicoidal_certificate(x, 0, rng), 0)
     # every ambient direction is normal at the origin of the cone
     assert stratum_bases(x, 0)[1].shape == (6, 6)

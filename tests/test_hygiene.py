@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and method of the package is read by a run, the bench or a
-demo, not by the tests alone, and no library function decides a verdict of
-its own; every rank question goes through the one tolerance policy in
-linalg, and hypothesis draws deterministically."""
+demo, not by the tests alone, every parameter is read by its function, and
+no library function or result decides a verdict of its own; every rank
+question goes through the one tolerance policy in linalg, and hypothesis
+draws deterministically."""
 
 import ast
 import json
@@ -146,8 +147,28 @@ def test_only_the_sweep_forks():
 
 
 # the sweep registry turns residuals into verdicts; a library function named
-# like a verdict would be a second tolerance table
+# like a verdict would be a second tolerance table, and a library result
+# with an ok key or a bool field a verdict decided before the sweep sees it
 VERDICT_NAMES = {"ok", "verdict"}
+VERDICT_MODULES = {"sweep.py", "report.py"}
+
+
+def _verdict_slots(tree):
+    """(line, name) of each dict key ``ok`` or ``*_ok`` and each class field
+    annotated ``bool``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            for key in node.keys:
+                name = getattr(key, "value", None)
+                if isinstance(name, str) and (name == "ok"
+                                              or name.endswith("_ok")):
+                    yield key.lineno, name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.annotation, ast.Name)
+                        and item.annotation.id == "bool"):
+                    yield item.lineno, item.target.id
 
 
 def test_no_library_function_decides_a_verdict():
@@ -156,6 +177,32 @@ def test_no_library_function_decides_a_verdict():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.name in VERDICT_NAMES]
     assert not deciders, f"functions deciding a verdict: {deciders}"
+    slots = [f"{path.name}:{line} {name}" for path in SOURCES
+             if path.name not in VERDICT_MODULES
+             for line, name in _verdict_slots(
+                 ast.parse(path.read_text("utf-8")))]
+    assert not slots, f"library results carrying a verdict: {slots}"
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads makes every caller compute an argument for
+    # nothing; self and cls are bound by Python
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                          *args.kwonlyargs, args.vararg,
+                                          args.kwarg)
+                      if arg is not None and arg.arg not in {"self", "cls"}]
+            loads = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({name})"
+                       for name in params if name not in loads]
+    assert not unread, f"parameters never read: {unread}"
 
 
 # RunConfig decides whether a run is valid; the parsers only read text

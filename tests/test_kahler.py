@@ -75,7 +75,7 @@ class TestComplexChart:
     def test_second_derivatives_match_dual_numbers(self):
         rng = make_rng(2)
         cp = sample_complex_chart_point(rng)
-        d2 = complex_chart_second_derivatives(cp)
+        d2 = complex_chart_second_derivatives()
         assert not d2.flags.writeable
         flat = _flat(cp)
         for f in range(12):

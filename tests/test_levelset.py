@@ -11,9 +11,10 @@ from detmin.errors import ConventionFailure, SingularGram
 from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              gradient_proportionality, gradient_rank_one,
                              identity_suite, levelset_mean_curvature,
-                             logarithmic_gradient_residual, minor_inverses,
-                             row_coefficients, sample_on_variety,
-                             sample_singular_matrix, tangent_projector)
+                             logarithmic_gradient_residual,
+                             on_variety_contractions, row_coefficients,
+                             sample_on_variety, sample_singular_matrix,
+                             tangent_projector)
 from detmin.linalg import gradient_projector, make_rng, max_abs
 
 
@@ -127,13 +128,13 @@ def test_identities_everywhere_and_on_variety(n):
     rng = make_rng(30 + n)
     system = ConstraintSystem(n)
     off = rng.normal(size=(n + 1, n))
-    rep = identity_suite(system.evaluate(off), on_variety=False)
+    rep = identity_suite(system.evaluate(off))
     assert rep.square.max() < 1e-10
     assert rep.mixed.max() < 1e-10
     assert max_abs(rep.harmonicity) == 0.0
 
     on = sample_on_variety(n, rng)
-    rep_on = identity_suite(system.evaluate(on), on_variety=True)
+    rep_on = on_variety_contractions(system.evaluate(on))
     assert rep_on.contractions.max() < 1e-9
     assert rep_on.four_term.max() < 1e-9
 
@@ -157,9 +158,13 @@ def test_minor_inverse_identity_off_variety(n):
         chi1, chi2 = system.values(a)
         if min(abs(chi1), abs(chi2)) < 1e-2:
             continue
-        assert logarithmic_gradient_residual(a, system.evaluate(a)) < 1e-10
-        mi = minor_inverses(a)
-        assert np.allclose(a[:n] @ mi.m1[:, :n], np.eye(n), atol=1e-10)
+        cv = system.evaluate(a)
+        assert logarithmic_gradient_residual(a, cv) < 1e-10
+        # each gradient is chi times the transposed inverse of its block,
+        # and exactly zero on the row its block leaves out
+        assert np.allclose(cv.grad1[:n], chi1 * np.linalg.inv(a[:n]).T,
+                           atol=1e-10)
+        assert not cv.grad1[n].any() and not cv.grad2[0].any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

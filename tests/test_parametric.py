@@ -366,7 +366,8 @@ def test_stratum_dimension_counts(p, q, r):
     rng = make_rng(p + q + r)
     cp = sample_chart_point(p, q, r, rng)
     out = stratum_dimension_check(cp)
-    assert out["ok"]
+    assert out["jacobian_rank"] == out["expected_dim"]
+    assert out["frame_size"] == out["expected_frame"]
     assert out["jacobian_rank"] == r * (p - r) + q * r
     assert out["frame_size"] == (q - r) * (p - r)
 

@@ -57,14 +57,14 @@ class TestAmbientSignature:
                         adj = signature_adjudication(
                             IndefiniteForm.from_counts(p1, p - p1),
                             IndefiniteForm.from_counts(q1, q - q1))
-                        assert adj["paired_ok"], (p, q, p1, q1)
+                        assert adj["paired"] == adj["eigen"], (p, q, p1, q1)
                         assert sum(adj["paired"]) == p * q
 
     def test_crossed_reading_fails_on_definite_into_split(self):
         adj = signature_adjudication(EYE2, HYP)
         assert adj["eigen"] == (2, 2)
         assert adj["crossed"] == (1, 2)
-        assert not adj["crossed_ok"]
+        assert adj["crossed"] != adj["eigen"]
 
 
 class TestHyperbolicChart:
@@ -119,13 +119,13 @@ class TestHyperbolicChart:
         inside = ChartPoint(np.array([[1.0], [0.0]]), np.array([[0.5]]))
         check = induced_signature_check(inside, EYE2, HYP)
         assert check["observed"] == (2, 1)
-        assert check["symmetric_ok"] and not check["duplicated_ok"]
+        assert check["symmetric"] == (2, 1) != check["duplicated"]
         assert sum(check["duplicated"]) == 4  # stratum dimension is 3
 
         outside = ChartPoint(np.array([[1.0], [0.0]]), np.array([[2.0]]))
         check = induced_signature_check(outside, EYE2, HYP)
         assert check["observed"] == (1, 2)
-        assert check["symmetric_ok"] and not check["duplicated_ok"]
+        assert check["symmetric"] == (1, 2) != check["duplicated"]
 
     def test_readings_by_hand(self):
         readings = induced_signature_readings((1, 0, 0), (0, 1, 0), EYE2, HYP)
@@ -187,7 +187,7 @@ def test_induced_signature_symmetric_reading(p, q, r, es, zs):
             check = induced_signature_check(cp, eta, zeta)
         except DegenerateMetric:
             continue  # restriction degeneracy is possible off the open piece
-        assert check["symmetric_ok"], check
+        assert check["symmetric"] == check["observed"], check
         assert sum(check["observed"]) == r * (p - r) + q * r
 
 

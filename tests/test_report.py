@@ -15,8 +15,10 @@ from detmin.report import (SCHEMA_VERSION, CheckRecord, VerificationReport,
 
 def _recs():
     return [
-        record("alpha.check", "anchor-a", "p=2 q=2 r=1 i=0", 1e-12, 1e-9),
-        record("alpha.check", "anchor-a", "p=2 q=2 r=1 i=1", 5e-9, 1e-9),
+        record("alpha.check", "anchor-a", "p=2 q=2 r=1 i=0", 1e-12, 1e-9,
+               gate=True),
+        record("alpha.check", "anchor-a", "p=2 q=2 r=1 i=1", 5e-9, 1e-9,
+               gate=True),
         record("beta.check", "anchor-b", "n=3 i=0", 0.2, 1e-9, gate=False),
         skipped("gamma.check", "anchor-c", "p=2 q=2 r=1 i=2", "degenerate",
                 1e-9),
@@ -24,11 +26,11 @@ def _recs():
 
 
 def test_record_verdicts():
-    assert record("c", "a", "p", 1e-12, 1e-9).verdict == "PASS"
-    assert record("c", "a", "p", 1e-6, 1e-9).verdict == "FAIL"
+    assert record("c", "a", "p", 1e-12, 1e-9, gate=True).verdict == "PASS"
+    assert record("c", "a", "p", 1e-6, 1e-9, gate=True).verdict == "FAIL"
     assert record("c", "a", "p", 1e-6, 1e-9, gate=False).verdict == "EVIDENCE"
     # boundary counts as a pass
-    assert record("c", "a", "p", 1e-9, 1e-9).verdict == "PASS"
+    assert record("c", "a", "p", 1e-9, 1e-9, gate=True).verdict == "PASS"
 
 
 def test_skipped_record():
@@ -149,7 +151,7 @@ def test_json_writer_equals_json_dumps(with_meta):
     for i, value in enumerate(AWKWARD_FLOATS):
         for point in AWKWARD_POINTS:
             rep.add(record("alpha.check", "anchor-\u00e4", point, value,
-                           AWKWARD_FLOATS[-1 - i]))
+                           AWKWARD_FLOATS[-1 - i], gate=True))
             rep.add(record("beta.check", "anchor-b", point, value, value,
                            gate=False))
     rep.add(skipped("gamma.check", "anchor-c", "p=2 \"q\"", "degenerate",

@@ -227,8 +227,7 @@ SAMPLERS = [(parametric, "sample_chart_point"),
             (levelset, "sample_singular_matrix"),
             (kahler, "sample_complex_chart_point"),
             (kahler, "sample_zeta_point"),
-            (sweep, "_generic_nonsingular"),
-            (sweep, "_generic_twin_point")]
+            (sweep, "_generic_point")]
 
 
 def test_degenerate_samples_skip_every_check_of_their_block(monkeypatch):
