@@ -9,6 +9,7 @@ no gating check failed; evidence and skipped records never gate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -82,11 +83,20 @@ def _config_from_args(args):
 
 
 def _write(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, which is no configuration error: the
+        # rest goes to devnull, so the exit flush cannot fail, and the
+        # command keeps its own exit status
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _run_and_render(config, args):
@@ -101,10 +111,12 @@ def _list_checks(args):
     rows = [c for c in CHECKS.values()
             if args.pipeline in (None, c.pipeline)]
     width = max(len(c.name) for c in rows)
+    lines = []
     for c in rows:
         kind = "gate" if c.gate else "evidence"
-        sys.stdout.write(f"{c.name:<{width}}  {kind:<8} "
-                         f"tol={c.tolerance:<8.1e} {c.summary}\n")
+        lines.append(f"{c.name:<{width}}  {kind:<8} "
+                     f"tol={c.tolerance:<8.1e} {c.summary}\n")
+    _write("".join(lines), None)
     return 0
 
 

@@ -1,11 +1,13 @@
 """Seeded verification sweeps over parameter grids.
 
-Every check the package can run is registered here with a stable name, a
-slug for the mathematical statement it certifies (the ``anchor``), a
-default tolerance and whether it gates the exit status.  A sweep walks a
-parameter grid, draws seeded sample points per cell and emits one record
-per check per point.  Each cell gets its own derived random stream, so
-the record list depends only on the configuration and seed.
+Every check the package can run is declared once, by ``_step`` at the
+step function whose residuals it gates, with a stable name, a slug for
+the mathematical statement it certifies (the ``anchor``), a default
+tolerance and whether it gates the exit status; ``CHECKS`` holds them in
+the order their records come out.  A sweep walks a parameter grid, draws
+seeded sample points per cell and emits one record per check per point.
+Each cell gets its own derived random stream, so the record list depends
+only on the configuration and seed.
 
 ``RunConfig`` alone decides whether a run is valid, when it is made, so
 ``run_sweep``, its cells and the worker raise no configuration error.
@@ -56,132 +58,26 @@ class CheckInfo:
     summary: str
 
 
-_CHECK_LIST = [
-    # parametric
-    CheckInfo("parametric.mean-curvature", "parametric",
-              "rank-stratum-minimality", 1e-9, True,
-              "all frame components of the mean curvature vanish"),
-    CheckInfo("parametric.tangency", "parametric",
-              "trace-contraction-tangency", 1e-9, True,
-              "inverse-metric trace of second derivatives is tangent"),
-    CheckInfo("parametric.inverse-routes", "parametric",
-              "metric-inverse-identity", 1e-10, True,
-              "each inverse route satisfies route @ metric = I"),
-    CheckInfo("parametric.route-agreement", "parametric",
-              "metric-inverse-consistency", 1e-10, True,
-              "Schur (both pivots) and operator-form inverses agree"),
-    CheckInfo("parametric.dimension", "parametric",
-              "stratum-dimension-count", 0.5, True,
-              "jacobian rank r(p-r)+qr and frame count (q-r)(p-r)"),
-    CheckInfo("parametric.o-p-structure", "parametric",
-              "offdiag-inverse-column-space", 1e-10, True,
-              "mixed inverse block lies in the column space of a"),
-    # levelset
-    CheckInfo("levelset.minimality", "levelset",
-              "constraint-trace-vanishing", 1e-9, True,
-              "tangent-projected Hessian traces of both minors vanish"),
-    CheckInfo("levelset.projector-rank", "levelset",
-              "tangent-projector-rank", 0.5, True,
-              "tangent projector has rank n^2 + n - 2"),
-    CheckInfo("levelset.identities", "levelset",
-              "determinant-pair-ambient-identities", 1e-10, True,
-              "square and mixed grad/Hess/grad identities, all points"),
-    CheckInfo("levelset.harmonicity", "levelset",
-              "minor-harmonicity", 1e-12, True,
-              "both minors have identically traceless Hessians"),
-    CheckInfo("levelset.contractions", "levelset",
-              "on-variety-contraction-vanishing", 1e-9, True,
-              "all eight sandwiches and four-term contractions vanish"),
-    CheckInfo("levelset.row-coefficients", "levelset",
-              "row-dependency-coefficients", 1e-9, True,
-              "pinned row coefficients and gradient proportionality"),
-    CheckInfo("levelset.minor-inverse", "levelset",
-              "log-gradient-minor-inverse", 1e-10, True,
-              "gradient equals value times transposed minor inverse"),
-    CheckInfo("levelset.rank-one", "levelset",
-              "cofactor-rank-collapse", 1e-10, True,
-              "cofactor matrix of a singular matrix has rank one"),
-    CheckInfo("levelset.conjecture-printed", "levelset",
-              "mixed-contraction-conjecture", 1e-10, False,
-              "conjectured mixed sandwich closed form, as stated"),
-    CheckInfo("levelset.conjecture-swapped", "levelset",
-              "mixed-contraction-conjecture-swapped", 1e-10, False,
-              "same conjecture with the trace factors swapped"),
-    # helicoidal
-    CheckInfo("helicoidal.reflection", "helicoidal",
-              "reflection-invariants", 1e-12, True,
-              "2QQ^T - I is an orthogonal involution fixing the point"),
-    CheckInfo("helicoidal.isometry", "helicoidal",
-              "conjugation-isometry", 1e-12, True,
-              "left action of the reflection preserves inner products"),
-    CheckInfo("helicoidal.rank-preserved", "helicoidal",
-              "reflection-preserves-stratum", 0.5, True,
-              "reflected stratum samples keep their rank"),
-    CheckInfo("helicoidal.tangent-membership", "helicoidal",
-              "cone-directions-tangent", 1e-9, True,
-              "cone direction and matched-space families are tangent"),
-    CheckInfo("helicoidal.normal-reversal", "helicoidal",
-              "normal-reversal", 1e-10, True,
-              "the reflection acts as -1 on every normal direction"),
-    CheckInfo("helicoidal.counter-control", "helicoidal",
-              "generic-normal-not-tangent", 1e-3, False,
-              "separation: a normal direction must fail the tangency test"),
-    # complex
-    CheckInfo("complex.chart-minimality", "complex",
-              "complex-chart-mean-curvature", 1e-10, True,
-              "all four normal components vanish on the 3 x 2 chart"),
-    CheckInfo("complex.chart-blocks", "complex",
-              "complex-chart-metric-blocks", 1e-10, True,
-              "metric, Schur and inverse blocks match their closed forms"),
-    CheckInfo("complex.twin-identities", "complex",
-              "determinant-pair-complex-identities", 1e-10, True,
-              "Re det / Im det gradients: equal norm, orthogonal, harmonic"),
-    CheckInfo("complex.contractions", "complex",
-              "twin-contraction-table", 1e-10, True,
-              "all eight cubic contractions reduce to one multiplier"),
-    CheckInfo("complex.rho-quadratic", "complex",
-              "rho-constant-small-case", 1e-12, True,
-              "the multiplier is identically 2 for 2 x 2 matrices"),
-    CheckInfo("complex.rho-homogeneity", "complex",
-              "rho-homogeneity-degree", 1e-10, True,
-              "the multiplier is homogeneous of degree 2n - 4"),
-    CheckInfo("complex.zeta-minimality", "complex",
-              "complex-hypersurface-minimality", 1e-9, True,
-              "projected Hessian traces vanish on the det = 0 locus"),
-    CheckInfo("complex.conformal-gram", "complex",
-              "gradient-gram-conformal", 1e-12, True,
-              "the two constraint gradients stay conformal on the locus"),
-    # pseudo
-    CheckInfo("pseudo.ambient-signature", "pseudo",
-              "ambient-signature-count", 0.5, True,
-              "paired closed-form count matches the Kronecker eigenvalues"),
-    CheckInfo("pseudo.ambient-signature-crossed", "pseudo",
-              "ambient-signature-crossed-reading", 0.5, False,
-              "the crossed count variant, kept for the record"),
-    CheckInfo("pseudo.det-formula", "pseudo",
-              "degenerate-cone-determinant", 1e-12, True,
-              "2 x 2 hyperbolic Gram determinant a^T a (lam^2 - 1)"),
-    CheckInfo("pseudo.minimality", "pseudo",
-              "indefinite-stratum-minimality", 1e-9, True,
-              "normal part of the metric-trace vanishes off the cone"),
-    CheckInfo("pseudo.reflection", "pseudo",
-              "form-reflection-invariants", 1e-12, True,
-              "column-space reflection is a form isometry fixing the point"),
-    CheckInfo("pseudo.normal-reversal", "pseudo",
-              "form-normal-reversal", 1e-9, True,
-              "the form reflection reverses the form-orthogonal normals"),
-    CheckInfo("pseudo.induced-signature", "pseudo",
-              "induced-signature-count", 0.5, True,
-              "symmetric closed-form stratum signature matches inertia"),
-    CheckInfo("pseudo.induced-signature-duplicated", "pseudo",
-              "induced-signature-duplicated-reading", 0.5, False,
-              "the duplicated-term variant, kept for the record"),
-    CheckInfo("pseudo.euclidean-reduction", "pseudo",
-              "definite-forms-reduce", 1e-12, True,
-              "identity forms reproduce the euclidean trace and curvature"),
-]
+# every check by name, in the order the steps below declare them, which is
+# the order of their records
+CHECKS = {}
 
-CHECKS = {c.name: c for c in _CHECK_LIST}
+
+def _step(pipeline, *rows):
+    """Declare the checks of a step, one per residual it returns.
+
+    Each row is ``(suffix, anchor, tolerance, gate, summary)``, in the order
+    of the step's residuals, and registers ``<pipeline>.<suffix>``.
+    """
+    checks = tuple(CheckInfo(f"{pipeline}.{suffix}", pipeline, *row)
+                   for suffix, *row in rows)
+    CHECKS.update((c.name, c) for c in checks)
+
+    def declare(step):
+        step.checks = checks
+        return step
+
+    return declare
 
 
 def _integer(value):
@@ -226,10 +122,11 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r} in tolerances")
+            # residuals are norms or 0/1 flags: a negative bound fails all
             if (not (_integer(value) or isinstance(value, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"tolerance of {name!r} must be a finite "
-                                 f"number, got {value!r}")
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"tolerance of {name!r} must be a finite, "
+                                 f"non-negative number, got {value!r}")
             tolerances[name] = float(value)
         object.__setattr__(self, "tolerances", MappingProxyType(tolerances))
         names = self.pipelines()
@@ -282,23 +179,22 @@ def n_values(config):
     return [q for q in sorted(set(config.q_values)) if q >= 2]
 
 
-def _checked(config, point, names, residuals):
-    """Records of ``residuals()`` under ``names``, or a skip for every name.
+def _checked(config, point, step, *args):
+    """Records of ``step(*args)`` under its checks, or a skip for each.
 
-    ``residuals`` computes one sample point's residuals in the order of
-    ``names``; gating and anchors come from the registry.  A degenerate
-    sample (any of ``SKIP_ERRORS``) gives one ``SKIPPED-DEGENERATE`` record
-    per name instead.
+    ``step`` computes one sample point's residuals in the order of the
+    checks ``_step`` declared for it; a degenerate sample (any of
+    ``SKIP_ERRORS``) gives one ``SKIPPED-DEGENERATE`` record per check.
     """
     try:
-        values = residuals()
+        values = step(*args)
     except SKIP_ERRORS as exc:
-        return [skipped(name, CHECKS[name].anchor, point,
-                        type(exc).__name__, config.tol(name))
-                for name in names]
-    return [record(name, CHECKS[name].anchor, point, residual,
-                   config.tol(name), gate=CHECKS[name].gate)
-            for name, residual in zip(names, values, strict=True)]
+        return [skipped(c.name, c.anchor, point, type(exc).__name__,
+                        config.tol(c.name))
+                for c in step.checks]
+    return [record(c.name, c.anchor, point, residual, config.tol(c.name),
+                   gate=c.gate)
+            for c, residual in zip(step.checks, values, strict=True)]
 
 
 def _flag(ok):
@@ -330,15 +226,25 @@ def _parametric_cells(config):
     def cell(p, q, r):
         rng = derived_rng(config.seed, 1, p, q, r)
         for i in range(config.samples):
-            yield _checked(config, f"p={p} q={q} r={r} i={i}", (
-                "parametric.mean-curvature", "parametric.tangency",
-                "parametric.inverse-routes", "parametric.route-agreement",
-                "parametric.dimension", "parametric.o-p-structure"),
-                lambda: _parametric_point(p, q, r, rng))
+            yield _checked(config, f"p={p} q={q} r={r} i={i}",
+                           _parametric_point, p, q, r, rng)
 
     return [cell(*triple) for triple in shape_triples(config)]
 
 
+@_step("parametric",
+       ("mean-curvature", "rank-stratum-minimality", 1e-9, True,
+        "all frame components of the mean curvature vanish"),
+       ("tangency", "trace-contraction-tangency", 1e-9, True,
+        "inverse-metric trace of second derivatives is tangent"),
+       ("inverse-routes", "metric-inverse-identity", 1e-10, True,
+        "each inverse route satisfies route @ metric = I"),
+       ("route-agreement", "metric-inverse-consistency", 1e-10, True,
+        "Schur (both pivots) and operator-form inverses agree"),
+       ("dimension", "stratum-dimension-count", 0.5, True,
+        "jacobian rank r(p-r)+qr and frame count (q-r)(p-r)"),
+       ("o-p-structure", "offdiag-inverse-column-space", 1e-10, True,
+        "mixed inverse block lies in the column space of a"))
 def _parametric_point(p, q, r, rng):
     cp = parametric.sample_chart_point(p, q, r, rng)
     mc = parametric.mean_curvature(cp)
@@ -375,21 +281,22 @@ def _levelset_cells(config):
         rng = derived_rng(config.seed, 2, n)
         for i in range(config.samples):
             point = f"n={n} i={i}"
-            batch = _checked(config, point, (
-                "levelset.minimality", "levelset.projector-rank",
-                "levelset.contractions", "levelset.row-coefficients"),
-                lambda: _levelset_on(system, rng))
-            batch += _checked(config, point, (
-                "levelset.identities", "levelset.harmonicity",
-                "levelset.minor-inverse", "levelset.conjecture-printed",
-                "levelset.conjecture-swapped"),
-                lambda: _levelset_off(system, rng))
-            yield batch + _checked(config, point, ("levelset.rank-one",),
-                                   lambda: _levelset_rank_one(n, rng))
+            batch = _checked(config, point, _levelset_on, system, rng)
+            batch += _checked(config, point, _levelset_off, system, rng)
+            yield batch + _checked(config, point, _levelset_rank_one, n, rng)
 
     return [cell(n) for n in n_values(config)]
 
 
+@_step("levelset",
+       ("minimality", "constraint-trace-vanishing", 1e-9, True,
+        "tangent-projected Hessian traces of both minors vanish"),
+       ("projector-rank", "tangent-projector-rank", 0.5, True,
+        "tangent projector has rank n^2 + n - 2"),
+       ("contractions", "on-variety-contraction-vanishing", 1e-9, True,
+        "all eight sandwiches and four-term contractions vanish"),
+       ("row-coefficients", "row-dependency-coefficients", 1e-9, True,
+        "pinned row coefficients and gradient proportionality"))
 def _levelset_on(system, rng):
     n = system.n
     on = levelset.sample_on_variety(n, rng)
@@ -405,6 +312,17 @@ def _levelset_on(system, rng):
             max(float(rows.residuals.max()), max(grads.values())))
 
 
+@_step("levelset",
+       ("identities", "determinant-pair-ambient-identities", 1e-10, True,
+        "square and mixed grad/Hess/grad identities, all points"),
+       ("harmonicity", "minor-harmonicity", 1e-12, True,
+        "both minors have identically traceless Hessians"),
+       ("minor-inverse", "log-gradient-minor-inverse", 1e-10, True,
+        "gradient equals value times transposed minor inverse"),
+       ("conjecture-printed", "mixed-contraction-conjecture", 1e-10, False,
+        "conjectured mixed sandwich closed form, as stated"),
+       ("conjecture-swapped", "mixed-contraction-conjecture-swapped", 1e-10,
+        False, "same conjecture with the trace factors swapped"))
 def _levelset_off(system, rng):
     n = system.n
     off = _generic_point(system.values, (n + 1, n), 1e-3, rng)
@@ -419,6 +337,9 @@ def _levelset_off(system, rng):
             conj.swapped_residual)
 
 
+@_step("levelset",
+       ("rank-one", "cofactor-rank-collapse", 1e-10, True,
+        "cofactor matrix of a singular matrix has rank one"))
 def _levelset_rank_one(n, rng):
     rank_one = levelset.gradient_rank_one(
         levelset.sample_singular_matrix(n, rng))
@@ -433,15 +354,25 @@ def _helicoidal_cells(config):
     def cell(p, q, r):
         rng = derived_rng(config.seed, 3, p, q, r)
         for i in range(config.samples):
-            yield _checked(config, f"p={p} q={q} r={r} i={i}", (
-                "helicoidal.reflection", "helicoidal.isometry",
-                "helicoidal.rank-preserved", "helicoidal.tangent-membership",
-                "helicoidal.normal-reversal", "helicoidal.counter-control"),
-                lambda: _helicoidal_point(p, q, r, rng))
+            yield _checked(config, f"p={p} q={q} r={r} i={i}",
+                           _helicoidal_point, p, q, r, rng)
 
     return [cell(*triple) for triple in shape_triples(config)]
 
 
+@_step("helicoidal",
+       ("reflection", "reflection-invariants", 1e-12, True,
+        "2QQ^T - I is an orthogonal involution fixing the point"),
+       ("isometry", "conjugation-isometry", 1e-12, True,
+        "left action of the reflection preserves inner products"),
+       ("rank-preserved", "reflection-preserves-stratum", 0.5, True,
+        "reflected stratum samples keep their rank"),
+       ("tangent-membership", "cone-directions-tangent", 1e-9, True,
+        "cone direction and matched-space families are tangent"),
+       ("normal-reversal", "normal-reversal", 1e-10, True,
+        "the reflection acts as -1 on every normal direction"),
+       ("counter-control", "generic-normal-not-tangent", 1e-3, False,
+        "separation: a normal direction must fail the tangency test"))
 def _helicoidal_point(p, q, r, rng):
     cp = parametric.sample_chart_point(p, q, r, rng)
     cert = helicoidal.helicoidal_certificate(parametric.chart_map(cp), r, rng)
@@ -463,23 +394,21 @@ def _complex_cells(config):
         rng = derived_rng(config.seed, 4, n)
         for i in range(config.samples):
             point = f"n={n} i={i}"
-            batch = _checked(config, point, (
-                "complex.chart-minimality", "complex.chart-blocks"),
-                lambda: _complex_chart(rng))
-            batch += _checked(config, point, (
-                "complex.twin-identities", "complex.contractions",
-                "complex.rho-homogeneity"),
-                lambda: _complex_generic(pair, n, rng))
+            batch = _checked(config, point, _complex_chart, rng)
+            batch += _checked(config, point, _complex_generic, pair, n, rng)
             if n == 2:
-                batch += _checked(config, point, ("complex.rho-quadratic",),
-                                  lambda: _complex_rho_quadratic(pair, rng))
-            yield batch + _checked(config, point, (
-                "complex.zeta-minimality", "complex.conformal-gram"),
-                lambda: _complex_locus(n, rng))
+                batch += _checked(config, point, _complex_rho_quadratic,
+                                  pair, rng)
+            yield batch + _checked(config, point, _complex_locus, n, rng)
 
     return [cell(n) for n in n_values(config)]
 
 
+@_step("complex",
+       ("chart-minimality", "complex-chart-mean-curvature", 1e-10, True,
+        "all four normal components vanish on the 3 x 2 chart"),
+       ("chart-blocks", "complex-chart-metric-blocks", 1e-10, True,
+        "metric, Schur and inverse blocks match their closed forms"))
 def _complex_chart(rng):
     geo = kahler.complex_chart_geometry(kahler.sample_complex_chart_point(rng))
     return (max_abs(geo.mean_curvature),
@@ -487,6 +416,13 @@ def _complex_chart(rng):
                 geo.offdiag_residual, geo.normal_residual))
 
 
+@_step("complex",
+       ("twin-identities", "determinant-pair-complex-identities", 1e-10, True,
+        "Re det / Im det gradients: equal norm, orthogonal, harmonic"),
+       ("contractions", "twin-contraction-table", 1e-10, True,
+        "all eight cubic contractions reduce to one multiplier"),
+       ("rho-homogeneity", "rho-homogeneity-degree", 1e-10, True,
+        "the multiplier is homogeneous of degree 2n - 4"))
 def _complex_generic(pair, n, rng):
     pt = _generic_point(pair.values, pair.ambient_dim, 0.05, rng)
     suite = kahler.twin_harmonic_suite(n, pt)
@@ -501,11 +437,19 @@ def _complex_generic(pair, n, rng):
             homog)
 
 
+@_step("complex",
+       ("rho-quadratic", "rho-constant-small-case", 1e-12, True,
+        "the multiplier is identically 2 for 2 x 2 matrices"))
 def _complex_rho_quadratic(pair, rng):
     pt = _generic_point(pair.values, pair.ambient_dim, 0.5, rng)
     return (abs(kahler.rho_value(2, pt) - 2.0),)
 
 
+@_step("complex",
+       ("zeta-minimality", "complex-hypersurface-minimality", 1e-9, True,
+        "projected Hessian traces vanish on the det = 0 locus"),
+       ("conformal-gram", "gradient-gram-conformal", 1e-12, True,
+        "the two constraint gradients stay conformal on the locus"))
 def _complex_locus(n, rng):
     zm = kahler.zeta_minimality(n, kahler.sample_zeta_point(n, rng))
     return (zm.max_residual, zm.gram_conformality)
@@ -544,13 +488,9 @@ def _pseudo_cells(config):
                 for q1 in range(q + 1):
                     eta = _form("+" * p1 + "-" * (p - p1))
                     zeta = _form("+" * q1 + "-" * (q - q1))
-                    adj = pseudo.signature_adjudication(eta, zeta)
                     yield _checked(
                         config, f"p={p} q={q} eta={eta} zeta={zeta}",
-                        ("pseudo.ambient-signature",
-                         "pseudo.ambient-signature-crossed"),
-                        lambda: (_flag(adj["paired"] == adj["eigen"]),
-                                 _flag(adj["crossed"] == adj["eigen"])))
+                        _signature_counts, eta, zeta)
 
     def cell(p, q, r):
         for eta_s, zeta_s in _forms_for(config, p, q):
@@ -560,22 +500,18 @@ def _pseudo_cells(config):
             for i in range(config.samples):
                 yield _checked(
                     config, f"p={p} q={q} r={r} eta={eta} zeta={zeta} i={i}",
-                    ("pseudo.minimality", "pseudo.reflection",
-                     "pseudo.normal-reversal", "pseudo.induced-signature",
-                     "pseudo.induced-signature-duplicated"),
-                    lambda: _pseudo_point(p, q, r, eta, zeta, rng))
+                    _pseudo_point, p, q, r, eta, zeta, rng)
 
         rng = derived_rng(config.seed, 6, p, q, r)
         for i in range(config.samples):
             point = f"p={p} q={q} r={r} i={i}"
-            batch = _checked(config, point, ("pseudo.euclidean-reduction",),
-                             lambda: _euclidean_reduction(p, q, r, rng))
+            batch = _checked(config, point, _euclidean_reduction, p, q, r,
+                             rng)
             # the 2 x 2 closed form draws from the stream only after a
             # reduction that did not skip
             if ((p, q, r) == (2, 2, 1)
                     and batch[0].verdict != "SKIPPED-DEGENERATE"):
-                batch += _checked(config, point, ("pseudo.det-formula",),
-                                  lambda: _det_formula(rng))
+                batch += _checked(config, point, _det_formula, rng)
             yield batch
 
     triples = list(shape_triples(config))
@@ -584,6 +520,29 @@ def _pseudo_cells(config):
         cell(*triple) for triple in triples]
 
 
+@_step("pseudo",
+       ("ambient-signature", "ambient-signature-count", 0.5, True,
+        "paired closed-form count matches the Kronecker eigenvalues"),
+       ("ambient-signature-crossed", "ambient-signature-crossed-reading",
+        0.5, False, "the crossed count variant, kept for the record"))
+def _signature_counts(eta, zeta):
+    adj = pseudo.signature_adjudication(eta, zeta)
+    return (_flag(adj["paired"] == adj["eigen"]),
+            _flag(adj["crossed"] == adj["eigen"]))
+
+
+@_step("pseudo",
+       ("minimality", "indefinite-stratum-minimality", 1e-9, True,
+        "normal part of the metric-trace vanishes off the cone"),
+       ("reflection", "form-reflection-invariants", 1e-12, True,
+        "column-space reflection is a form isometry fixing the point"),
+       ("normal-reversal", "form-normal-reversal", 1e-9, True,
+        "the form reflection reverses the form-orthogonal normals"),
+       ("induced-signature", "induced-signature-count", 0.5, True,
+        "symmetric closed-form stratum signature matches inertia"),
+       ("induced-signature-duplicated",
+        "induced-signature-duplicated-reading", 0.5, False,
+        "the duplicated-term variant, kept for the record"))
 def _pseudo_point(p, q, r, eta, zeta, rng):
     cp = pseudo.sample_pseudo_point(p, q, r, eta, zeta, rng)
     pm = pseudo.pseudo_minimality(cp, eta, zeta)
@@ -598,6 +557,9 @@ def _pseudo_point(p, q, r, eta, zeta, rng):
             _flag(sig["duplicated"] == sig["observed"]))
 
 
+@_step("pseudo",
+       ("euclidean-reduction", "definite-forms-reduce", 1e-12, True,
+        "identity forms reproduce the euclidean trace and curvature"))
 def _euclidean_reduction(p, q, r, rng):
     """Identity forms against the euclidean trace and mean curvature."""
     cp = parametric.sample_chart_point(p, q, r, rng)
@@ -609,6 +571,9 @@ def _euclidean_reduction(p, q, r, rng):
     return (gap / scale,)
 
 
+@_step("pseudo",
+       ("det-formula", "degenerate-cone-determinant", 1e-12, True,
+        "2 x 2 hyperbolic Gram determinant a^T a (lam^2 - 1)"))
 def _det_formula(rng):
     a = rng.normal(size=2)
     lam = float(rng.uniform(-2, 2))
@@ -782,8 +747,10 @@ def _parse_form(text):
     """"eta=++-,zeta=+-" -> ("++-", "+-")."""
     parts = {}
     for piece in str(text).split(","):
-        key, _, value = piece.partition("=")
-        parts[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in piece.partition("="))
+        if key in parts:
+            raise ValueError(f"form spec {text!r} repeats {key!r}")
+        parts[key] = value
     if set(parts) != {"eta", "zeta"}:
         raise ValueError(f"form spec {text!r} is not eta=<signs>,zeta=<signs>")
     return parts["eta"], parts["zeta"]

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -165,6 +166,44 @@ def test_module_entry_point_runs():
     assert "parametric.mean-curvature" in proc.stdout
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["list-checks"], 0),
+    # a FAIL verdict, as in test_tolerance_override_can_force_failure
+    (["verify", "parametric", "--p", "2", "--q", "2", "--samples", "1",
+      "--seed", "0", "--tol", "parametric.mean-curvature=1e-30"], 1),
+], ids=["list-checks", "verify-fail"])
+def test_a_closed_stdout_keeps_the_exit_status(argv, status):
+    # a reader that has gone away is no configuration error: these used to
+    # exit 2 with "detmin: [Errno 32] Broken pipe"
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "detmin", *argv],
+                              stdout=write_fd, stderr=subprocess.PIPE,
+                              text=True, timeout=120, check=False)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (status, "")
+
+
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys):
+    code = main(["verify", "levelset", "--q", "2", "--samples", "1",
+                 "--out", str(tmp_path / "absent" / "r.txt")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("detmin: ") and captured.out == ""
+
+
+def test_list_checks_prints_in_record_order(capsys):
+    # the tiny grid of test_all_pipelines_tiny_grid emits every check
+    report = run_sweep(RunConfig(p_values=(2, 3), q_values=(2, 3), samples=1,
+                                 seed=2))
+    assert main(["list-checks"]) == 0
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == list(dict.fromkeys(r.check for r in report.records))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "parametric", "--p", "2", "--q", "3"],   # q > p
     ["verify", "parametric", "--p", "3", "--q", "3", "--r", "5"],  # r >= q
@@ -256,6 +295,10 @@ INVALID = {
                       {"tolerances": {"parametric.tangency": float("inf")}}),
     "tolerance-nan": ({"tol.parametric.tangency": float("nan")},
                       {"tolerances": {"parametric.tangency": float("nan")}}),
+    # every residual is a norm or a 0/1 flag, so a negative bound would
+    # fail every record of its check
+    "tolerance-negative": ({"tol.parametric.dimension": -1.0},
+                           {"tolerances": {"parametric.dimension": -1.0}}),
     "bad-sign-pattern": (
         {"pipeline": "pseudo", "p": 2, "q": 2, "form": "eta=+x,zeta=+-"},
         {"pipeline": "pseudo", "p_values": (2,), "q_values": (2,),
@@ -273,6 +316,10 @@ INVALID = {
          "form": ["eta=++,zeta=+-", "eta=++,zeta=+-"]},
         {"pipeline": "pseudo", "p_values": (2,), "q_values": (2,),
          "forms": (("++", "+-"), ("++", "+-"))}),
+    # the spec used to keep its last eta and run only that form; a form
+    # spec has no RunConfig spelling
+    "form-repeated-key": ({"pipeline": "pseudo", "p": 2, "q": 2,
+                           "form": "eta=++,zeta=+-,eta=+-"}, None),
     "grid-without-cell": ({"pipeline": "parametric", "p": 2, "q": 3},
                           {"pipeline": "parametric", "p_values": (2,),
                            "q_values": (3,)}),

@@ -7,6 +7,7 @@ that raises or dies must surface in the parent, which leaves no child
 process and no frozen objects behind.
 """
 
+import functools
 import gc
 import json
 import os
@@ -113,6 +114,7 @@ def _no_child_left():
 def test_a_worker_error_is_raised_in_the_parent(monkeypatch):
     parent, point = os.getpid(), sweep._parametric_point
 
+    @functools.wraps(point)  # the substitute carries the step's checks
     def refusing(p, q, r, rng):
         if os.getpid() != parent:
             raise ValueError(f"refused at p={p} q={q} r={r}")
@@ -130,6 +132,7 @@ def test_a_worker_error_is_raised_in_the_parent(monkeypatch):
 def test_an_error_in_the_parent_stops_the_worker(monkeypatch):
     parent, point = os.getpid(), sweep._parametric_point
 
+    @functools.wraps(point)
     def refusing(p, q, r, rng):
         if os.getpid() == parent:
             raise ValueError(f"refused at p={p} q={q} r={r}")
@@ -165,11 +168,12 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
 
 
 DYING = textwrap.dedent("""
-    import gc, os, signal
+    import functools, gc, os, signal
     from detmin import sweep
     from detmin.cli import main
     parent, point = os.getpid(), sweep._parametric_point
 
+    @functools.wraps(point)
     def dying(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and method of the package is read by a run, the bench or a
-demo, not by the tests alone, every parameter is read by its function, and
-no library function or result decides a verdict of its own; every rank
-question goes through the one tolerance policy in linalg, and hypothesis
-draws deterministically."""
+demo, not by the tests alone, every parameter is read by its function,
+no library function or result decides a verdict of its own and no check
+name is written out in full; every rank question goes through the one
+tolerance policy in linalg, and hypothesis draws deterministically."""
 
 import ast
 import json
@@ -11,6 +11,8 @@ from pathlib import Path
 
 import hypothesis
 import pytest
+
+from detmin.sweep import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "detmin").glob("*.py"))
@@ -225,6 +227,17 @@ def test_only_the_config_refuses_a_run():
                for node in tree.body if _raises_value_error(node)}
     assert "RunConfig" in raising, "the check no longer sees RunConfig"
     assert raising <= CONFIG_DECIDERS, raising - CONFIG_DECIDERS
+
+
+def test_no_check_name_is_written_out():
+    # a check is declared once, at its step, as a pipeline and a suffix; a
+    # full name written anywhere else in the package would be a second list
+    # of check names for the step's residual order to drift from
+    written = [f"{path.name}:{node.lineno} {node.value}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, ast.Constant) and node.value in CHECKS]
+    assert CHECKS, "the check no longer sees the registry"
+    assert not written, f"check names written out: {written}"
 
 
 def test_no_rank_decision_bypasses_the_linalg_policy():
