@@ -4,8 +4,10 @@ Every check the package can run is declared once, by ``_step`` at the
 step function whose residuals it gates, with a stable name, a slug for
 the mathematical statement it certifies (the ``anchor``), a default
 tolerance and whether it gates the exit status; ``CHECKS`` holds them in
-the order their records come out.  A sweep walks a parameter grid, draws
-seeded sample points per cell and emits one record per check per point.
+the order their records come out.  A sweep walks a parameter grid as
+cells: a cell is a stream key, the fields that name its points and the
+steps each point runs, and one loop, ``_sampled``, draws every cell's
+seeded sample points and emits one record per check per point.
 Each cell gets its own derived random stream, so the record list depends
 only on the configuration and seed.
 
@@ -104,6 +106,12 @@ class RunConfig:
     forms: tuple = ()
 
     def __post_init__(self):
+        # stored as tuples first: an iterator would be used up by a check,
+        # and a list form would pass the repeated-form check
+        for name in ("p_values", "q_values", "r_values"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "forms", tuple(map(tuple, self.forms)))
         if self.pipeline != "all" and self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if not _integer(self.samples) or self.samples < 1:
@@ -211,6 +219,27 @@ def _flag(ok):
 # ``run_sweep`` hands it, some of which may be the worker's relayed ones.
 
 
+def _sampled(config, stream, steps, **fields):
+    """A cell of ``config.samples`` points on ``derived_rng(seed, *stream)``.
+
+    The stream opens when the cell first runs.  Point ``i`` is named by
+    ``fields`` and ``i`` (``p=2 q=2 r=1 i=0``); its records are those of
+    each ``(step, *args)`` of ``steps`` in order, called with the stream.
+    """
+    rng = derived_rng(config.seed, *stream)
+    where = " ".join(f"{key}={value}" for key, value in fields.items())
+    for i in range(config.samples):
+        point = f"{where} i={i}"
+        yield [rec for step, *args in steps
+               for rec in _checked(config, point, step, *args, rng)]
+
+
+def _shape_cells(config, tag, step):
+    """One cell per (p, q, r) on stream ``tag``, running ``step``."""
+    return [_sampled(config, (tag, p, q, r), [(step, p, q, r)], p=p, q=q, r=r)
+            for p, q, r in shape_triples(config)]
+
+
 def _write(report, cells):
     for cell in cells:
         for batch in cell:
@@ -223,13 +252,7 @@ def run_parametric(report, cells):
 
 
 def _parametric_cells(config):
-    def cell(p, q, r):
-        rng = derived_rng(config.seed, 1, p, q, r)
-        for i in range(config.samples):
-            yield _checked(config, f"p={p} q={q} r={r} i={i}",
-                           _parametric_point, p, q, r, rng)
-
-    return [cell(*triple) for triple in shape_triples(config)]
+    return _shape_cells(config, 1, _parametric_point)
 
 
 @_step("parametric",
@@ -276,16 +299,12 @@ def run_levelset(report, cells):
 
 
 def _levelset_cells(config):
-    def cell(n):
+    def steps(n):
         system = levelset.ConstraintSystem(n)
-        rng = derived_rng(config.seed, 2, n)
-        for i in range(config.samples):
-            point = f"n={n} i={i}"
-            batch = _checked(config, point, _levelset_on, system, rng)
-            batch += _checked(config, point, _levelset_off, system, rng)
-            yield batch + _checked(config, point, _levelset_rank_one, n, rng)
+        return [(_levelset_on, system), (_levelset_off, system),
+                (_levelset_rank_one, n)]
 
-    return [cell(n) for n in n_values(config)]
+    return [_sampled(config, (2, n), steps(n), n=n) for n in n_values(config)]
 
 
 @_step("levelset",
@@ -351,13 +370,7 @@ def run_helicoidal(report, cells):
 
 
 def _helicoidal_cells(config):
-    def cell(p, q, r):
-        rng = derived_rng(config.seed, 3, p, q, r)
-        for i in range(config.samples):
-            yield _checked(config, f"p={p} q={q} r={r} i={i}",
-                           _helicoidal_point, p, q, r, rng)
-
-    return [cell(*triple) for triple in shape_triples(config)]
+    return _shape_cells(config, 3, _helicoidal_point)
 
 
 @_step("helicoidal",
@@ -389,19 +402,13 @@ def run_complex(report, cells):
 
 
 def _complex_cells(config):
-    def cell(n):
+    def steps(n):
         pair = kahler.TwinHarmonicPair(n)
-        rng = derived_rng(config.seed, 4, n)
-        for i in range(config.samples):
-            point = f"n={n} i={i}"
-            batch = _checked(config, point, _complex_chart, rng)
-            batch += _checked(config, point, _complex_generic, pair, n, rng)
-            if n == 2:
-                batch += _checked(config, point, _complex_rho_quadratic,
-                                  pair, rng)
-            yield batch + _checked(config, point, _complex_locus, n, rng)
+        quadratic = [(_complex_rho_quadratic, pair)] if n == 2 else []
+        return [(_complex_chart,), (_complex_generic, pair, n), *quadratic,
+                (_complex_locus, n)]
 
-    return [cell(n) for n in n_values(config)]
+    return [_sampled(config, (4, n), steps(n), n=n) for n in n_values(config)]
 
 
 @_step("complex",
@@ -495,24 +502,15 @@ def _pseudo_cells(config):
     def cell(p, q, r):
         for eta_s, zeta_s in _forms_for(config, p, q):
             eta, zeta = _form(eta_s), _form(zeta_s)
-            rng = derived_rng(config.seed, 5, p, q, r,
-                              _form_code(eta_s), _form_code(zeta_s))
-            for i in range(config.samples):
-                yield _checked(
-                    config, f"p={p} q={q} r={r} eta={eta} zeta={zeta} i={i}",
-                    _pseudo_point, p, q, r, eta, zeta, rng)
-
-        rng = derived_rng(config.seed, 6, p, q, r)
-        for i in range(config.samples):
-            point = f"p={p} q={q} r={r} i={i}"
-            batch = _checked(config, point, _euclidean_reduction, p, q, r,
-                             rng)
-            # the 2 x 2 closed form draws from the stream only after a
-            # reduction that did not skip
-            if ((p, q, r) == (2, 2, 1)
-                    and batch[0].verdict != "SKIPPED-DEGENERATE"):
-                batch += _checked(config, point, _det_formula, rng)
-            yield batch
+            yield from _sampled(
+                config, (5, p, q, r, _form_code(eta_s), _form_code(zeta_s)),
+                [(_pseudo_point, p, q, r, eta, zeta)],
+                p=p, q=q, r=r, eta=eta, zeta=zeta)
+        # the 2 x 2 closed form draws after the reduction, at every point
+        closed = [(_det_formula,)] if (p, q, r) == (2, 2, 1) else []
+        yield from _sampled(config, (6, p, q, r),
+                            [(_euclidean_reduction, p, q, r), *closed],
+                            p=p, q=q, r=r)
 
     triples = list(shape_triples(config))
     shapes = sorted({(p, q) for p, q, _ in triples})

@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and method of the package is read by a run, the bench or a
 demo, not by the tests alone, every parameter is read by its function,
-no library function or result decides a verdict of its own and no check
-name is written out in full; every rank question goes through the one
-tolerance policy in linalg, and hypothesis draws deterministically."""
+no library function or result decides a verdict of its own, no check
+name is written out in full and every sweep cell samples through one loop
+that reads no verdict; every rank question goes through the one tolerance
+policy in linalg, and hypothesis draws deterministically."""
 
 import ast
 import json
@@ -227,6 +228,31 @@ def test_only_the_config_refuses_a_run():
                for node in tree.body if _raises_value_error(node)}
     assert "RunConfig" in raising, "the check no longer sees RunConfig"
     assert raising <= CONFIG_DECIDERS, raising - CONFIG_DECIDERS
+
+
+def _sample_loops(tree):
+    """Names of the defs holding each ``range(<x>.samples)`` call."""
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id == "range" and sub.args
+                    and isinstance(sub.args[0], ast.Attribute)
+                    and sub.args[0].attr == "samples"):
+                yield getattr(node, "name", f"line {node.lineno}")
+
+
+def test_one_sample_loop():
+    # a cell is a stream key, point fields and steps, run by one loop; a
+    # second loop, or a step chosen by reading a verdict, is where a cell's
+    # records would start to depend on more than its configuration
+    loops = [f"{path.name} {name}" for path in SOURCES
+             for name in _sample_loops(ast.parse(path.read_text("utf-8")))]
+    assert loops == ["sweep.py _sampled"]
+    tree = ast.parse((ROOT / "src" / "detmin" / "sweep.py").read_text("utf-8"))
+    read = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "verdict"]
+    assert not read, f"sweep.py reads a verdict on lines {read}"
 
 
 def test_no_check_name_is_written_out():

@@ -96,6 +96,33 @@ def test_run_config_pipeline_selection():
         RunConfig(pipeline="bogus").pipelines()
 
 
+def test_an_iterator_grid_is_read_once():
+    # the entry check used to use the iterator up, leaving an empty grid
+    config = RunConfig(pipeline="parametric", p_values=iter((2, 3)),
+                       q_values=(2,), samples=1)
+    assert config.p_values == (2, 3)
+    assert run_sweep(config).records_json() == run_sweep(RunConfig(
+        pipeline="parametric", p_values=(2, 3), q_values=(2,),
+        samples=1)).records_json()
+
+
+def test_a_form_given_twice_as_lists_is_refused():
+    # lists compared unequal to the tuples of the repeated-form check, so
+    # the form ran twice
+    with pytest.raises(ValueError, match="given twice"):
+        RunConfig(pipeline="pseudo", p_values=(2,), q_values=(2,),
+                  forms=(["++", "++"], ["++", "++"]))
+
+
+def test_a_list_grid_writes_the_records_of_a_tuple_grid():
+    lists = RunConfig(p_values=[2, 3], q_values=[2, 3], r_values=[0, 1],
+                      samples=1, forms=[["+-", "-+"]])
+    tuples = RunConfig(p_values=(2, 3), q_values=(2, 3), r_values=(0, 1),
+                       samples=1, forms=(("+-", "-+"),))
+    assert lists == tuples
+    assert run_sweep(lists).records_json() == run_sweep(tuples).records_json()
+
+
 def test_each_pipeline_has_one_runner_and_one_cell_builder():
     # the runner table and the cell table list the same pipelines, in order
     assert list(sweep._RUNNERS) == list(sweep.PIPELINES)
@@ -195,6 +222,24 @@ def test_determinant_routes_certify_up_to_n6(pipeline, seed):
     assert report.exit_status() == 0, _fails(report)
 
 
+BENCH_GRID = tuple(range(2, 7))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_bench_grid_certifies(seed):
+    # the grid of the bench's verify-all workload: every cell has its own
+    # stream, so each pipeline's cells are those of its own run
+    config = RunConfig(p_values=BENCH_GRID, q_values=BENCH_GRID, seed=seed)
+    report = run_sweep(config)
+    assert report.exit_status() == 0
+    verdicts = Counter(r.verdict for r in report.records)
+    assert verdicts["FAIL"] == 0, _fails(report)
+    assert verdicts["SKIPPED-DEGENERATE"] == 0
+    if seed == 0:
+        # the bench holds every pass to the records of its first
+        assert run_sweep(config).records_json() == report.records_json()
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_pseudo_certifies_at_any_seed(seed):
@@ -276,11 +321,16 @@ def test_degenerate_samples_skip_every_check_of_their_block(monkeypatch):
     skipped = [r for r in report.records if r.verdict == "SKIPPED-DEGENERATE"]
     assert [(r.check, r.point) for r in skipped] == expected
     assert all(r.tolerance == CHECKS[r.check].tolerance for r in skipped)
-    # signature counting needs no sample point, so it still reports
+    # signature counting and the 2 x 2 closed form need no sample point,
+    # so they still report
     kept = Counter(r.check for r in report.records
                    if r.verdict != "SKIPPED-DEGENERATE")
     assert kept == {"pseudo.ambient-signature": 9,
-                    "pseudo.ambient-signature-crossed": 9}
+                    "pseudo.ambient-signature-crossed": 9,
+                    "pseudo.det-formula": 1}
+    assert [(r.point, r.verdict) for r in report.records
+            if r.check == "pseudo.det-formula"] == [("p=2 q=2 r=1 i=0",
+                                                     "PASS")]
     assert report.exit_status() == 0
 
 
