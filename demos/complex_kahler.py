@@ -17,9 +17,9 @@ from detmin.kahler import (TwinHarmonicPair, complex_chart_geometry,
                            flatten, rho_value, sample_complex_chart_point,
                            sample_zeta_point, twin_harmonic_suite,
                            zeta_minimality)
-from detmin.linalg import make_rng
+from detmin.linalg import derived_rng
 
-rng = make_rng(17)
+rng = derived_rng(17)
 
 # --- the 3 x 2 chart -------------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from detmin.helicoidal import (helicoidal_certificate, off_span, reflection,
                                tangent_family)
-from detmin.linalg import (declared_rank, make_rng, reflection_residuals,
+from detmin.linalg import (declared_rank, derived_rng, reflection_residuals,
                            reversal, stratum_bases)
 from detmin.parametric import chart_map, sample_chart_point
 from detmin.sweep import CHECKS
@@ -38,7 +38,7 @@ def show_certificate(title, cert):
     print(f"  ranks of z and B z: {cert.sample_ranks}")
 
 
-rng = make_rng(13)
+rng = derived_rng(13)
 p, q, r = 5, 4, 2
 x = chart_map(sample_chart_point(p, q, r, rng))
 # declaring the rank refuses a point off the stratum; the column space,

@@ -16,9 +16,9 @@ from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              on_variety_contractions, row_coefficients,
                              sample_on_variety, sample_singular_matrix,
                              tangent_projector)
-from detmin.linalg import make_rng
+from detmin.linalg import derived_rng
 
-rng = make_rng(11)
+rng = derived_rng(11)
 n = 3
 system = ConstraintSystem(n)
 

@@ -11,14 +11,14 @@ whole point of the exercise: it vanishes.
 
 import numpy as np
 
-from detmin.linalg import make_rng
+from detmin.linalg import derived_rng
 from detmin.parametric import (ChartPoint, chart_map, induced_metric,
                                mean_curvature, metric_inverse,
                                operator_sign_adjudication,
                                sample_chart_point, stratum_dimension_check)
 from detmin.sweep import CHECKS
 
-rng = make_rng(7)
+rng = derived_rng(7)
 p, q, r = 5, 4, 2
 cp = sample_chart_point(p, q, r, rng)
 x = chart_map(cp)

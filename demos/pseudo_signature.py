@@ -12,7 +12,7 @@ eta-orthogonal projection.
 
 import numpy as np
 
-from detmin.linalg import make_rng, max_abs, reflection_residuals
+from detmin.linalg import derived_rng, max_abs, reflection_residuals
 from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
 from detmin.pseudo import (IndefiniteForm, degeneracy_scan, form_reflection,
@@ -20,7 +20,7 @@ from detmin.pseudo import (IndefiniteForm, degeneracy_scan, form_reflection,
                            normal_reversal, pseudo_minimality,
                            sample_pseudo_point, signature_adjudication)
 
-rng = make_rng(19)
+rng = derived_rng(19)
 
 # ambient signature: eigenvalue counts of kron(eta, zeta) against the two
 # closed-form readings.  The paired count is right for every pattern; the

@@ -1,7 +1,8 @@
 """Shared numerical substrate: rank decisions, block inversion, Kronecker
 products, cofactor determinants, constraint projectors, stratum
 tangent/normal bases, column-space reflections and their invariant
-residuals, inertia, seeded RNG.
+residuals, inertia, and the one seeded stream constructor,
+:func:`derived_rng`.
 
 Every pipeline routes its rank questions through :func:`svd_rank`, or
 through :func:`numerical_rank` where only the count is read (of one matrix
@@ -53,21 +54,15 @@ def checked_seed(seed):
     return seed
 
 
-def make_rng(seed):
-    """Seeded generator on the Philox counter-based bit stream.
-
-    Philox is counter-based, so a given seed reproduces the same stream on
-    every platform and process layout; reports quote the seed and are then
-    reproducible byte for byte.
-    """
-    return np.random.Generator(np.random.Philox(checked_seed(seed)))
-
-
 def derived_rng(seed, *context):
-    """Independent substream keyed by (seed, context ints), all non-negative.
+    """The package's one seeded generator: a Philox stream keyed by (seed,
+    context ints), all non-negative.
 
-    Sweeps give every parameter cell its own stream so that records do not
-    depend on cell execution order and partial runs reproduce exactly.
+    Philox is counter-based, so a given key reproduces the same stream on
+    every platform and process layout; reports quote the seed and are then
+    reproducible byte for byte.  Sweeps give every parameter cell its own
+    context, so records do not depend on cell execution order and partial
+    runs reproduce exactly.
     """
     entropy = [checked_seed(seed)] + [int(c) for c in context]
     return np.random.Generator(

@@ -111,7 +111,14 @@ class RunConfig:
         for name in ("p_values", "q_values", "r_values"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "forms", tuple(map(tuple, self.forms)))
+        forms = tuple(self.forms)
+        for form in forms:
+            # a bare string would be read as its characters
+            if not (isinstance(form, (tuple, list)) and len(form) == 2
+                    and all(isinstance(signs, str) for signs in form)):
+                raise ValueError(f"form {form!r} is not a pair of sign "
+                                 f"strings (eta, zeta)")
+        object.__setattr__(self, "forms", tuple(map(tuple, forms)))
         if self.pipeline != "all" and self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if not _integer(self.samples) or self.samples < 1:

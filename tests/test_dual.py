@@ -248,10 +248,10 @@ CHART_SHAPES = [(p, q, r) for q in range(1, 5) for p in range(q, 5)
 
 @pytest.mark.parametrize("p,q,r", CHART_SHAPES)
 def test_one_pass_equals_scalar_passes_on_the_chart_map(p, q, r):
-    from detmin.linalg import make_rng
+    from detmin.linalg import derived_rng
     from detmin.parametric import chart_map_generic, sample_chart_point
 
-    cp = sample_chart_point(p, q, r, make_rng(300 + 10 * p + q + r))
+    cp = sample_chart_point(p, q, r, derived_rng(300 + 10 * p + q + r))
 
     def flat_chart(vec):
         a = vec[:p * r].reshape(p, r)

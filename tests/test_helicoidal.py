@@ -5,7 +5,7 @@ import pytest
 
 from detmin.helicoidal import (helicoidal_certificate, isometry_check,
                                off_span, reflection, tangent_family)
-from detmin.linalg import (declared_rank, make_rng, max_abs,
+from detmin.linalg import (declared_rank, derived_rng, max_abs,
                            reflection_residuals, reversal, stratum_bases)
 from detmin.parametric import chart_map, sample_chart_point
 
@@ -47,7 +47,7 @@ class TestFrozenRankOnePoint:
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (5, 4, 2)])
 def test_tangent_families_are_tangent(p, q, r):
-    rng = make_rng(100 + p * q + r)
+    rng = derived_rng(100 + p * q + r)
     x = chart_map(sample_chart_point(p, q, r, rng))
     x_rank = declared_rank(x, r)
     tb = stratum_bases(x, r)[0]
@@ -62,7 +62,7 @@ def test_tangent_families_are_tangent(p, q, r):
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2)])
 def test_generic_normal_is_not_tangent(p, q, r):
-    rng = make_rng(200 + p + q + r)
+    rng = derived_rng(200 + p + q + r)
     x = chart_map(sample_chart_point(p, q, r, rng))
     tb, nb = stratum_bases(x, r)
     for k in range(nb.shape[1]):
@@ -71,7 +71,7 @@ def test_generic_normal_is_not_tangent(p, q, r):
 
 
 def test_tangent_basis_dimension():
-    rng = make_rng(7)
+    rng = derived_rng(7)
     for p, q, r in TRIPLES:
         x = chart_map(sample_chart_point(p, q, r, rng))
         tb, nb = stratum_bases(x, r)
@@ -84,7 +84,7 @@ def test_tangent_basis_dimension():
 
 
 def test_isometry_check_accepts_orthogonal_rejects_other():
-    rng = make_rng(8)
+    rng = derived_rng(8)
     q_mat = np.linalg.qr(rng.normal(size=(4, 4)))[0]
     assert isometry_check(q_mat, 3, rng) < 1e-12
     assert isometry_check(np.diag([2.0, 1.0, 1.0, 1.0]), 3, rng) > 1e-3
@@ -105,20 +105,20 @@ def _isometry_loop(a, q, rng):
 def test_batched_isometry_check_equals_the_loop():
     mats = []
     for p, q, r in TRIPLES + [(6, 6, 5), (4, 4, 2)]:
-        x = chart_map(sample_chart_point(p, q, r, make_rng(40 + p + q + r)))
+        x = chart_map(sample_chart_point(p, q, r, derived_rng(40 + p + q + r)))
         mats.append((reflection(declared_rank(x, r)), q))
-    rng = make_rng(41)
+    rng = derived_rng(41)
     mats += [(np.diag([2.0, 1.0, 1.0]), 2), (rng.normal(size=(5, 5)), 4),
              (np.eye(1), 1), (rng.normal(size=(3, 2)), 6)]
     for seed, (a, q) in enumerate(mats):
-        ours, ref = make_rng(seed), make_rng(seed)
+        ours, ref = derived_rng(seed), derived_rng(seed)
         assert isometry_check(a, q, ours) == _isometry_loop(a, q, ref)
         assert str(ours.bit_generator.state) == str(ref.bit_generator.state)
 
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_certificate_passes_on_stratum(p, q, r):
-    rng = make_rng(300 + 10 * p + q + r)
+    rng = derived_rng(300 + 10 * p + q + r)
     points = [chart_map(sample_chart_point(p, q, r, rng)) for _ in range(5)]
     if 0 < r < q:
         # zeroing a leading column keeps the rank (it lies in the span of
@@ -136,7 +136,7 @@ def test_certificate_passes_on_stratum(p, q, r):
 
 
 def test_certificate_rank_zero_reflects_through_origin():
-    rng = make_rng(9)
+    rng = derived_rng(9)
     x = np.zeros((3, 2))
     assert np.allclose(reflection(declared_rank(x, 0)), -np.eye(3))
     assert_certificate(helicoidal_certificate(x, 0, rng), 0)

@@ -4,7 +4,8 @@ demo, not by the tests alone, every parameter is read by its function,
 no library function or result decides a verdict of its own, no check
 name is written out in full and every sweep cell samples through one loop
 that reads no verdict; every rank question goes through the one tolerance
-policy in linalg, and hypothesis draws deterministically."""
+policy in linalg, every random stream is built by ``linalg.derived_rng``,
+and hypothesis draws deterministically."""
 
 import ast
 import json
@@ -271,6 +272,31 @@ def test_no_rank_decision_bypasses_the_linalg_policy():
     callers = [path.name for path in SOURCES
                if "matrix_rank" in path.read_text(encoding="utf-8")]
     assert not callers, f"rank decided outside linalg's policy: {callers}"
+
+
+# numpy names that seed or build a random stream
+STREAM_MAKERS = {"Generator", "Philox", "SeedSequence", "default_rng",
+                 "RandomState"}
+
+
+def test_one_stream_constructor():
+    # a seed names one stream only while one function turns seeds into
+    # generators; a second constructor could key the same seed differently
+    named, home = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"))
+        inside = {id(sub) for node in tree.body
+                  if path.name == "linalg.py"
+                  and getattr(node, "name", None) == "derived_rng"
+                  for sub in ast.walk(node)}
+        nodes = list(ast.walk(tree))
+        home |= _reads([node for node in nodes if id(node) in inside])
+        elsewhere = (_reads([node for node in nodes if id(node) not in inside])
+                     | {name for name, _ in _imported(tree)})
+        named += [f"{path.name} {name}"
+                  for name in sorted(elsewhere & STREAM_MAKERS)]
+    assert home & STREAM_MAKERS, "the check no longer sees derived_rng"
+    assert not named, f"random streams built outside derived_rng: {named}"
 
 
 def test_hypothesis_draws_deterministically():

@@ -14,7 +14,7 @@ from detmin.kahler import (ComplexChartPoint, TwinHarmonicPair,
                            rho_value, sample_complex_chart_point,
                            sample_zeta_point, twin_harmonic_suite, unflatten,
                            zeta_minimality)
-from detmin.linalg import make_rng, max_abs
+from detmin.linalg import derived_rng, max_abs
 from detmin.sweep import RunConfig, run_sweep
 
 
@@ -66,14 +66,14 @@ class TestComplexChart:
             ComplexChartPoint(np.zeros(2), np.zeros(3), 1.0, 0.0)
 
     def test_jacobian_matches_dual_numbers(self):
-        rng = make_rng(1)
+        rng = derived_rng(1)
         for _ in range(5):
             cp = sample_complex_chart_point(rng)
             jac_ad = gradient_of(_embed_generic, _flat(cp))
             assert np.allclose(complex_chart_jacobian(cp), jac_ad, atol=1e-13)
 
     def test_second_derivatives_match_dual_numbers(self):
-        rng = make_rng(2)
+        rng = derived_rng(2)
         cp = sample_complex_chart_point(rng)
         d2 = complex_chart_second_derivatives()
         assert not d2.flags.writeable
@@ -93,7 +93,7 @@ class TestComplexChart:
         assert max_abs(geo.mean_curvature) < 1e-15
 
     def test_geometry_residuals(self):
-        rng = make_rng(3)
+        rng = derived_rng(3)
         for _ in range(10):
             geo = complex_chart_geometry(sample_complex_chart_point(rng))
             assert geo.block_residual < 1e-13
@@ -130,7 +130,7 @@ class TestComplexChart:
         assert report.exit_status() == 0
 
     def test_embedding_matches_complex_product(self):
-        rng = make_rng(4)
+        rng = derived_rng(4)
         cp = sample_complex_chart_point(rng)
         z1 = cp.x + 1j * cp.y
         z2 = (cp.lam + 1j * cp.mu) * z1
@@ -151,12 +151,12 @@ def _generic_point(n, rng, floor=0.3):
 class TestTwinPair:
 
     def test_flatten_round_trip(self):
-        rng = make_rng(10)
+        rng = derived_rng(10)
         z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.allclose(unflatten(3, flatten(z)), z)
 
     def test_values_match_determinant(self):
-        rng = make_rng(11)
+        rng = derived_rng(11)
         for n in (2, 3, 4):
             z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             u, v = TwinHarmonicPair(n).values(flatten(z))
@@ -171,7 +171,7 @@ class TestTwinPair:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_gradients_match_dual_numbers(self, n):
-        rng = make_rng(12 + n)
+        rng = derived_rng(12 + n)
         pair = TwinHarmonicPair(n)
         point = rng.normal(size=2 * n * n)
         grads_ad = gradient_of(partial(twin_pair_generic, pair), point)
@@ -180,7 +180,7 @@ class TestTwinPair:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_hessians_match_dual_numbers(self, n):
-        rng = make_rng(14 + n)
+        rng = derived_rng(14 + n)
         pair = TwinHarmonicPair(n)
         point = rng.normal(size=2 * n * n)
         hu, hv = pair.hessians(point)
@@ -191,7 +191,7 @@ class TestTwinPair:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hessians_traceless_exactly(self, n):
-        rng = make_rng(16 + n)
+        rng = derived_rng(16 + n)
         pair = TwinHarmonicPair(n)
         hu, hv = pair.hessians(rng.normal(size=2 * n * n))
         assert np.trace(hu) == 0.0
@@ -199,7 +199,7 @@ class TestTwinPair:
 
     def test_same_row_second_derivatives_vanish(self):
         n = 3
-        rng = make_rng(19)
+        rng = derived_rng(19)
         pair = TwinHarmonicPair(n)
         hu, hv = pair.hessians(rng.normal(size=2 * n * n))
         for h in (hu, hv):
@@ -212,7 +212,7 @@ class TestTwinPair:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ambient_identities(self, n):
-        rng = make_rng(20 + n)
+        rng = derived_rng(20 + n)
         for _ in range(5):
             rep = twin_harmonic_suite(n, _generic_point(n, rng))
             assert rep.grad_norm_gap < 1e-12
@@ -223,7 +223,7 @@ class TestTwinPair:
             assert rep.contraction_table.max() < 1e-12
 
     def test_rho_is_two_for_n2(self):
-        rng = make_rng(24)
+        rng = derived_rng(24)
         for _ in range(20):
             point = _generic_point(2, rng, floor=0.5)
             assert abs(rho_value(2, point) - 2.0) < 1e-12
@@ -232,7 +232,7 @@ class TestTwinPair:
 
     @pytest.mark.parametrize("n,degree", [(2, 0), (3, 2)])
     def test_rho_homogeneity(self, n, degree):
-        rng = make_rng(26 + n)
+        rng = derived_rng(26 + n)
         point = _generic_point(n, rng, floor=0.5)
         base = rho_value(n, point)
         for t in (2.0, 3.0):
@@ -243,7 +243,7 @@ class TestTwinPair:
     def test_rho_value_equals_the_hessian_sandwich(self, n):
         # rho_value reads u.Hu.u from C(n, 2) determinants, the suite from
         # the full Hessian
-        rng = make_rng(40 + n)
+        rng = derived_rng(40 + n)
         pair = TwinHarmonicPair(n)
         for _ in range(5):
             point = _generic_point(n, rng)
@@ -265,7 +265,7 @@ class TestZetaLocus:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sample_contract(self, n):
-        rng = make_rng(30 + n)
+        rng = derived_rng(30 + n)
         point = sample_zeta_point(n, rng)
         u, v = TwinHarmonicPair(n).values(point)
         assert abs(u) < 1e-12 and abs(v) < 1e-12
@@ -274,7 +274,7 @@ class TestZetaLocus:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_minimality_and_conformality(self, n):
-        rng = make_rng(34 + n)
+        rng = derived_rng(34 + n)
         for _ in range(5):
             zm = zeta_minimality(n, sample_zeta_point(n, rng))
             assert zm.max_residual < 1e-10

@@ -15,7 +15,7 @@ from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              on_variety_contractions, row_coefficients,
                              sample_on_variety, sample_singular_matrix,
                              tangent_projector)
-from detmin.linalg import gradient_projector, make_rng, max_abs
+from detmin.linalg import derived_rng, gradient_projector, max_abs
 
 
 def _det_generic(m):
@@ -74,7 +74,7 @@ class TestFrozenRepeatedRow:
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_gradients_and_hessians_match_dual_numbers(n):
-    rng = make_rng(n)
+    rng = derived_rng(n)
     system = ConstraintSystem(n)
     a = rng.normal(size=(n + 1, n))
     flat = a.ravel()
@@ -94,7 +94,7 @@ def test_gradients_and_hessians_match_dual_numbers(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_hessians_are_exactly_traceless(n):
-    rng = make_rng(10 + n)
+    rng = derived_rng(10 + n)
     system = ConstraintSystem(n)
     for _ in range(5):
         h1, h2 = system.hessians(rng.normal(size=(n + 1, n)))
@@ -105,7 +105,7 @@ def test_hessians_are_exactly_traceless(n):
 def test_boundary_gradient_rows_agree_exactly():
     # the sign pinned into chi2 makes d chi1 / d(first row) identical to
     # d chi2 / d(last row) as polynomials, hence equal in floating point
-    rng = make_rng(3)
+    rng = derived_rng(3)
     system = ConstraintSystem(3)
     a = rng.normal(size=(4, 3))
     g1, g2 = system.gradients(a)
@@ -114,7 +114,7 @@ def test_boundary_gradient_rows_agree_exactly():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_minimality_on_variety(n):
-    rng = make_rng(20 + n)
+    rng = derived_rng(20 + n)
     system = ConstraintSystem(n)
     for _ in range(10):
         cv = system.evaluate(sample_on_variety(n, rng))
@@ -125,7 +125,7 @@ def test_minimality_on_variety(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_identities_everywhere_and_on_variety(n):
-    rng = make_rng(30 + n)
+    rng = derived_rng(30 + n)
     system = ConstraintSystem(n)
     off = rng.normal(size=(n + 1, n))
     rep = identity_suite(system.evaluate(off))
@@ -141,7 +141,7 @@ def test_identities_everywhere_and_on_variety(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gradient_proportionality_on_variety(n):
-    rng = make_rng(40 + n)
+    rng = derived_rng(40 + n)
     system = ConstraintSystem(n)
     for _ in range(5):
         a = sample_on_variety(n, rng)
@@ -151,7 +151,7 @@ def test_gradient_proportionality_on_variety(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_minor_inverse_identity_off_variety(n):
-    rng = make_rng(50 + n)
+    rng = derived_rng(50 + n)
     system = ConstraintSystem(n)
     for _ in range(10):
         a = rng.normal(size=(n + 1, n))
@@ -169,7 +169,7 @@ def test_minor_inverse_identity_off_variety(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_cofactor_rank_one_on_singular_matrices(n):
-    rng = make_rng(60 + n)
+    rng = derived_rng(60 + n)
     for _ in range(10):
         m = sample_singular_matrix(n, rng)
         rep = gradient_rank_one(m)
@@ -204,7 +204,7 @@ class TestConjecture:
     """
 
     def test_printed_reading_fails_generically(self):
-        rng = make_rng(71)
+        rng = derived_rng(71)
         system = ConstraintSystem(2)
         worst = 0.0
         for _ in range(20):
@@ -214,7 +214,7 @@ class TestConjecture:
         assert worst > 1e-3
 
     def test_swapped_reading_holds(self):
-        rng = make_rng(72)
+        rng = derived_rng(72)
         for n in (2, 3, 4):
             system = ConstraintSystem(n)
             for _ in range(10):
@@ -224,7 +224,7 @@ class TestConjecture:
     def test_n2_closed_form_collapse(self):
         # for n = 2 the Hessians are constant with tr(H1 H2) = 0 and
         # tr(H_alpha^2) = 4, so the two sides reduce to chi2 vs chi1
-        rng = make_rng(73)
+        rng = derived_rng(73)
         system = ConstraintSystem(2)
         a = rng.normal(size=(3, 2))
         cv = system.evaluate(a)
@@ -257,7 +257,7 @@ def test_tangent_projector_rejects_collapsed_gradients():
 
 
 def test_sample_on_variety_contract():
-    rng = make_rng(81)
+    rng = derived_rng(81)
     for n in (2, 3, 4):
         a = sample_on_variety(n, rng)
         chi1, chi2 = ConstraintSystem(n).values(a)

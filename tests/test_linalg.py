@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import (block_inverse, cofactors, column_reflection,
                            declared_rank, derived_rng, fill_blocks, identity,
-                           kron, make_rng, max_abs, numerical_rank,
+                           kron, max_abs, numerical_rank,
                            reflection_residuals, require_finite, reversal,
                            second_cofactors, stratum_bases, svd_rank)
 
@@ -61,7 +61,7 @@ def rational_det(m_int):
        st.integers(0, 10 ** 6))
 def test_svd_rank_matches_rational_elimination(p, q, r, seed):
     r = min(r, p, q)
-    rng = make_rng(seed)
+    rng = derived_rng(seed)
     # integer factors make the product's rank exactly computable over Q
     left = rng.integers(-8, 9, size=(p, r))
     right = rng.integers(-8, 9, size=(r, q))
@@ -72,13 +72,13 @@ def test_svd_rank_matches_rational_elimination(p, q, r, seed):
 def test_negative_seeds_are_refused():
     # no fold to abs(seed): each seed names its own stream
     with pytest.raises(ValueError, match="non-negative"):
-        make_rng(-1)
+        derived_rng(-1)
     with pytest.raises(ValueError, match="non-negative"):
         derived_rng(-1, 1, 2)
 
 
 def test_kernel_basis_spans_the_cokernel():
-    rng = make_rng(3)
+    rng = derived_rng(3)
     m = rng.normal(size=(5, 2))
     res = svd_rank(m)
     kern = res.kernel_basis
@@ -101,7 +101,7 @@ def test_rank_result_of_zero_and_empty():
 
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 4, 2), (5, 3, 3)])
 def test_row_basis_spans_the_row_space(p, q, r):
-    rng = make_rng(50 + 10 * p + q + r)
+    rng = derived_rng(50 + 10 * p + q + r)
     m = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
     res = svd_rank(m)
     rows = res.row_basis
@@ -127,7 +127,7 @@ KRON_SHAPES = [((5, 5), (2, 3)), ((2, 5), (1, 3)), ((5, 5), (2, 2)),
 
 @pytest.mark.parametrize("sa,sb", KRON_SHAPES)
 def test_kron_matches_numpy(sa, sb):
-    rng = make_rng(sum(sa) + 10 * sum(sb))
+    rng = derived_rng(sum(sa) + 10 * sum(sb))
     a = rng.normal(size=sa)
     b = rng.normal(size=sb)
     a[a < -1.0] = 0.0  # zeros times negatives: signed zeros must agree too
@@ -158,7 +158,7 @@ def _orbit_generators(x):
 @pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 2), (4, 3, 1),
                                    (5, 4, 3), (3, 3, 0)])
 def test_stratum_bases_split_off_the_orbit_generators(p, q, r):
-    rng = make_rng(70 + 10 * p + q + r)
+    rng = derived_rng(70 + 10 * p + q + r)
     x = rng.normal(size=(p, r)) @ rng.normal(size=(r, q))
     tangent, normal = stratum_bases(x, r)
     assert tangent.shape == (p * q, r * (p + q - r))
@@ -180,7 +180,7 @@ def test_stratum_bases_refuse_a_wrong_declared_rank():
 
 def _indefinite_reflections(seed, count):
     """(B, signs, x) for count random column spaces of an indefinite form."""
-    rng = make_rng(seed)
+    rng = derived_rng(seed)
     while count:
         p = int(rng.integers(2, 7))
         r = int(rng.integers(1, p))
@@ -241,7 +241,7 @@ def test_fixes_point_is_scaled_by_the_norm():
 
 @pytest.mark.parametrize("p,q,m", [(3, 2, 4), (4, 3, 1), (2, 2, 0)])
 def test_reversal_is_the_worst_column_norm(p, q, m):
-    rng = make_rng(90 + 10 * p + q + m)
+    rng = derived_rng(90 + 10 * p + q + m)
     b = rng.normal(size=(p, p))
     normals = rng.normal(size=(p * q, m))
     columns = [w.reshape(p, q) for w in normals.T]
@@ -250,7 +250,7 @@ def test_reversal_is_the_worst_column_norm(p, q, m):
 
 
 def test_block_inverse_agrees_with_dense_inverse():
-    rng = make_rng(11)
+    rng = derived_rng(11)
     g = rng.normal(size=(4, 4))
     g = g @ g.T + 4 * np.eye(4)
     b = rng.normal(size=(4, 2))
@@ -274,7 +274,7 @@ def test_block_inverse_zero_size_blocks():
                                        ((3, 0), (0, 2)), ((0, 0), (0, 0)),
                                        ((1, 1), (0, 5))])
 def test_fill_blocks_equals_np_block(rows, cols):
-    rng = make_rng(sum(rows) * 10 + sum(cols))
+    rng = derived_rng(sum(rows) * 10 + sum(cols))
     blocks = [[rng.normal(size=(n, m)) for m in cols] for n in rows]
     want = np.block(blocks)
     got = fill_blocks(blocks[0][0], blocks[0][1], blocks[1][0], blocks[1][1])
@@ -297,7 +297,7 @@ def test_identity_is_a_shared_read_only_operand():
 
 
 def test_numerical_rank_equals_svd_rank():
-    rng = make_rng(12)
+    rng = derived_rng(12)
     cases = [np.zeros((4, 3)), np.zeros((0, 3)), np.zeros((3, 0)),
              np.zeros((0, 0)), np.eye(5), rng.normal(size=(6, 4)),
              rng.normal(size=(3, 7))]
@@ -312,7 +312,7 @@ def test_numerical_rank_equals_svd_rank():
 
 
 def test_numerical_rank_of_a_stack_is_svd_rank_per_matrix():
-    rng = make_rng(13)
+    rng = derived_rng(13)
     # each stack mixes full-rank, rank-deficient and zero members
     for rows, cols in ((4, 3), (3, 5), (6, 6), (2, 1)):
         members = [rng.normal(size=(rows, cols)), np.zeros((rows, cols))]
@@ -352,7 +352,7 @@ def test_complex_rank_is_taken_over_the_complex_numbers():
 
 
 def test_wide_svd_rank_bases_fill_the_rows():
-    rng = make_rng(14)
+    rng = derived_rng(14)
     m = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 7))
     res = svd_rank(m)
     assert (res.rank, res.range_basis.shape, res.kernel_basis.shape,
@@ -363,7 +363,7 @@ def test_wide_svd_rank_bases_fill_the_rows():
 
 
 def _real_and_complex(n, seed):
-    rng = make_rng(seed)
+    rng = derived_rng(seed)
     real = rng.normal(size=(n, n))
     return real, real + 1j * rng.normal(size=(n, n))
 
@@ -375,7 +375,7 @@ def _integer_matrices(n, seed):
     (a Gaussian-integer matrix through its real 2n x 2n form, of twice the
     rank).
     """
-    rng = make_rng(seed)
+    rng = derived_rng(seed)
     for r in range(max(n - 2, 0), n + 1):
         for gaussian in (False, True):
             while True:
@@ -455,9 +455,9 @@ def test_second_cofactors_symmetric_and_zero_on_a_shared_row(n):
                 assert _rounds_to(c2[k, l, i, j], exact), (m, i, j, k, l)
 
 
-def test_make_rng_is_reproducible():
-    a = make_rng(42).normal(size=5)
-    b = make_rng(42).normal(size=5)
+def test_derived_rng_of_a_bare_seed_is_reproducible():
+    a = derived_rng(42).normal(size=5)
+    b = derived_rng(42).normal(size=5)
     assert np.array_equal(a, b)
 
 

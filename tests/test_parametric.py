@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from detmin import parametric, sweep
 from detmin.dual import gradient_of
 from detmin.errors import DegenerateMetric, InvalidChartPoint
-from detmin.linalg import COND_LIMIT, kron, make_rng, max_abs
+from detmin.linalg import COND_LIMIT, derived_rng, kron, max_abs
 from detmin.parametric import (ChartPoint, chart_derivative, chart_jacobian,
                                chart_map, chart_second_derivatives,
                                induced_metric,
@@ -102,7 +102,7 @@ class TestFrozenSmallCase:
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_jacobian_matches_dual_numbers(p, q, r):
-    rng = make_rng(100 + p * 10 + q + r)
+    rng = derived_rng(100 + p * 10 + q + r)
     cp = sample_chart_point(p, q, r, rng)
 
     def flat_chart(vec):
@@ -138,7 +138,7 @@ SHAPES_TO_6 = [(p, q, r) for p in range(2, 7) for q in range(2, p + 1)
 
 @pytest.mark.parametrize("p,q,r", SHAPES_TO_6)
 def test_closed_form_jacobian_equals_the_column_built_one(p, q, r):
-    cp = sample_chart_point(p, q, r, make_rng(200 + 10 * p + q + r))
+    cp = sample_chart_point(p, q, r, derived_rng(200 + 10 * p + q + r))
     jac = chart_jacobian(cp)
     assert np.array_equal(jac, _loop_jacobian(cp))
     # the column-built layout, which fixes BLAS summation order downstream
@@ -165,7 +165,7 @@ def _loop_frame(cp):
 @pytest.mark.parametrize("p,q,r", [(p, q, r) for p in range(1, 7)
                                    for q in range(1, p + 1) for r in range(q)])
 def test_broadcast_frame_equals_the_loop_built_one(p, q, r):
-    cp = sample_chart_point(p, q, r, make_rng(500 + 10 * p + q + r))
+    cp = sample_chart_point(p, q, r, derived_rng(500 + 10 * p + q + r))
     normals = normal_frame(cp).normals
     loop = _loop_frame(cp)
     assert normals.shape == loop.shape
@@ -188,7 +188,7 @@ def test_chart_point_geometry_cannot_go_stale():
 @pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 1), (4, 3, 2),
                                    (3, 3, 2), (4, 4, 1)])
 def test_second_derivatives_match_autodiff(p, q, r):
-    rng = make_rng(17 + p + 10 * q + 100 * r)
+    rng = derived_rng(17 + p + 10 * q + 100 * r)
     cp = sample_chart_point(p, q, r, rng)
     closed = chart_second_derivatives(cp)
     auto = parametric.chart_hessian_autodiff(cp)
@@ -197,7 +197,7 @@ def test_second_derivatives_match_autodiff(p, q, r):
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_metric_assembly_equals_jacobian_gram(p, q, r):
-    rng = make_rng(31 + p + q + r)
+    rng = derived_rng(31 + p + q + r)
     cp = sample_chart_point(p, q, r, rng)
     mb = induced_metric(cp)
     jac = chart_jacobian(cp)
@@ -207,7 +207,7 @@ def test_metric_assembly_equals_jacobian_gram(p, q, r):
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_inverse_routes_agree(p, q, r):
-    rng = make_rng(7 * p + q + 3 * r)
+    rng = derived_rng(7 * p + q + 3 * r)
     cp = sample_chart_point(p, q, r, rng)
     inv = metric_inverse(cp)
     for name, resid in inv.identity_residuals().items():
@@ -216,7 +216,7 @@ def test_inverse_routes_agree(p, q, r):
 
 
 def test_operator_sign_adjudication_picks_minus():
-    rng = make_rng(5)
+    rng = derived_rng(5)
     cp = sample_chart_point(4, 3, 2, rng)
     resid = operator_sign_adjudication(cp)
     assert resid[-1.0] < 1e-10
@@ -226,7 +226,7 @@ def test_operator_sign_adjudication_picks_minus():
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_normal_frame_is_normal_and_counted(p, q, r):
-    rng = make_rng(61 + 2 * p + q + r)
+    rng = derived_rng(61 + 2 * p + q + r)
     cp = sample_chart_point(p, q, r, rng)
     frame = normal_frame(cp)
     flat = frame.flat()
@@ -239,7 +239,7 @@ def test_normal_frame_is_normal_and_counted(p, q, r):
 def test_frame_gram_is_not_identity_when_codim_rich():
     # the pinned frame is unit-norm but not pairwise orthogonal: its Gram
     # couples distinct s' indices through I + lam^T lam
-    rng = make_rng(23)
+    rng = derived_rng(23)
     cp = sample_chart_point(5, 4, 2, rng)
     gram = normal_frame(cp).gram
     assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
@@ -250,7 +250,7 @@ def test_frame_gram_is_not_identity_when_codim_rich():
 @pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 1), (3, 3, 2),
                                    (4, 3, 1), (4, 4, 2)])
 def test_second_fundamental_form_closed_vs_autodiff(p, q, r):
-    rng = make_rng(41 + p + q + r)
+    rng = derived_rng(41 + p + q + r)
     cp = sample_chart_point(p, q, r, rng)
     assert np.allclose(second_fundamental_form(cp),
                        second_fundamental_form_autodiff(cp), atol=1e-11)
@@ -258,7 +258,7 @@ def test_second_fundamental_form_closed_vs_autodiff(p, q, r):
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_mean_curvature_vanishes_everywhere(p, q, r):
-    rng = make_rng(83 + 5 * p + q + r)
+    rng = derived_rng(83 + 5 * p + q + r)
     for _ in range(10):
         cp = sample_chart_point(p, q, r, rng)
         mc = mean_curvature(cp)
@@ -268,7 +268,7 @@ def test_mean_curvature_vanishes_everywhere(p, q, r):
 
 
 def test_autodiff_route_agrees_with_analytic():
-    rng = make_rng(9)
+    rng = derived_rng(9)
     cp = sample_chart_point(4, 3, 2, rng)
     fast = mean_curvature(cp)
     slow = mean_curvature(cp, use_autodiff=True)
@@ -287,7 +287,7 @@ def test_autodiff_curvature_evaluates_one_dual_hessian(monkeypatch):
         return hessian_of(f, x)
 
     monkeypatch.setattr(dual, "hessian_of", counted)
-    cp = sample_chart_point(4, 3, 2, make_rng(9))
+    cp = sample_chart_point(4, 3, 2, derived_rng(9))
     mean_curvature(cp, use_autodiff=True)
     assert calls == [cp.dim]
 
@@ -318,7 +318,7 @@ def _autodiff_reference(cp):
 
 @pytest.mark.parametrize("p,q,r", [(4, 3, 2), (3, 2, 1), (5, 3, 0)])
 def test_autodiff_route_forms_only_components_and_trace(monkeypatch, p, q, r):
-    cp = sample_chart_point(p, q, r, make_rng(10 * p + q + r))
+    cp = sample_chart_point(p, q, r, derived_rng(10 * p + q + r))
     comps, trace, ambient = _autodiff_reference(cp)
     calls = _counted_solves(monkeypatch)
     mc = mean_curvature(cp, use_autodiff=True)
@@ -332,7 +332,7 @@ def test_autodiff_route_forms_only_components_and_trace(monkeypatch, p, q, r):
 
 def test_analytic_route_forms_its_ambient_vector_in_the_call(monkeypatch):
     # the euclidean reduction reads it, so it is timed with the curvature
-    cp = sample_chart_point(4, 3, 2, make_rng(9))
+    cp = sample_chart_point(4, 3, 2, derived_rng(9))
     calls = _counted_solves(monkeypatch)
     mc = mean_curvature(cp)
     assert calls == [1]
@@ -343,7 +343,7 @@ def test_analytic_route_forms_its_ambient_vector_in_the_call(monkeypatch):
 def test_cone_scaling_preserves_minimality():
     # the stratum is a cone: scaling a scales the point, and the scaled
     # point is again a chart point with the same lam
-    rng = make_rng(37)
+    rng = derived_rng(37)
     cp = sample_chart_point(3, 3, 2, rng)
     for t in (0.5, 2.0, 10.0):
         scaled = ChartPoint(t * cp.a, cp.lam)
@@ -354,7 +354,7 @@ def test_cone_scaling_preserves_minimality():
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_o_p_structure(p, q, r):
-    rng = make_rng(3 * p + 7 * q + r)
+    rng = derived_rng(3 * p + 7 * q + r)
     cp = sample_chart_point(p, q, r, rng)
     st_check = o_p_structure_check(cp)
     assert st_check.projection_residual <= 1e-10
@@ -363,7 +363,7 @@ def test_o_p_structure(p, q, r):
 
 @pytest.mark.parametrize("p,q,r", TRIPLES)
 def test_stratum_dimension_counts(p, q, r):
-    rng = make_rng(p + q + r)
+    rng = derived_rng(p + q + r)
     cp = sample_chart_point(p, q, r, rng)
     out = stratum_dimension_check(cp)
     assert out["jacobian_rank"] == out["expected_dim"]
@@ -381,7 +381,7 @@ def test_chart_point_validates_rank():
 
 
 def test_sampler_respects_condition_limits():
-    rng = make_rng(55)
+    rng = derived_rng(55)
     for _ in range(20):
         cp = sample_chart_point(5, 4, 3, rng)
         gram = cp.a.T @ cp.a
@@ -437,8 +437,8 @@ SAMPLER_SHAPES = [(p, q, r) for p in range(2, 9) for q in range(2, p + 1)
 
 def test_sampler_draws_the_points_of_the_two_svd_rule():
     for p, q, r in SAMPLER_SHAPES:
-        ours = make_rng(1000 + 100 * p + 10 * q + r)
-        ref = make_rng(1000 + 100 * p + 10 * q + r)
+        ours = derived_rng(1000 + 100 * p + 10 * q + r)
+        ref = derived_rng(1000 + 100 * p + 10 * q + r)
         for _ in range(10):
             got = sample_chart_point(p, q, r, ours)
             want = _two_svd_sampler(p, q, r, ref)
@@ -465,7 +465,7 @@ class _ScriptedRng:
 def test_sampler_rejects_as_the_two_svd_rule_near_the_limit():
     # Gaussian draws are rarely rejected, so these are built with
     # cond(a^T a) spread over 1e3..1e5, around A_COND_LIMIT = 1e4
-    rng = make_rng(77)
+    rng = derived_rng(77)
     accepted = []
     for p, q, r in SAMPLER_SHAPES:
         fallback = (np.eye(p, r), np.zeros((r, q - r)))
@@ -486,7 +486,7 @@ def test_sampler_rejects_as_the_two_svd_rule_near_the_limit():
 def test_sampler_rejects_as_the_assembled_svd_rule_near_the_metric_limit():
     # a and lam scaled so the assembled metric's condition spreads over
     # 1e3..1e6, around METRIC_COND_LIMIT = 1e5, with cond(a^T a) <= 1e4
-    rng = make_rng(78)
+    rng = derived_rng(78)
     kept_count = 0
     for p, q, r in SAMPLER_SHAPES:
         fallback = (np.eye(p, r), np.zeros((r, q - r)))
@@ -509,7 +509,7 @@ def test_sampler_rejects_as_the_assembled_svd_rule_near_the_metric_limit():
 
 def test_metric_cond_equals_the_assembled_metric_condition():
     for p, q, r in SAMPLER_SHAPES:
-        rng = make_rng(2000 + 100 * p + 10 * q + r)
+        rng = derived_rng(2000 + 100 * p + 10 * q + r)
         for _ in range(40):
             cp = ChartPoint(rng.normal(size=(p, r)),
                             rng.uniform(-2.0, 2.0, size=(r, q - r)))
@@ -524,7 +524,7 @@ def test_metric_cond_bounds_every_block_and_schur_complement(seed):
     # Cauchy interlacing: G, D and the two Schur complements have their
     # spectra inside the metric's, so the one guard on metric_cond covers
     # every matrix the block-inverse routes invert
-    rng = make_rng(seed)
+    rng = derived_rng(seed)
     for p, q, r in SAMPLER_SHAPES:
         u = np.linalg.qr(rng.normal(size=(p, r)))[0]
         v = np.linalg.qr(rng.normal(size=(r, r)))[0]
@@ -591,7 +591,7 @@ def test_sampler_rejects_a_rank_deficient_draw():
 
 @pytest.mark.parametrize("use_autodiff", [False, True])
 def test_tangency_residual_is_computed_when_read(monkeypatch, use_autodiff):
-    cp = sample_chart_point(4, 3, 2, make_rng(21))
+    cp = sample_chart_point(4, 3, 2, derived_rng(21))
     calls = []
     real = parametric.chart_derivative
 
@@ -614,7 +614,7 @@ def test_minimality_property(p, q, r, seed):
     if q > p:
         p, q = q, p
     r = min(r, q - 1)
-    cp = sample_chart_point(p, q, r, make_rng(seed))
+    cp = sample_chart_point(p, q, r, derived_rng(seed))
     mc = mean_curvature(cp)
     assert mc.max_component <= 1e-9 * mc.metric_scale
     assert mc.tangency_residual < 1e-9

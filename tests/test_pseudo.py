@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detmin.errors import DegenerateMetric, InvalidChartPoint
-from detmin.linalg import (declared_rank, inertia, make_rng, max_abs,
+from detmin.linalg import (declared_rank, derived_rng, inertia, max_abs,
                            reflection_residuals, stratum_bases, svd_rank)
 from detmin.parametric import ChartPoint, chart_map, mean_curvature, \
     sample_chart_point
@@ -77,7 +77,7 @@ class TestHyperbolicChart:
         assert hyperbolic_det_residual(np.array([1.0, 0.0]), 2.0) < 1e-12
 
     def test_det_formula_generic(self):
-        rng = make_rng(1)
+        rng = derived_rng(1)
         for _ in range(20):
             a = rng.normal(size=2)
             lam = float(rng.uniform(-3, 3))
@@ -144,7 +144,7 @@ CASES = [
 @pytest.mark.parametrize("p,q,r,es,zs", CASES)
 def test_minimality_on_nondegenerate_points(p, q, r, es, zs):
     eta, zeta = IndefiniteForm.from_string(es), IndefiniteForm.from_string(zs)
-    rng = make_rng(100 + 10 * p + q + r)
+    rng = derived_rng(100 + 10 * p + q + r)
     for _ in range(3):
         cp = sample_pseudo_point(p, q, r, eta, zeta, rng)
         pm = pseudo_minimality(cp, eta, zeta)
@@ -156,7 +156,7 @@ def test_minimality_on_nondegenerate_points(p, q, r, es, zs):
 
 def test_projector_residual_is_computed_when_read(monkeypatch):
     eta, zeta = IndefiniteForm.from_string("++-"), HYP
-    cp = sample_pseudo_point(3, 2, 1, eta, zeta, make_rng(22))
+    cp = sample_pseudo_point(3, 2, 1, eta, zeta, derived_rng(22))
     products = []
 
     class CountedInverse(np.ndarray):
@@ -180,7 +180,7 @@ def test_projector_residual_is_computed_when_read(monkeypatch):
 @pytest.mark.parametrize("p,q,r,es,zs", CASES)
 def test_induced_signature_symmetric_reading(p, q, r, es, zs):
     eta, zeta = IndefiniteForm.from_string(es), IndefiniteForm.from_string(zs)
-    rng = make_rng(200 + 10 * p + q + r)
+    rng = derived_rng(200 + 10 * p + q + r)
     for _ in range(5):
         cp = sample_pseudo_point(p, q, r, eta, zeta, rng)
         try:
@@ -194,7 +194,7 @@ def test_induced_signature_symmetric_reading(p, q, r, es, zs):
 class TestFormReflection:
 
     def test_definite_case_is_euclidean_reflection(self):
-        rng = make_rng(7)
+        rng = derived_rng(7)
         x = chart_map(sample_chart_point(3, 3, 2, rng))
         eta = IndefiniteForm.from_counts(3, 0)
         b = form_reflection(svd_rank(x), eta)
@@ -203,7 +203,7 @@ class TestFormReflection:
 
     def test_invariants_on_admissible_points(self):
         eta = IndefiniteForm.from_string("++-")
-        rng = make_rng(8)
+        rng = derived_rng(8)
         for _ in range(10):
             cp = sample_pseudo_point(3, 2, 1, eta,
                                      IndefiniteForm.from_counts(2, 0), rng)
@@ -235,7 +235,7 @@ class TestTangentAndNormal:
 
     @pytest.mark.parametrize("p,q,r", [(2, 2, 1), (3, 2, 1), (4, 3, 2)])
     def test_tangent_dimension(self, p, q, r):
-        rng = make_rng(300 + 10 * p + q + r)
+        rng = derived_rng(300 + 10 * p + q + r)
         x = chart_map(sample_chart_point(p, q, r, rng))
         basis = stratum_bases(x, r)[0]
         dim = r * (p - r) + q * r
@@ -252,7 +252,7 @@ class TestTangentAndNormal:
             assert max_abs(nb.T @ k_tangent) < 1e-12
 
     def test_normal_basis_refuses_a_wrong_declared_rank(self):
-        x = chart_map(sample_chart_point(3, 2, 1, make_rng(17)))
+        x = chart_map(sample_chart_point(3, 2, 1, derived_rng(17)))
         eta = IndefiniteForm.from_string("+-+")
         assert form_normal_basis(x, 1, eta, HYP).shape == (6, 2)
         for r in (0, 2):
@@ -268,7 +268,7 @@ class TestTangentAndNormal:
     def test_normal_reversal_sampled(self, p, q, r, es, zs):
         eta = IndefiniteForm.from_string(es)
         zeta = IndefiniteForm.from_string(zs)
-        rng = make_rng(400 + 10 * p + q + r)
+        rng = derived_rng(400 + 10 * p + q + r)
         for _ in range(3):
             x = chart_map(sample_pseudo_point(p, q, r, eta, zeta, rng))
             try:
@@ -282,7 +282,7 @@ class TestTangentAndNormal:
 def test_definite_forms_reduce_to_euclidean_curvature(p, q, r):
     eta = IndefiniteForm.from_counts(p, 0)
     zeta = IndefiniteForm.from_counts(q, 0)
-    rng = make_rng(500 + 10 * p + q + r)
+    rng = derived_rng(500 + 10 * p + q + r)
     for _ in range(3):
         cp = sample_chart_point(p, q, r, rng)
         pm = pseudo_minimality(cp, eta, zeta)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from detmin import linalg, variation
 from detmin.errors import InvalidChartPoint
-from detmin.linalg import COND_LIMIT, make_rng, numerical_rank
+from detmin.linalg import COND_LIMIT, derived_rng, numerical_rank
 from detmin.parametric import (ChartPoint, chart_jacobian, chart_map,
                                normal_frame, sample_chart_point)
 from detmin.variation import _densities, _offsets, volume_variation
@@ -22,7 +22,7 @@ from detmin.variation import _densities, _offsets, volume_variation
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (3, 3, 1),
                                    (4, 2, 1)])
 def test_volume_variation_vanishes(p, q, r):
-    rng = make_rng(p * 100 + q * 10 + r)
+    rng = derived_rng(p * 100 + q * 10 + r)
     for _ in range(3):
         cp = sample_chart_point(p, q, r, rng)
         dv = volume_variation(cp)
@@ -82,7 +82,7 @@ def _per_field_variation(cp):
 @pytest.mark.parametrize("p,q,r", [(3, 2, 1), (4, 3, 2), (4, 4, 1),
                                    (3, 2, 0)])
 def test_rates_equal_the_per_field_densities(p, q, r):
-    cp = sample_chart_point(p, q, r, make_rng(900 + 10 * p + q + r))
+    cp = sample_chart_point(p, q, r, derived_rng(900 + 10 * p + q + r))
     assert np.array_equal(volume_variation(cp), _per_field_variation(cp))
 
 
@@ -90,7 +90,7 @@ def test_each_perturbed_point_is_built_once(monkeypatch):
     # one stacked kernel transport and determinant serve every perturbed
     # point, no chart point is built for any of them, and no rank is
     # decided: the guard reads the singular values the point holds
-    cp = sample_chart_point(4, 3, 1, make_rng(4))
+    cp = sample_chart_point(4, 3, 1, derived_rng(4))
     frame = normal_frame(cp)
     calls = {name: [] for name in ("numerical_rank", "_transported_kernel",
                                    "svd", "inv", "qr", "det")}
@@ -152,7 +152,7 @@ def _a_steps(cp, h):
 def test_the_guard_admits_every_sampled_stencil(shape, seed):
     # numerical_rank of the whole stack, the decision the guard replaced,
     # is the reference here and below
-    cp = sample_chart_point(*shape, make_rng(seed))
+    cp = sample_chart_point(*shape, derived_rng(seed))
     a, _ = _offsets(cp, _step(cp))
     assert (numerical_rank(a) == cp.r).all()
     if cp.r:
@@ -207,7 +207,7 @@ def test_the_guard_passes_an_r0_stencil():
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(ORACLE_SHAPES), st.integers(0, 2 ** 32 - 1))
 def test_stacked_rates_equal_the_per_field_densities(shape, seed):
-    cp = sample_chart_point(*shape, make_rng(seed))
+    cp = sample_chart_point(*shape, derived_rng(seed))
     assert np.array_equal(volume_variation(cp), _per_field_variation(cp))
 
 
@@ -215,7 +215,7 @@ def test_variation_detects_a_non_minimal_perturbation():
     # control: transporting along a *tangent*-contaminated direction with a
     # position-dependent scale must register a nonzero volume derivative,
     # otherwise the oracle could pass vacuously
-    rng = make_rng(77)
+    rng = derived_rng(77)
     cp = sample_chart_point(3, 2, 1, rng)
 
     def bogus_field(a, lam):
@@ -230,7 +230,7 @@ def test_variation_detects_a_non_minimal_perturbation():
 
 
 def test_density_matches_jacobian_gram_at_zero():
-    rng = make_rng(5)
+    rng = derived_rng(5)
     cp = sample_chart_point(3, 2, 1, rng)
 
     def zero_field(a, lam):
@@ -248,7 +248,7 @@ def test_density_matches_jacobian_gram_at_zero():
 def test_transported_kernel_against_independent_facts(p, q, r):
     # the rate tests compare against a reference that transports with
     # _transported_kernel too, so the transport is checked here on its own
-    cp = sample_chart_point(p, q, r, make_rng(700 + 10 * p + q + r))
+    cp = sample_chart_point(p, q, r, derived_rng(700 + 10 * p + q + r))
     base = cp.frame.kernel_basis
     h = _step(cp)
     a, _ = _offsets(cp, h)
