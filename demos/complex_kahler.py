@@ -42,7 +42,8 @@ point = rng.normal(size=2 * n * n)
 while min(abs(v) for v in pair.values(point)) < 0.3:
     point = rng.normal(size=2 * n * n)
 
-rep = twin_harmonic_suite(n, point)
+# values, gradients and Hessians of u and v, evaluated once
+rep = twin_harmonic_suite(pair.evaluate(point))
 print(f"\ntwin harmonics of the {n} x {n} complex determinant")
 print(f"  |grad u|^2 - |grad v|^2  {rep.grad_norm_gap:.2e}")
 print(f"  grad u . grad v          {rep.grad_orthogonality:.2e}")
@@ -52,22 +53,22 @@ print(f"  multiplier rho           {rep.rho:.6f} "
       f"(v-route gives {rep.rho_alt:.6f})")
 
 # rho is homogeneous of degree 2n - 4: constant for n = 2, quadratic here
-base = rho_value(n, point)
+base = rho_value(pair, point)
 print("  homogeneity of rho:")
 for t in (2.0, 3.0):
     print(f"    rho(t x) / (t^2 rho(x)) at t = {t}: "
-          f"{rho_value(n, t * point) / (t ** 2 * base):.12f}")
+          f"{rho_value(pair, t * point) / (t ** 2 * base):.12f}")
 
 # for n = 2 the multiplier is the constant 2, no scaling involved
+pair2 = TwinHarmonicPair(2)
 point2 = rng.normal(size=8)
-while min(abs(v) for v in TwinHarmonicPair(2).values(point2)) < 0.5:
+while min(abs(v) for v in pair2.values(point2)) < 0.5:
     point2 = rng.normal(size=8)
-print(f"  n = 2: rho = {rho_value(2, point2):.15f}")
+print(f"  n = 2: rho = {rho_value(pair2, point2):.15f}")
 
 # --- the zero locus --------------------------------------------------------
 
-zp = sample_zeta_point(n, rng)
-zm = zeta_minimality(n, zp)
+zm = zeta_minimality(pair.evaluate(sample_zeta_point(pair, rng)))
 print(f"\ndet = 0 locus, complex rank n - 1 point:")
 print(f"  gram conformality        {zm.gram_conformality:.2e}")
 print(f"  max |tr(P d2)| residual  {zm.max_residual:.2e}")

@@ -22,21 +22,21 @@ rng = derived_rng(11)
 n = 3
 system = ConstraintSystem(n)
 
-a = sample_on_variety(n, rng)
+a = sample_on_variety(system, rng)
 # values, cofactor gradients and Hessians of both minors, evaluated once
-cv = system.evaluate(a)
+jet = system.evaluate(a)
 print(f"n = {n}: ambient dimension {(n + 1) * n}, "
-      f"constraint values ({cv.chi1:.1e}, {cv.chi2:.1e})")
+      f"constraint values ({jet.values[0]:.1e}, {jet.values[1]:.1e})")
 
 # both constraints are harmonic everywhere, not just on the variety,
 # because no matrix entry appears twice in any monomial of a determinant
 print(f"Hessian diagonals identically zero: "
-      f"{not cv.hess1.diagonal().any() and not cv.hess2.diagonal().any()}")
+      f"{not any(h.diagonal().any() for h in jet.hessians)}")
 
-proj = tangent_projector(cv)
+proj = tangent_projector(jet)
 print(f"tangent projector rank {proj.rank} = n^2 + n - 2")
 
-mc = levelset_mean_curvature(cv, proj)
+mc = levelset_mean_curvature(jet, proj)
 print(f"max |tr(P d2 chi)| = {mc.max_residual:.2e}")
 
 # the middle rows span everything, so the first and last row are linear
@@ -44,7 +44,7 @@ print(f"max |tr(P d2 chi)| = {mc.max_residual:.2e}")
 rc = row_coefficients(a)
 print(f"row coefficient residuals = {rc.residuals.max():.2e}")
 
-rep = on_variety_contractions(cv)
+rep = on_variety_contractions(jet)
 print(f"on-variety contractions   = {rep.contractions.max():.2e} "
       f"(four-term {rep.four_term.max():.2e})")
 

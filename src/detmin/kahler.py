@@ -18,7 +18,9 @@ gradients against their Hessians all reduce to one scalar multiplier
 rho(x), homogeneous of degree 2n - 4 (identically 2 for n = 2).  On the
 common zero set u = v = 0 those contractions vanish, which is exactly the
 minimality of the complex hypersurface det = 0 as a real submanifold of
-codimension two.
+codimension two.  :meth:`TwinHarmonicPair.evaluate` returns the pair at a
+point as one ``ConstraintJet`` (linalg), whose norms, g.H products and
+sandwiches the suite and the locus read; only their closed forms live here.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChartPoint, SingularGram
-from .linalg import (ProjectedTraces, cofactors, fill_blocks,
+from .linalg import (ConstraintJet, ProjectedTraces, cofactors, fill_blocks,
                      gradient_projector, max_abs, numerical_rank,
-                     projected_traces, second_cofactors, svd_rank)
+                     second_cofactors, svd_rank)
 
 # Draws each sampler below makes before giving up.
 MAX_DRAWS = 100
@@ -221,20 +223,24 @@ class TwinHarmonicPair:
         cof = cofactors(unflatten(self.n, point))
         re = cof.real.ravel(order="F")
         im = cof.imag.ravel(order="F")
-        gu = np.concatenate([re, -im])
-        gv = np.concatenate([im, re])
-        return gu, gv
+        return np.concatenate([re, -im, im, re]).reshape(2, -1)
 
     def hessians(self, point):
+        """Hessians of u and v, stacked (2, 2 n^2, 2 n^2)."""
         n = self.n
         c2 = second_cofactors(unflatten(self.n, point))
         # flatten complex index pairs column-major to match the layout
         c2 = c2.transpose(1, 0, 3, 2).reshape(n * n, n * n)
         re, im = c2.real, c2.imag
         neg_im = -im
-        hu = fill_blocks(re, neg_im, neg_im, -re)
-        hv = fill_blocks(im, re, re, neg_im)
-        return hu, hv
+        return np.stack([fill_blocks(re, neg_im, neg_im, -re),
+                         fill_blocks(im, re, re, neg_im)])
+
+    def evaluate(self, point):
+        """Values, gradients and Hessians of u and v at ``point``."""
+        point = np.asarray(point, dtype=float)
+        return ConstraintJet(point, np.array(self.values(point)),
+                             self.gradients(point), self.hessians(point))
 
 
 @dataclass(frozen=True)
@@ -242,9 +248,10 @@ class TwinHarmonicReport:
     """Ambient identities of the pair and the scalar multiplier rho.
 
     All residuals are relative with the floored-product normalisation.  The
-    contraction table lists the eight grad/Hess/grad sandwiches against
-    their closed forms +-rho u or +-rho v, with rho fitted from
-    u.Hu.u / u (the ``rho`` field; ``rho_alt`` is the v-route value).
+    contraction table holds the eight grad/Hess/grad sandwiches, indexed
+    like the jet's (0 for u, 1 for v), against their closed forms +-rho u
+    or +-rho v, with rho fitted from u.Hu.u / u (the ``rho`` field;
+    ``rho_alt`` is the v-route value).
     """
 
     grad_norm_gap: float
@@ -257,39 +264,30 @@ class TwinHarmonicReport:
     rho_alt: float
 
 
-def twin_harmonic_suite(n, point):
-    pair = TwinHarmonicPair(n)
-    u, v = pair.values(point)
-    gu, gv = pair.gradients(point)
-    hu, hv = pair.hessians(point)
-    gn = np.linalg.norm(gu)
-    scale2 = max(1.0, gn * gn)
-
-    grad_norm_gap = abs(gu @ gu - gv @ gv) / scale2
-    grad_orth = abs(gu @ gv) / scale2
-    harmonic = np.array([float(np.trace(hu)), float(np.trace(hv))])
-    hn = max(np.linalg.norm(hu), 1.0)
-    pair_vector = max_abs(gu @ hu - gv @ hv) / max(1.0, gn * hn)
-    pair_cross = max_abs(gu @ hv + gv @ hu) / max(1.0, gn * hn)
-
+def twin_harmonic_suite(jet):
+    u, v = jet.values
     if abs(u) < 1e-12 or abs(v) < 1e-12:
         raise SingularGram("rho is defined only away from u = 0 = v")
-    rho = float(gu @ hu @ gu) / u
-    rho_alt = float(gv @ hv @ gv) / v
-    expectations = [
-        (gu, hu, gu, rho * u), (gv, hv, gu, rho * u),
-        (gu, hu, gv, rho * v), (gv, hv, gv, rho * v),
-        (gu, hv, gu, -rho * v), (gv, hu, gu, rho * v),
-        (gv, hu, gv, -rho * u), (gu, hv, gv, rho * u),
-    ]
-    den = max(1.0, gn * gn * hn)
-    table = np.array([abs(float(x @ h @ y) - want) / den
-                      for x, h, y, want in expectations])
-    return TwinHarmonicReport(grad_norm_gap, grad_orth, harmonic,
+    gram, gh, s = jet.grad_gram, jet.products, jet.sandwiches
+    gn = jet.grad_norms[0]
+    scale2 = max(1.0, gn * gn)
+
+    grad_norm_gap = abs(gram[0, 0] - gram[1, 1]) / scale2
+    grad_orth = abs(gram[0, 1]) / scale2
+    hn = max(jet.hessian_norms[0], 1.0)
+    pair_vector = max_abs(gh[0, 0] - gh[1, 1]) / max(1.0, gn * hn)
+    pair_cross = max_abs(gh[0, 1] + gh[1, 0]) / max(1.0, gn * hn)
+
+    rho = float(s[0, 0, 0]) / u
+    rho_alt = float(s[1, 1, 1]) / v
+    ru, rv = rho * u, rho * v
+    closed = np.array([[[ru, rv], [-rv, ru]], [[rv, -ru], [ru, rv]]])
+    table = np.abs(s - closed) / max(1.0, gn * gn * hn)
+    return TwinHarmonicReport(grad_norm_gap, grad_orth, jet.laplacians,
                               pair_vector, pair_cross, table, rho, rho_alt)
 
 
-def rho_value(n, point):
+def rho_value(pair, point):
     """The cubic-contraction multiplier u.Hu.u / u at a point with u != 0.
 
     u.Hu.u is the second derivative of u along its own gradient.  With Z
@@ -298,13 +296,12 @@ def rho_value(n, point):
     of Re det Z with rows i and k taken from W.  That is C(n, 2)
     determinants of size n, and no Hessian.
     """
-    pair = TwinHarmonicPair(n)
     u, _ = pair.values(point)
     if abs(u) < 1e-12:
         raise SingularGram("rho undefined where u vanishes")
-    gu, _ = pair.gradients(point)
-    z, w = unflatten(n, point), unflatten(n, gu)
-    i, k = np.triu_indices(n, 1)
+    z = unflatten(pair.n, point)
+    w = unflatten(pair.n, pair.gradients(point)[0])
+    i, k = np.triu_indices(pair.n, 1)
     polar = np.repeat(z[None], len(i), axis=0)
     at = np.arange(len(i))
     polar[at, i] = w[i]
@@ -319,7 +316,7 @@ class ZetaMinimality(ProjectedTraces):
     gram_conformality: float
 
 
-def zeta_minimality(n, point):
+def zeta_minimality(jet):
     """tr(P d2 u) and tr(P d2 v) at a point of the realified det = 0 locus.
 
     P projects off the two constraint gradients.  Their Gram matrix is
@@ -327,17 +324,15 @@ def zeta_minimality(n, point):
     residual is reported; on deeper strata the gradients collapse and
     :class:`SingularGram` is raised.
     """
-    pair = TwinHarmonicPair(n)
-    proj, gram = gradient_projector(np.stack(pair.gradients(point)))
+    proj, gram = gradient_projector(jet.grads)
     conf = (max(abs(gram[0, 1]), abs(gram[0, 0] - gram[1, 1]))
             / max(gram[0, 0], gram[1, 1]))
-    minim = projected_traces(proj, pair.hessians(point))
-    return ZetaMinimality(minim.traces, minim.hessian_norms, conf)
+    return ZetaMinimality(jet.tangent_traces(proj), jet.hessian_norms, conf)
 
 
-def sample_zeta_point(n, rng):
+def sample_zeta_point(pair, rng):
     """Unit-norm flat point with det = 0 and complex rank exactly n - 1."""
-    pair = TwinHarmonicPair(n)
+    n = pair.n
     for _ in range(MAX_DRAWS):
         a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
         lam = rng.normal(size=(n - 1,)) + 1j * rng.normal(size=(n - 1,))

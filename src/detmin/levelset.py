@@ -15,6 +15,9 @@ Gradients are cofactor vectors, signed (n-1)-minors of the constraint
 blocks, and Hessian entries are their signed (n-2)-minors; both are exact
 multilinear-algebra evaluations (no differencing), and the Hessian diagonal
 is an exact zero, which makes both constraints harmonic on the nose.
+:meth:`ConstraintSystem.evaluate` returns them as one ``ConstraintJet``
+(linalg), whose norms, sandwiches and Hessian products every function
+below reads; only the closed forms they are compared against live here.
 
 Minimality of the stratum is the statement tr(P d2chi_alpha) = 0 on the
 variety, with P the orthoprojector onto the common tangent space of the two
@@ -28,36 +31,17 @@ identity (it never gates a verdict; see :func:`conjecture_evidence`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import ConventionFailure, InvalidChartPoint
-from .linalg import (cofactors, gradient_projector, max_abs, numerical_rank,
-                     projected_traces, second_cofactors)
+from .linalg import (ConstraintJet, ProjectedTraces, cofactors,
+                     gradient_projector, max_abs, numerical_rank,
+                     second_cofactors)
 from .parametric import ChartPoint, chart_map
 
 # Draws each sampler below makes before giving up.
 MAX_DRAWS = 100
-
-
-@dataclass(frozen=True)
-class ConstraintValues:
-    """Values, gradients and Hessians of the two constraints at a point.
-
-    Gradients come as (n+1, n) arrays in matrix layout; Hessians as
-    ((n+1)n, (n+1)n) in the flat row-major layout.
-    """
-
-    chi1: float
-    chi2: float
-    grad1: np.ndarray
-    grad2: np.ndarray
-    hess1: np.ndarray
-    hess2: np.ndarray
-
-    def grads_flat(self):
-        return self.grad1.ravel(), self.grad2.ravel()
 
 
 class ConstraintSystem:
@@ -70,46 +54,41 @@ class ConstraintSystem:
         self.ambient_dim = (n + 1) * n
         self.sign2 = (-1.0) ** (n - 1)
 
-    def _block(self, a, which):
-        return a[:self.n, :] if which == 1 else a[1:, :]
-
     def values(self, a):
         a = np.asarray(a, dtype=float)
-        return (float(np.linalg.det(self._block(a, 1))),
-                self.sign2 * float(np.linalg.det(self._block(a, 2))))
+        return (float(np.linalg.det(a[:self.n])),
+                self.sign2 * float(np.linalg.det(a[1:])))
 
     def gradients(self, a):
-        """Cofactor gradients, each as an (n+1, n) array in matrix layout."""
+        """Cofactor gradients, stacked (2, n+1, n) in matrix layout."""
         a = np.asarray(a, dtype=float)
         n = self.n
-        out = []
-        for row0, sign in ((0, 1.0), (1, self.sign2)):
-            grad = np.zeros((n + 1, n))
-            grad[row0:row0 + n, :] = sign * cofactors(a[row0:row0 + n])
-            out.append(grad)
-        return out[0], out[1]
+        out = np.zeros((2, n + 1, n))
+        for k, sign in enumerate((1.0, self.sign2)):
+            out[k, k:k + n] = sign * cofactors(a[k:k + n])
+        return out
 
     def hessians(self, a):
-        """Flat Hessians; each nonzero entry is a signed (n-2)-minor."""
+        """Flat Hessians, stacked (2, N, N); each nonzero entry is a signed
+        (n-2)-minor."""
         a = np.asarray(a, dtype=float)
         n = self.n
-        out = []
-        for row0, sign in ((0, 1.0), (1, self.sign2)):
-            c2 = second_cofactors(a[row0:row0 + n]).reshape(n * n, n * n)
-            hess = np.zeros((self.ambient_dim, self.ambient_dim))
-            block = slice(row0 * n, (row0 + n) * n)
-            hess[block, block] = sign * c2
-            out.append(hess)
-        return out[0], out[1]
+        out = np.zeros((2, self.ambient_dim, self.ambient_dim))
+        for k, sign in enumerate((1.0, self.sign2)):
+            block = slice(k * n, (k + n) * n)
+            out[k, block, block] = sign * second_cofactors(
+                a[k:k + n]).reshape(n * n, n * n)
+        return out
 
     def evaluate(self, a):
-        chi1, chi2 = self.values(a)
-        grad1, grad2 = self.gradients(a)
-        hess1, hess2 = self.hessians(a)
-        return ConstraintValues(chi1, chi2, grad1, grad2, hess1, hess2)
+        """Values, flat gradients and Hessians of both minors at ``a``."""
+        a = np.asarray(a, dtype=float)
+        return ConstraintJet(a, np.array(self.values(a)),
+                             self.gradients(a).reshape(2, -1),
+                             self.hessians(a))
 
 
-def sample_on_variety(n, rng):
+def sample_on_variety(system, rng):
     """Rank-(n-1) point via the chart embedding, rescaled to unit norm.
 
     The constructed matrix is verified on-variety (both constraint values
@@ -117,7 +96,7 @@ def sample_on_variety(n, rng):
     first and last rows are kept away from zero so the row-coefficient
     conventions are realisable.
     """
-    system = ConstraintSystem(n)
+    n = system.n
     for _ in range(MAX_DRAWS):
         cp = ChartPoint(rng.normal(size=(n + 1, n - 1)),
                         rng.uniform(-2.0, 2.0, size=(n - 1, 1)))
@@ -141,12 +120,10 @@ class GramProjector:
     rank: int
 
 
-def tangent_projector(cv):
-    """P = I - grad_alpha (M^{-1})^{alpha beta} grad_beta at an on-variety point.
-
-    ``cv`` holds the constraint values there.
-    """
-    p, _ = gradient_projector(np.stack(cv.grads_flat()))
+def tangent_projector(jet):
+    """P = I - grad_alpha (M^{-1})^{alpha beta} grad_beta at the on-variety
+    point of ``jet``."""
+    p, _ = gradient_projector(jet.grads)
     # for an idempotent matrix the eigenvalues cluster at 0 and 1, so the
     # robust rank is the count above 1/2; a raw singular-value cutoff can
     # miscount when the Gram solve leaves noise above machine precision
@@ -154,29 +131,13 @@ def tangent_projector(cv):
     return GramProjector(p, rank)
 
 
-def levelset_mean_curvature(cv, proj):
+def levelset_mean_curvature(jet, proj):
     """Minimality residuals of both constraints at an on-variety point.
 
-    ``proj`` is the :func:`tangent_projector` built from the same ``cv``.
+    ``proj`` is the :func:`tangent_projector` built from the same ``jet``.
     """
-    return projected_traces(proj.projector, (cv.hess1, cv.hess2))
-
-
-def _sandwiches(cv):
-    """Flat gradients and Hessians of ``cv``, and their relative residual.
-
-    ``rel(err, al, be, ga)`` is |err| over |grad_al| |hess_be| |grad_ga|,
-    floored at 1.
-    """
-    g = cv.grads_flat()
-    h = (cv.hess1, cv.hess2)
-    gnorm = [np.linalg.norm(v) for v in g]
-    hnorm = [np.linalg.norm(m) for m in h]
-
-    def rel(err, al, be, ga):
-        return abs(err) / max(1.0, gnorm[al] * hnorm[be] * gnorm[ga])
-
-    return g, h, rel
+    return ProjectedTraces(jet.tangent_traces(proj.projector),
+                           jet.hessian_norms)
 
 
 @dataclass(frozen=True)
@@ -184,8 +145,8 @@ class IdentityReport:
     """Relative residuals of the identities that hold at every ambient point.
 
     ``square`` and ``mixed`` are the gradient/Hessian contraction
-    identities; ``harmonicity`` is exact by construction and reported as
-    the literal trace.
+    identities, each over its sandwich's ``sandwich_scale``; ``harmonicity``
+    is exact by construction and reported as the literal trace.
     """
 
     square: np.ndarray
@@ -193,19 +154,17 @@ class IdentityReport:
     harmonicity: np.ndarray
 
 
-def identity_suite(cv):
-    g, h, rel = _sandwiches(cv)
-    chi = (cv.chi1, cv.chi2)
-    square = np.array([
-        rel(g[k] @ h[k] @ g[k] - 0.5 * chi[k] * (h[k] * h[k]).sum(), k, k, k)
-        for k in range(2)])
-    tr12 = (h[0] * h[1]).sum()
-    mixed = np.array([
-        rel(g[1] @ h[0] @ g[1] - 0.5 * tr12 * chi[1], 1, 0, 1),
-        rel(g[0] @ h[1] @ g[0] - 0.5 * tr12 * chi[0], 0, 1, 0),
-    ])
-    harmonicity = np.array([float(np.trace(h[0])), float(np.trace(h[1]))])
-    return IdentityReport(square, mixed, harmonicity)
+def identity_suite(jet):
+    # g_a.H_a.g_a = chi_a tr(H_a^2) / 2 and g_b.H_a.g_b = chi_b tr(H_1 H_2) / 2
+    chi, s, scale = jet.values, jet.sandwiches, jet.sandwich_scale
+    own = np.arange(2)
+    other = own[::-1]
+    hh = jet.hessian_products
+    square = (np.abs(s[own, own, own] - 0.5 * chi * hh[own, own])
+              / scale[own, own, own])
+    mixed = (np.abs(s[other, own, other] - 0.5 * hh[0, 1] * chi[other])
+             / scale[other, own, other])
+    return IdentityReport(square, mixed, jet.laplacians)
 
 
 @dataclass(frozen=True)
@@ -213,29 +172,25 @@ class ContractionReport:
     """Relative residuals of the contractions that vanish on the variety.
 
     ``contractions`` holds all eight grad/Hess/grad sandwiches and
-    ``four_term`` the symmetrised four-term contraction, each indexed by
-    (alpha, beta, gamma) in lexicographic order.
+    ``four_term`` the symmetrised four-term contraction, each a (2, 2, 2)
+    table indexed [alpha, beta, gamma] like ``ConstraintJet.sandwiches``
+    and over the same ``sandwich_scale``.
     """
 
     contractions: np.ndarray
     four_term: np.ndarray
 
 
-def on_variety_contractions(cv):
-    n = cv.grad1.shape[1]
-    g, h, rel = _sandwiches(cv)
-    hess4 = [m.reshape(n + 1, n, n + 1, n) for m in h]
-    gmat = [v.reshape(n + 1, n) for v in g]
-    contractions = np.empty(8)
-    four_term = np.empty(8)
-    for idx, (al, be, ga) in enumerate(product(range(2), repeat=3)):
-        contractions[idx] = rel(g[al] @ h[be] @ g[ga], al, be, ga)
-        t1 = np.einsum("likj,li,kj->", hess4[be], gmat[al], gmat[ga])
-        t2 = np.einsum("likj,kj,li->", hess4[be], gmat[al], gmat[ga])
-        t3 = np.einsum("likj,lj,ki->", hess4[be], gmat[al], gmat[ga])
-        t4 = np.einsum("likj,ki,lj->", hess4[be], gmat[al], gmat[ga])
-        four_term[idx] = rel(t1 + t2 - t3 - t4, al, be, ga)
-    return ContractionReport(contractions, four_term)
+def on_variety_contractions(jet):
+    shape = jet.point.shape
+    hess = jet.hessians.reshape(2, *shape, *shape)
+    g = jet.grads.reshape(2, *shape)
+    four_term = (np.einsum("blikj,ali,ckj->abc", hess, g, g)
+                 + np.einsum("blikj,akj,cli->abc", hess, g, g)
+                 - np.einsum("blikj,alj,cki->abc", hess, g, g)
+                 - np.einsum("blikj,aki,clj->abc", hess, g, g))
+    return ContractionReport(np.abs(jet.sandwiches) / jet.sandwich_scale,
+                             np.abs(four_term) / jet.sandwich_scale)
 
 
 @dataclass(frozen=True)
@@ -273,15 +228,15 @@ def row_coefficients(a):
     return RowCoefficients(lam, mu, res)
 
 
-def gradient_proportionality(cv, coeffs):
+def gradient_proportionality(jet, coeffs):
     """Relative residuals of the gradient row structure.
 
     Checks, entrywise: grad chi_1 row K = -lam_K * (row 1 of grad chi_1),
     grad chi_2 row K = -mu_K * (last row of grad chi_2), and the exact
     shared-cofactor equality of those two reference rows.  ``coeffs`` are
-    the :func:`row_coefficients` of the point ``cv`` was evaluated at.
+    the :func:`row_coefficients` of the point of ``jet``.
     """
-    g1, g2 = cv.grad1, cv.grad2
+    g1, g2 = jet.grads.reshape(2, *jet.point.shape)
     scale = max(1.0, max_abs(g1), max_abs(g2))
     res1 = max_abs(g1 + np.outer(coeffs.lam, g1[0]))
     res2 = max_abs(g2 + np.outer(coeffs.mu, g2[-1]))
@@ -291,17 +246,19 @@ def gradient_proportionality(cv, coeffs):
             "shared_cofactor": shared / scale}
 
 
-def logarithmic_gradient_residual(a, cv):
+def logarithmic_gradient_residual(jet):
     """max | grad chi_alpha - chi_alpha * inv(block_alpha)^T |, relative.
 
-    ``cv`` holds the constraint values of ``a``; each gradient is compared
-    on the rows of its own block, rows 1..n for chi_1 and 2..n+1 for chi_2
-    (the other row of each gradient is an exact zero).
+    Each gradient is compared on the rows of its own block, rows 1..n for
+    chi_1 and 2..n+1 for chi_2 (the other row of each gradient is an exact
+    zero).
     """
+    a = jet.point
     n = a.shape[1]
-    g1, g2 = cv.grad1, cv.grad2
-    r1 = max_abs(g1[:n] - cv.chi1 * np.linalg.inv(a[:n]).T)
-    r2 = max_abs(g2[1:] - cv.chi2 * np.linalg.inv(a[1:]).T)
+    g1, g2 = jet.grads.reshape(2, *a.shape)
+    chi1, chi2 = jet.values
+    r1 = max_abs(g1[:n] - chi1 * np.linalg.inv(a[:n]).T)
+    r2 = max_abs(g2[1:] - chi2 * np.linalg.inv(a[1:]).T)
     return max(r1, r2) / max(1.0, max_abs(g1), max_abs(g2))
 
 
@@ -368,15 +325,13 @@ class ConjectureEvidence:
     swapped_residual: float
 
 
-def conjecture_evidence(cv):
-    g1, g2 = cv.grads_flat()
-    h1, h2 = cv.hess1, cv.hess2
-    lhs = float(g2 @ h1 @ g1)
-    tr11 = float((h1 * h1).sum())
-    tr12 = float((h1 * h2).sum())
-    tr22 = float((h2 * h2).sum())
-    printed = 0.25 * cv.chi2 * tr12 + 0.25 * cv.chi1 * tr22
-    swapped = 0.25 * cv.chi2 * tr11 + 0.25 * cv.chi1 * tr12
-    den = max(1.0, np.linalg.norm(g1) * np.linalg.norm(g2) * np.linalg.norm(h1))
+def conjecture_evidence(jet):
+    chi1, chi2 = jet.values
+    (tr11, tr12), (_, tr22) = jet.hessian_products
+    lhs = jet.sandwiches[1, 0, 0]
+    printed = 0.25 * chi2 * tr12 + 0.25 * chi1 * tr22
+    swapped = 0.25 * chi2 * tr11 + 0.25 * chi1 * tr12
+    g1, g2 = jet.grad_norms
+    den = max(1.0, g1 * g2 * jet.hessian_norms[0])
     return ConjectureEvidence(abs(lhs - printed) / den,
                               abs(lhs - swapped) / den)

@@ -13,7 +13,9 @@ its caller decides whether a matrix may be inverted, for the chart metric
 once, in closed form (``ChartPoint.invertible_metric``).  Matrices assembled
 from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and identity
 operands come from :func:`identity`, one cached read-only array per size.
-Cofactors and the codimension-k trace tr(P d2 chi) live here as substrate
+Cofactors, the codimension-k trace tr(P d2 chi) and
+:class:`ConstraintJet`, the one record of a constraint system at a point
+whose contractions both determinant routes read, live here as substrate
 only; each pipeline keeps its own closed forms.  Every exact derivative of
 a determinant is a signed minor of the input: :func:`cofactors` takes the
 (n-1)-minors and :func:`second_cofactors` the (n-2)-minors, each in one
@@ -23,7 +25,7 @@ batched determinant call indexed by one table cached per n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -443,22 +445,69 @@ def gradient_projector(grads):
 
 
 @dataclass(frozen=True)
+class ConstraintJet:
+    """Values (k,), gradients (k, N) and Hessians (k, N, N) of k constraints
+    in the flat row-major coordinates of ``point``; each contraction the
+    determinant routes read is a cached property, formed once per point."""
+
+    point: np.ndarray
+    values: np.ndarray
+    grads: np.ndarray
+    hessians: np.ndarray
+
+    @cached_property
+    def grad_gram(self):
+        """(k, k): [a, b] is g_a . g_b."""
+        return np.array([[ga @ gb for gb in self.grads] for ga in self.grads])
+
+    @cached_property
+    def grad_norms(self):
+        return np.sqrt(self.grad_gram.diagonal())
+
+    @cached_property
+    def hessian_norms(self):
+        return np.array([np.linalg.norm(h) for h in self.hessians])
+
+    @cached_property
+    def laplacians(self):
+        return np.array([float(np.trace(h)) for h in self.hessians])
+
+    @cached_property
+    def products(self):
+        """(k, k, N): [a, b] is g_a . H_b."""
+        return np.array([[g @ h for h in self.hessians] for g in self.grads])
+
+    @cached_property
+    def sandwiches(self):
+        """(k, k, k): [a, b, c] is (g_a . H_b) . g_c."""
+        return np.array([[[gh @ g for g in self.grads] for gh in row]
+                         for row in self.products])
+
+    @cached_property
+    def hessian_products(self):
+        """(k, k): [a, b] is tr(H_a H_b), summed entrywise."""
+        return np.array([[(ha * hb).sum() for hb in self.hessians]
+                         for ha in self.hessians])
+
+    @cached_property
+    def sandwich_scale(self):
+        """(k, k, k): [a, b, c] is max(1, |g_a| |H_b| |g_c|)."""
+        g, h = self.grad_norms, self.hessian_norms
+        return np.maximum(g[:, None, None] * h[:, None] * g, 1.0)
+
+    def tangent_traces(self, proj):
+        """tr(P H_a) per constraint, P the tangent projector ``proj``."""
+        return np.array([float((proj * h).sum()) for h in self.hessians])
+
+
+@dataclass(frozen=True)
 class ProjectedTraces:
     """tr(P d2chi_alpha) per constraint, normalised by the Hessian norms."""
 
     traces: np.ndarray
     hessian_norms: np.ndarray
 
-    def residuals(self):
-        return np.abs(self.traces) / np.maximum(self.hessian_norms, 1.0)
-
     @property
     def max_residual(self):
-        return float(self.residuals().max())
-
-
-def projected_traces(proj, hessians):
-    """Minimality traces of each Hessian against the tangent projector."""
-    return ProjectedTraces(
-        np.array([float((proj * h).sum()) for h in hessians]),
-        np.array([np.linalg.norm(h) for h in hessians]))
+        return float((np.abs(self.traces)
+                      / np.maximum(self.hessian_norms, 1.0)).max())

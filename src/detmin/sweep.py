@@ -325,13 +325,13 @@ def _levelset_cells(config):
         "pinned row coefficients and gradient proportionality"))
 def _levelset_on(system, rng):
     n = system.n
-    on = levelset.sample_on_variety(n, rng)
-    cv = system.evaluate(on)
-    proj = levelset.tangent_projector(cv)
-    minim = levelset.levelset_mean_curvature(cv, proj)
-    contr = levelset.on_variety_contractions(cv)
+    on = levelset.sample_on_variety(system, rng)
+    jet = system.evaluate(on)
+    proj = levelset.tangent_projector(jet)
+    minim = levelset.levelset_mean_curvature(jet, proj)
+    contr = levelset.on_variety_contractions(jet)
     rows = levelset.row_coefficients(on)
-    grads = levelset.gradient_proportionality(cv, rows)
+    grads = levelset.gradient_proportionality(jet, rows)
     return (minim.max_residual,
             _flag(proj.rank == n * n + n - 2),
             max(contr.contractions.max(), contr.four_term.max()),
@@ -351,14 +351,13 @@ def _levelset_on(system, rng):
         False, "same conjecture with the trace factors swapped"))
 def _levelset_off(system, rng):
     n = system.n
-    off = _generic_point(system.values, (n + 1, n), 1e-3, rng)
-    cv = system.evaluate(off)
-    ids = levelset.identity_suite(cv)
-    logres = levelset.logarithmic_gradient_residual(off, cv)
-    conj = levelset.conjecture_evidence(cv)
+    jet = system.evaluate(
+        _generic_point(system.values, (n + 1, n), 1e-3, rng))
+    ids = levelset.identity_suite(jet)
+    conj = levelset.conjecture_evidence(jet)
     return (max(ids.square.max(), ids.mixed.max()),
             max_abs(ids.harmonicity),
-            logres,
+            levelset.logarithmic_gradient_residual(jet),
             conj.printed_residual,
             conj.swapped_residual)
 
@@ -412,8 +411,8 @@ def _complex_cells(config):
     def steps(n):
         pair = kahler.TwinHarmonicPair(n)
         quadratic = [(_complex_rho_quadratic, pair)] if n == 2 else []
-        return [(_complex_chart,), (_complex_generic, pair, n), *quadratic,
-                (_complex_locus, n)]
+        return [(_complex_chart,), (_complex_generic, pair), *quadratic,
+                (_complex_locus, pair)]
 
     return [_sampled(config, (4, n), steps(n), n=n) for n in n_values(config)]
 
@@ -437,13 +436,13 @@ def _complex_chart(rng):
         "all eight cubic contractions reduce to one multiplier"),
        ("rho-homogeneity", "rho-homogeneity-degree", 1e-10, True,
         "the multiplier is homogeneous of degree 2n - 4"))
-def _complex_generic(pair, n, rng):
+def _complex_generic(pair, rng):
     pt = _generic_point(pair.values, pair.ambient_dim, 0.05, rng)
-    suite = kahler.twin_harmonic_suite(n, pt)
+    suite = kahler.twin_harmonic_suite(pair.evaluate(pt))
     homog = 0.0
     for t in (2.0, 3.0):
-        expected = t ** (2 * n - 4) * suite.rho
-        homog = max(homog, abs(kahler.rho_value(n, t * pt) - expected)
+        expected = t ** (2 * pair.n - 4) * suite.rho
+        homog = max(homog, abs(kahler.rho_value(pair, t * pt) - expected)
                     / max(1.0, abs(expected)))
     return (max(suite.grad_norm_gap, suite.grad_orthogonality,
                 max_abs(suite.harmonic), suite.pair_vector, suite.pair_cross),
@@ -456,7 +455,7 @@ def _complex_generic(pair, n, rng):
         "the multiplier is identically 2 for 2 x 2 matrices"))
 def _complex_rho_quadratic(pair, rng):
     pt = _generic_point(pair.values, pair.ambient_dim, 0.5, rng)
-    return (abs(kahler.rho_value(2, pt) - 2.0),)
+    return (abs(kahler.rho_value(pair, pt) - 2.0),)
 
 
 @_step("complex",
@@ -464,8 +463,9 @@ def _complex_rho_quadratic(pair, rng):
         "projected Hessian traces vanish on the det = 0 locus"),
        ("conformal-gram", "gradient-gram-conformal", 1e-12, True,
         "the two constraint gradients stay conformal on the locus"))
-def _complex_locus(n, rng):
-    zm = kahler.zeta_minimality(n, kahler.sample_zeta_point(n, rng))
+def _complex_locus(pair, rng):
+    zm = kahler.zeta_minimality(
+        pair.evaluate(kahler.sample_zeta_point(pair, rng)))
     return (zm.max_residual, zm.gram_conformality)
 
 

@@ -253,7 +253,7 @@ def test_criterion_10_cross_pipeline_agreement():
         rng = derived_rng(100 + n)
         system = ConstraintSystem(n)
         for _ in range(10):
-            x = sample_on_variety(n, rng)
+            x = sample_on_variety(system, rng)
             # chart over the leading n - 1 columns, which span the column
             # space here; the chart must reproduce the sampled matrix
             lead = x[:, :n - 1]
@@ -263,9 +263,9 @@ def test_criterion_10_cross_pipeline_agreement():
             mc = mean_curvature(cp)
             assert mc.max_component <= 1e-9 * mc.metric_scale
             worst_param = max(worst_param, mc.max_component)
-            cv = system.evaluate(x)
+            jet = system.evaluate(x)
             worst_level = max(worst_level, levelset_mean_curvature(
-                cv, tangent_projector(cv)).max_residual)
+                jet, tangent_projector(jet)).max_residual)
             assert_certificate(helicoidal_certificate(x, n - 1, rng), n - 1, n)
 
     worst_fd = 0.0

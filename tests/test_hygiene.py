@@ -3,7 +3,8 @@ every function and method of the package is read by a run, the bench or a
 demo, not by the tests alone, every parameter is read by its function,
 no library function or result decides a verdict of its own, no check
 name is written out in full and every sweep cell samples through one loop
-that reads no verdict; every rank question goes through the one tolerance
+that reads no verdict; the pipeline modules import from each other only
+what is declared, every rank question goes through the one tolerance
 policy in linalg, every random stream is built by ``linalg.derived_rng``,
 and hypothesis draws deterministically."""
 
@@ -265,6 +266,53 @@ def test_no_check_name_is_written_out():
                if isinstance(node, ast.Constant) and node.value in CHECKS]
     assert CHECKS, "the check no longer sees the registry"
     assert not written, f"check names written out: {written}"
+
+
+# what each pipeline module takes from the rest of the package besides the
+# shared substrate: routes that must stay independent share code only
+# through linalg, and a record two routes read belongs there, not in one
+# route that the other imports
+SUBSTRATE = {"linalg", "errors"}
+PIPELINE_IMPORTS = {
+    "parametric.py": {"dual"},
+    "levelset.py": {"parametric.ChartPoint", "parametric.chart_map"},
+    "helicoidal.py": {"parametric.ChartPoint", "parametric.chart_map"},
+    "pseudo.py": {"parametric.MAX_DRAWS", "parametric.ChartPoint",
+                  "parametric.chart_second_derivatives",
+                  "parametric.sample_chart_point"},
+    "variation.py": {"parametric.normal_fields", "parametric.normal_frame"},
+    "kahler.py": set(),
+    "dual.py": set(),
+}
+
+
+def _package_imports(tree):
+    """``module.name`` for each name imported from the package, or
+    ``module`` for an imported module, as written relative to it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "detmin":
+                    continue
+                module = module.partition(".")[2]
+            for alias in node.names:
+                yield f"{module}.{alias.name}" if module else alias.name
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[2] for alias in node.names
+                        if alias.name.split(".")[0] == "detmin")
+
+
+def test_pipeline_imports_are_the_declared_ones():
+    found = {}
+    for name in PIPELINE_IMPORTS:
+        tree = ast.parse((ROOT / "src" / "detmin" / name).read_text("utf-8"))
+        found[name] = {imported for imported in _package_imports(tree)
+                       if imported.split(".")[0] not in SUBSTRATE}
+    assert any(name.startswith("linalg.") for name in _package_imports(
+        ast.parse((ROOT / "src" / "detmin" / "kahler.py").read_text("utf-8")))
+    ), "the check no longer sees an import from linalg"
+    assert found == PIPELINE_IMPORTS
 
 
 def test_no_rank_decision_bypasses_the_linalg_policy():

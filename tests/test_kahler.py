@@ -214,7 +214,8 @@ class TestTwinPair:
     def test_ambient_identities(self, n):
         rng = derived_rng(20 + n)
         for _ in range(5):
-            rep = twin_harmonic_suite(n, _generic_point(n, rng))
+            rep = twin_harmonic_suite(
+                TwinHarmonicPair(n).evaluate(_generic_point(n, rng)))
             assert rep.grad_norm_gap < 1e-12
             assert rep.grad_orthogonality < 1e-12
             assert max_abs(rep.harmonic) == 0.0
@@ -224,19 +225,21 @@ class TestTwinPair:
 
     def test_rho_is_two_for_n2(self):
         rng = derived_rng(24)
+        pair = TwinHarmonicPair(2)
         for _ in range(20):
             point = _generic_point(2, rng, floor=0.5)
-            assert abs(rho_value(2, point) - 2.0) < 1e-12
-            rep = twin_harmonic_suite(2, point)
+            assert abs(rho_value(pair, point) - 2.0) < 1e-12
+            rep = twin_harmonic_suite(pair.evaluate(point))
             assert abs(rep.rho - rep.rho_alt) < 1e-10
 
     @pytest.mark.parametrize("n,degree", [(2, 0), (3, 2)])
     def test_rho_homogeneity(self, n, degree):
         rng = derived_rng(26 + n)
+        pair = TwinHarmonicPair(n)
         point = _generic_point(n, rng, floor=0.5)
-        base = rho_value(n, point)
+        base = rho_value(pair, point)
         for t in (2.0, 3.0):
-            scaled = rho_value(n, t * point)
+            scaled = rho_value(pair, t * point)
             assert scaled == pytest.approx(t ** degree * base, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -250,15 +253,16 @@ class TestTwinPair:
             u, _ = pair.values(point)
             gu, _ = pair.gradients(point)
             hu, _ = pair.hessians(point)
-            rho = rho_value(n, point)
+            rho = rho_value(pair, point)
             assert rho == pytest.approx(float(gu @ hu @ gu) / u, rel=1e-12)
-            assert rho == pytest.approx(twin_harmonic_suite(n, point).rho,
-                                        rel=1e-12)
+            assert rho == pytest.approx(
+                twin_harmonic_suite(pair.evaluate(point)).rho, rel=1e-12)
 
     def test_suite_refuses_vanishing_twin(self):
         # real entries force v = 0 identically
         with pytest.raises(SingularGram):
-            twin_harmonic_suite(2, flatten(np.eye(2)))
+            twin_harmonic_suite(
+                TwinHarmonicPair(2).evaluate(flatten(np.eye(2))))
 
 
 class TestZetaLocus:
@@ -266,8 +270,9 @@ class TestZetaLocus:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sample_contract(self, n):
         rng = derived_rng(30 + n)
-        point = sample_zeta_point(n, rng)
-        u, v = TwinHarmonicPair(n).values(point)
+        pair = TwinHarmonicPair(n)
+        point = sample_zeta_point(pair, rng)
+        u, v = pair.values(point)
         assert abs(u) < 1e-12 and abs(v) < 1e-12
         assert np.linalg.norm(point) == pytest.approx(1.0)
         assert np.linalg.matrix_rank(unflatten(n, point)) == n - 1
@@ -275,8 +280,9 @@ class TestZetaLocus:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_minimality_and_conformality(self, n):
         rng = derived_rng(34 + n)
+        pair = TwinHarmonicPair(n)
         for _ in range(5):
-            zm = zeta_minimality(n, sample_zeta_point(n, rng))
+            zm = zeta_minimality(pair.evaluate(sample_zeta_point(pair, rng)))
             assert zm.max_residual < 1e-10
             assert zm.gram_conformality < 1e-12
 
@@ -285,4 +291,4 @@ class TestZetaLocus:
         z = np.zeros((3, 3), dtype=complex)
         z[0, 0] = 1.0 + 0.5j
         with pytest.raises(SingularGram):
-            zeta_minimality(3, flatten(z))
+            zeta_minimality(TwinHarmonicPair(3).evaluate(flatten(z)))

@@ -56,10 +56,10 @@ class TestFrozenRepeatedRow:
         assert np.array_equal(g2.ravel(), [0, 0, 0, 1, 0, -1])
 
     def test_gram_matrix(self):
-        cv = ConstraintSystem(2).evaluate(self.A)
-        _, gram = gradient_projector(np.stack(cv.grads_flat()))
+        jet = ConstraintSystem(2).evaluate(self.A)
+        _, gram = gradient_projector(jet.grads)
         assert np.array_equal(gram, [[2.0, 1.0], [1.0, 2.0]])
-        assert tangent_projector(cv).rank == 4  # n^2 + n - 2
+        assert tangent_projector(jet).rank == 4  # n^2 + n - 2
 
     def test_row_coefficients(self):
         rc = row_coefficients(self.A)
@@ -67,8 +67,8 @@ class TestFrozenRepeatedRow:
         assert np.allclose(rc.mu, [0.0, 1.0, -1.0])
 
     def test_minimality(self):
-        cv = ConstraintSystem(2).evaluate(self.A)
-        mc = levelset_mean_curvature(cv, tangent_projector(cv))
+        jet = ConstraintSystem(2).evaluate(self.A)
+        mc = levelset_mean_curvature(jet, tangent_projector(jet))
         assert mc.max_residual < 1e-15
 
 
@@ -117,9 +117,9 @@ def test_minimality_on_variety(n):
     rng = derived_rng(20 + n)
     system = ConstraintSystem(n)
     for _ in range(10):
-        cv = system.evaluate(sample_on_variety(n, rng))
-        proj = tangent_projector(cv)
-        assert levelset_mean_curvature(cv, proj).max_residual < 1e-9
+        jet = system.evaluate(sample_on_variety(system, rng))
+        proj = tangent_projector(jet)
+        assert levelset_mean_curvature(jet, proj).max_residual < 1e-9
         assert proj.rank == n * n + n - 2
 
 
@@ -133,7 +133,7 @@ def test_identities_everywhere_and_on_variety(n):
     assert rep.mixed.max() < 1e-10
     assert max_abs(rep.harmonicity) == 0.0
 
-    on = sample_on_variety(n, rng)
+    on = sample_on_variety(system, rng)
     rep_on = on_variety_contractions(system.evaluate(on))
     assert rep_on.contractions.max() < 1e-9
     assert rep_on.four_term.max() < 1e-9
@@ -144,7 +144,7 @@ def test_gradient_proportionality_on_variety(n):
     rng = derived_rng(40 + n)
     system = ConstraintSystem(n)
     for _ in range(5):
-        a = sample_on_variety(n, rng)
+        a = sample_on_variety(system, rng)
         rep = gradient_proportionality(system.evaluate(a), row_coefficients(a))
         assert max(rep.values()) < 1e-9
 
@@ -158,13 +158,12 @@ def test_minor_inverse_identity_off_variety(n):
         chi1, chi2 = system.values(a)
         if min(abs(chi1), abs(chi2)) < 1e-2:
             continue
-        cv = system.evaluate(a)
-        assert logarithmic_gradient_residual(a, cv) < 1e-10
+        assert logarithmic_gradient_residual(system.evaluate(a)) < 1e-10
         # each gradient is chi times the transposed inverse of its block,
         # and exactly zero on the row its block leaves out
-        assert np.allclose(cv.grad1[:n], chi1 * np.linalg.inv(a[:n]).T,
-                           atol=1e-10)
-        assert not cv.grad1[n].any() and not cv.grad2[0].any()
+        g1, g2 = system.gradients(a)
+        assert np.allclose(g1[:n], chi1 * np.linalg.inv(a[:n]).T, atol=1e-10)
+        assert not g1[n].any() and not g2[0].any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -218,8 +217,8 @@ class TestConjecture:
         for n in (2, 3, 4):
             system = ConstraintSystem(n)
             for _ in range(10):
-                cv = system.evaluate(rng.normal(size=(n + 1, n)))
-                assert conjecture_evidence(cv).swapped_residual < 1e-12
+                jet = system.evaluate(rng.normal(size=(n + 1, n)))
+                assert conjecture_evidence(jet).swapped_residual < 1e-12
 
     def test_n2_closed_form_collapse(self):
         # for n = 2 the Hessians are constant with tr(H1 H2) = 0 and
@@ -227,12 +226,13 @@ class TestConjecture:
         rng = derived_rng(73)
         system = ConstraintSystem(2)
         a = rng.normal(size=(3, 2))
-        cv = system.evaluate(a)
-        lhs = cv.grads_flat()[1] @ cv.hess1 @ cv.grads_flat()[0]
-        assert lhs == pytest.approx(cv.chi2, rel=1e-12)
-        printed_rhs = 0.25 * cv.chi2 * (cv.hess1 * cv.hess2).sum() + \
-            0.25 * cv.chi1 * (cv.hess2 * cv.hess2).sum()
-        assert printed_rhs == pytest.approx(cv.chi1, rel=1e-12)
+        (chi1, chi2), (g1, g2) = system.values(a), system.gradients(a)
+        h1, h2 = system.hessians(a)
+        lhs = g2.ravel() @ h1 @ g1.ravel()
+        assert lhs == pytest.approx(chi2, rel=1e-12)
+        printed_rhs = 0.25 * chi2 * (h1 * h2).sum() + \
+            0.25 * chi1 * (h2 * h2).sum()
+        assert printed_rhs == pytest.approx(chi1, rel=1e-12)
 
 
 def test_row_coefficients_require_spanning_middle_rows():
@@ -259,8 +259,9 @@ def test_tangent_projector_rejects_collapsed_gradients():
 def test_sample_on_variety_contract():
     rng = derived_rng(81)
     for n in (2, 3, 4):
-        a = sample_on_variety(n, rng)
-        chi1, chi2 = ConstraintSystem(n).values(a)
+        system = ConstraintSystem(n)
+        a = sample_on_variety(system, rng)
+        chi1, chi2 = system.values(a)
         assert abs(chi1) < 1e-12 and abs(chi2) < 1e-12
         assert np.linalg.norm(a) == pytest.approx(1.0)
         assert np.linalg.matrix_rank(a) == n - 1

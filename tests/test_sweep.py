@@ -335,9 +335,9 @@ def test_off_variety_levelset_samples_fail(monkeypatch):
     # written off as a degenerate sample that never gates
     sample = levelset.sample_on_variety
 
-    def off_variety(n, rng):
-        a = sample(n, rng)
-        return a + 1e-6 * derived_rng(n).normal(size=a.shape)
+    def off_variety(system, rng):
+        a = sample(system, rng)
+        return a + 1e-6 * derived_rng(system.n).normal(size=a.shape)
 
     monkeypatch.setattr(levelset, "sample_on_variety", off_variety)
     monkeypatch.setattr(sweep, "_can_fork", lambda: False)
