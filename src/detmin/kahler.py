@@ -20,7 +20,8 @@ common zero set u = v = 0 those contractions vanish, which is exactly the
 minimality of the complex hypersurface det = 0 as a real submanifold of
 codimension two.  :meth:`TwinHarmonicPair.evaluate` returns the pair at a
 point as one ``ConstraintJet`` (linalg), whose norms, g.H products and
-sandwiches the suite and the locus read; only their closed forms live here.
+sandwiches the suite and the locus read, with the scales of their residuals
+and guards (see ``ConstraintJet``); only their closed forms live here.
 """
 
 from __future__ import annotations
@@ -141,16 +142,16 @@ def complex_chart_geometry(cp):
                          cp.lam * cp.e2 + cp.mu * cp.e1])
     closed[:6, 6:] = b
     closed[6:, :6] = b.T
-    block_residual = max_abs(metric - closed) / max(1.0, max_abs(metric))
+    block_residual = max_abs(metric - closed) / max_abs(metric)
 
     inverse = np.linalg.inv(metric)
     rho_inv_expected = cp.s / conformal * np.eye(2)
     schur = metric[6:, 6:] - metric[6:, :6] @ np.linalg.solve(
         metric[:6, :6], metric[:6, 6:])
-    schur_residual = max_abs(schur - rho_inv_expected) / max(1.0, cp.s)
+    schur_residual = max_abs(schur - rho_inv_expected) / cp.s
     offdiag_expected = -b / cp.s
     offdiag_residual = (max_abs(inverse[:6, 6:] - offdiag_expected)
-                        / max(1.0, max_abs(inverse)))
+                        / max_abs(inverse))
 
     # normals: last-6 block orthogonal to span{E1, E2}, leading block chosen
     # to kill the pairing with the x/y tangent directions
@@ -247,7 +248,7 @@ class TwinHarmonicPair:
 class TwinHarmonicReport:
     """Ambient identities of the pair and the scalar multiplier rho.
 
-    All residuals are relative with the floored-product normalisation.  The
+    Residuals are relative to the jet's norms of their degree.  The
     contraction table holds the eight grad/Hess/grad sandwiches, indexed
     like the jet's (0 for u, 1 for v), against their closed forms +-rho u
     or +-rho v, with rho fitted from u.Hu.u / u (the ``rho`` field;
@@ -264,25 +265,27 @@ class TwinHarmonicReport:
     rho_alt: float
 
 
+def _near_zero_set(values, point, grads):
+    """Some |c| <= 1e-12 |x| |grad c|: degree 0, as x . grad c = n c."""
+    return (np.abs(values) <= 1e-12 * np.linalg.norm(point) * grads).any()
+
+
 def twin_harmonic_suite(jet):
     u, v = jet.values
-    if abs(u) < 1e-12 or abs(v) < 1e-12:
+    if _near_zero_set(jet.values, jet.point, jet.grad_norms):
         raise SingularGram("rho is defined only away from u = 0 = v")
     gram, gh, s = jet.grad_gram, jet.products, jet.sandwiches
-    gn = jet.grad_norms[0]
-    scale2 = max(1.0, gn * gn)
-
-    grad_norm_gap = abs(gram[0, 0] - gram[1, 1]) / scale2
-    grad_orth = abs(gram[0, 1]) / scale2
-    hn = max(jet.hessian_norms[0], 1.0)
-    pair_vector = max_abs(gh[0, 0] - gh[1, 1]) / max(1.0, gn * hn)
-    pair_cross = max_abs(gh[0, 1] + gh[1, 0]) / max(1.0, gn * hn)
+    gn, hn = jet.grad_norms[0], jet.hessian_norms[0]
+    grad_norm_gap = abs(gram[0, 0] - gram[1, 1]) / gram[0, 0]
+    grad_orth = abs(gram[0, 1]) / gram[0, 0]
+    pair_vector = max_abs(gh[0, 0] - gh[1, 1]) / (gn * hn)
+    pair_cross = max_abs(gh[0, 1] + gh[1, 0]) / (gn * hn)
 
     rho = float(s[0, 0, 0]) / u
     rho_alt = float(s[1, 1, 1]) / v
     ru, rv = rho * u, rho * v
     closed = np.array([[[ru, rv], [-rv, ru]], [[rv, -ru], [ru, rv]]])
-    table = np.abs(s - closed) / max(1.0, gn * gn * hn)
+    table = np.abs(s - closed) / jet.sandwich_scale
     return TwinHarmonicReport(grad_norm_gap, grad_orth, jet.laplacians,
                               pair_vector, pair_cross, table, rho, rho_alt)
 
@@ -297,10 +300,10 @@ def rho_value(pair, point):
     determinants of size n, and no Hessian.
     """
     u, _ = pair.values(point)
-    if abs(u) < 1e-12:
+    w = unflatten(pair.n, pair.gradients(point)[0])
+    if _near_zero_set(u, point, np.linalg.norm(w)):
         raise SingularGram("rho undefined where u vanishes")
     z = unflatten(pair.n, point)
-    w = unflatten(pair.n, pair.gradients(point)[0])
     i, k = np.triu_indices(pair.n, 1)
     polar = np.repeat(z[None], len(i), axis=0)
     at = np.arange(len(i))

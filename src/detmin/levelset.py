@@ -17,7 +17,8 @@ multilinear-algebra evaluations (no differencing), and the Hessian diagonal
 is an exact zero, which makes both constraints harmonic on the nose.
 :meth:`ConstraintSystem.evaluate` returns them as one ``ConstraintJet``
 (linalg), whose norms, sandwiches and Hessian products every function
-below reads; only the closed forms they are compared against live here.
+below reads, and whose norms scale each residual (see ``ConstraintJet``);
+only the closed forms they are compared against live here.
 
 Minimality of the stratum is the statement tr(P d2chi_alpha) = 0 on the
 variety, with P the orthoprojector onto the common tangent space of the two
@@ -38,7 +39,6 @@ from .errors import ConventionFailure, InvalidChartPoint
 from .linalg import (ConstraintJet, ProjectedTraces, cofactors,
                      gradient_projector, max_abs, numerical_rank,
                      second_cofactors)
-from .parametric import ChartPoint, chart_map
 
 # Draws each sampler below makes before giving up.
 MAX_DRAWS = 100
@@ -89,7 +89,7 @@ class ConstraintSystem:
 
 
 def sample_on_variety(system, rng):
-    """Rank-(n-1) point via the chart embedding, rescaled to unit norm.
+    """Rank-(n-1) point (a, a lam), rescaled to unit norm.
 
     The constructed matrix is verified on-variety (both constraint values
     below 1e-12 after normalisation) rather than projected there, and its
@@ -98,9 +98,9 @@ def sample_on_variety(system, rng):
     """
     n = system.n
     for _ in range(MAX_DRAWS):
-        cp = ChartPoint(rng.normal(size=(n + 1, n - 1)),
-                        rng.uniform(-2.0, 2.0, size=(n - 1, 1)))
-        a = chart_map(cp)
+        a = rng.normal(size=(n + 1, n - 1))
+        a = np.concatenate([a, a @ rng.uniform(-2.0, 2.0, size=(n - 1, 1))],
+                           axis=1)
         a = a / np.linalg.norm(a)
         chi1, chi2 = system.values(a)
         rows_ok = (np.linalg.norm(a[0]) > 0.05 and np.linalg.norm(a[-1]) > 0.05)
@@ -219,12 +219,11 @@ def row_coefficients(a):
     middle = a[1:n, :]
     if numerical_rank(middle) != n - 1:
         raise ConventionFailure("middle rows do not span the row space")
-    scale = max(1.0, np.linalg.norm(a))
     sol_first, *_ = np.linalg.lstsq(middle.T, a[0], rcond=None)
     sol_last, *_ = np.linalg.lstsq(middle.T, a[n], rcond=None)
     lam = np.concatenate([[-1.0], sol_first, [0.0]])
     mu = np.concatenate([[0.0], sol_last, [-1.0]])
-    res = np.array([np.linalg.norm(lam @ a), np.linalg.norm(mu @ a)]) / scale
+    res = np.linalg.norm([lam @ a, mu @ a], axis=1) / np.linalg.norm(a)
     return RowCoefficients(lam, mu, res)
 
 
@@ -237,7 +236,7 @@ def gradient_proportionality(jet, coeffs):
     the :func:`row_coefficients` of the point of ``jet``.
     """
     g1, g2 = jet.grads.reshape(2, *jet.point.shape)
-    scale = max(1.0, max_abs(g1), max_abs(g2))
+    scale = max_abs(jet.grads)
     res1 = max_abs(g1 + np.outer(coeffs.lam, g1[0]))
     res2 = max_abs(g2 + np.outer(coeffs.mu, g2[-1]))
     shared = max_abs(g1[0] - g2[-1])
@@ -259,7 +258,7 @@ def logarithmic_gradient_residual(jet):
     chi1, chi2 = jet.values
     r1 = max_abs(g1[:n] - chi1 * np.linalg.inv(a[:n]).T)
     r2 = max_abs(g2[1:] - chi2 * np.linalg.inv(a[1:]).T)
-    return max(r1, r2) / max(1.0, max_abs(g1), max_abs(g2))
+    return max(r1, r2) / max_abs(jet.grads)
 
 
 @dataclass(frozen=True)
@@ -270,42 +269,41 @@ class RankOneReport:
     factor_residual: float
 
 
+def leading_pivot(cof):
+    """Whether cof[0, 0] = det m[1:, 1:] can pivot :func:`gradient_rank_one`:
+    at least 1e-8 of the largest cofactor in modulus."""
+    return abs(cof[0, 0]) > 1e-8 * max_abs(cof)
+
+
 def gradient_rank_one(m):
     """Rank-one structure of the cofactor matrix of a singular square matrix.
 
     cof[i, j] = d det / d m_{ij} as a matrix has rank one on det = 0; with
     row coefficients lam (lam_1 = -1) and column coefficients rho (rho_1 =
     -1) it factors as cof[i, j] = lam_i rho_j cof[0, 0].  Requires the
-    leading cofactor to be usable as a pivot.
+    leading cofactor to pass :func:`leading_pivot`.
     """
     m = np.asarray(m, dtype=float)
     k = m.shape[0]
     if m.shape != (k, k):
         raise ValueError("square matrix required")
     cof = cofactors(m)
-    s = np.linalg.svd(cof, compute_uv=False)
-    ratio = float(s[1] / s[0]) if s[0] > 0 else 0.0
-
-    scale = max(1.0, max_abs(cof))
-    if abs(cof[0, 0]) < 1e-8 * scale:
+    if not leading_pivot(cof):
         raise ConventionFailure("leading cofactor too small to factor through")
-    rows = m[1:, :]
-    cols = m[:, 1:]
-    lam = np.concatenate([[-1.0], np.linalg.lstsq(rows.T, m[0], rcond=None)[0]])
-    rho = np.concatenate([[-1.0], np.linalg.lstsq(cols, m[:, 0], rcond=None)[0]])
-    predicted = np.outer(lam, rho) * cof[0, 0]
-    factor_residual = max_abs(cof - predicted) / scale
-    return RankOneReport(ratio, factor_residual)
+    s = np.linalg.svd(cof, compute_uv=False)
+    lam = np.linalg.lstsq(m[1:].T, m[0], rcond=None)[0]
+    rho = np.linalg.lstsq(m[:, 1:], m[:, 0], rcond=None)[0]
+    predicted = np.outer(np.r_[-1.0, lam], np.r_[-1.0, rho]) * cof[0, 0]
+    factor_residual = max_abs(cof - predicted) / max_abs(cof)
+    return RankOneReport(float(s[1] / s[0]), factor_residual)
 
 
 def sample_singular_matrix(n, rng):
-    """Unit-norm n x n matrix of rank exactly n-1 with a usable leading pivot."""
+    """Unit-norm n x n matrix of rank n - 1 passing :func:`leading_pivot`."""
     for _ in range(MAX_DRAWS):
         m = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
         m /= np.linalg.norm(m)
-        if numerical_rank(m) != n - 1:
-            continue
-        if numerical_rank(m[1:, :]) == numerical_rank(m[:, 1:]) == n - 1:
+        if numerical_rank(m) == n - 1 and leading_pivot(cofactors(m)):
             return m
     raise InvalidChartPoint(f"no admissible singular matrix for n={n}")
 
@@ -331,7 +329,6 @@ def conjecture_evidence(jet):
     lhs = jet.sandwiches[1, 0, 0]
     printed = 0.25 * chi2 * tr12 + 0.25 * chi1 * tr22
     swapped = 0.25 * chi2 * tr11 + 0.25 * chi1 * tr12
-    g1, g2 = jet.grad_norms
-    den = max(1.0, g1 * g2 * jet.hessian_norms[0])
+    den = jet.sandwich_scale[1, 0, 0]
     return ConjectureEvidence(abs(lhs - printed) / den,
                               abs(lhs - swapped) / den)

@@ -15,8 +15,9 @@ from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and identity
 operands come from :func:`identity`, one cached read-only array per size.
 Cofactors, the codimension-k trace tr(P d2 chi) and
 :class:`ConstraintJet`, the one record of a constraint system at a point
-whose contractions both determinant routes read, live here as substrate
-only; each pipeline keeps its own closed forms.  Every exact derivative of
+whose contractions and norms, the scales of their residuals, both
+determinant routes read, live here as substrate only; each pipeline keeps
+its own closed forms.  Every exact derivative of
 a determinant is a signed minor of the input: :func:`cofactors` takes the
 (n-1)-minors and :func:`second_cofactors` the (n-2)-minors, each in one
 batched determinant call indexed by one table cached per n.
@@ -38,11 +39,8 @@ RANK_TOL_FACTOR = 4.0
 # the point is treated as near-boundary and reported, not inverted.
 COND_LIMIT = 1e6
 
-# Condition-number guard on the Gram matrix of constraint gradients, and
-# the floor under its largest diagonal entry below which the gradients
-# count as collapsed.
+# Condition-number guard on the Gram matrix of constraint gradients.
 GRAM_COND_LIMIT = 1e8
-GRAM_SCALE_FLOOR = 1e-16
 
 # Relative band around zero inside which an eigenvalue counts as null.
 INERTIA_BAND = 1e-10
@@ -433,13 +431,11 @@ def gradient_projector(grads):
 
     P = I - grads^T (grads grads^T)^{-1} grads projects onto the common
     tangent space of the level sets whose gradients are the rows.  Raises
-    :class:`SingularGram` when the gradients are collapsed or dependent.
+    :class:`SingularGram` when the Gram's condition exceeds GRAM_COND_LIMIT.
     """
     gram = grads @ grads.T
-    scale = gram.diagonal().max()
-    if scale < GRAM_SCALE_FLOOR or np.linalg.cond(gram) > GRAM_COND_LIMIT:
-        raise SingularGram(
-            f"constraint-gradient Gram is numerically singular (scale {scale:.3e})")
+    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
+        raise SingularGram("constraint-gradient Gram is numerically singular")
     proj = np.eye(grads.shape[1]) - grads.T @ np.linalg.solve(gram, grads)
     return proj, gram
 
@@ -447,8 +443,15 @@ def gradient_projector(grads):
 @dataclass(frozen=True)
 class ConstraintJet:
     """Values (k,), gradients (k, N) and Hessians (k, N, N) of k constraints
-    in the flat row-major coordinates of ``point``; each contraction the
-    determinant routes read is a cached property, formed once per point."""
+    in the flat coordinates of ``point``; each contraction the determinant
+    routes read is a cached property, formed once per point.
+
+    The routes' constraints are homogeneous, so each residual is an error
+    over norms below (or the point's) of its own degree in the point: a
+    normwise backward error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, ch. 1-2) that reads the same at x and t x.
+    No scale is floored at 1 and no guard is an absolute threshold.
+    """
 
     point: np.ndarray
     values: np.ndarray
@@ -491,9 +494,9 @@ class ConstraintJet:
 
     @cached_property
     def sandwich_scale(self):
-        """(k, k, k): [a, b, c] is max(1, |g_a| |H_b| |g_c|)."""
+        """(k, k, k): [a, b, c] is |g_a| |H_b| |g_c|."""
         g, h = self.grad_norms, self.hessian_norms
-        return np.maximum(g[:, None, None] * h[:, None] * g, 1.0)
+        return g[:, None, None] * h[:, None] * g
 
     def tangent_traces(self, proj):
         """tr(P H_a) per constraint, P the tangent projector ``proj``."""
@@ -509,5 +512,4 @@ class ProjectedTraces:
 
     @property
     def max_residual(self):
-        return float((np.abs(self.traces)
-                      / np.maximum(self.hessian_norms, 1.0)).max())
+        return float((np.abs(self.traces) / self.hessian_norms).max())

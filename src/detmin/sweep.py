@@ -438,16 +438,15 @@ def _complex_chart(rng):
         "the multiplier is homogeneous of degree 2n - 4"))
 def _complex_generic(pair, rng):
     pt = _generic_point(pair.values, pair.ambient_dim, 0.05, rng)
-    suite = kahler.twin_harmonic_suite(pair.evaluate(pt))
-    homog = 0.0
-    for t in (2.0, 3.0):
-        expected = t ** (2 * pair.n - 4) * suite.rho
-        homog = max(homog, abs(kahler.rho_value(pair, t * pt) - expected)
-                    / max(1.0, abs(expected)))
+    jet = pair.evaluate(pt)
+    suite = kahler.twin_harmonic_suite(jet)
+    homog = max(abs(kahler.rho_value(pair, t * pt) / t ** (2 * pair.n - 4)
+                    - suite.rho) for t in (2.0, 3.0))
     return (max(suite.grad_norm_gap, suite.grad_orthogonality,
                 max_abs(suite.harmonic), suite.pair_vector, suite.pair_cross),
             suite.contraction_table.max(),
-            homog)
+            # |rho| <= |grad u|^2 |H_u| / |u|, a scale that cannot vanish
+            homog * abs(jet.values[0]) / jet.sandwich_scale[0, 0, 0])
 
 
 @_step("complex",

@@ -6,7 +6,8 @@ name is written out in full and every sweep cell samples through one loop
 that reads no verdict; the pipeline modules import from each other only
 what is declared, every rank question goes through the one tolerance
 policy in linalg, every random stream is built by ``linalg.derived_rng``,
-and hypothesis draws deterministically."""
+the determinant routes floor no residual scale at 1, and hypothesis draws
+deterministically."""
 
 import ast
 import json
@@ -275,8 +276,8 @@ def test_no_check_name_is_written_out():
 SUBSTRATE = {"linalg", "errors"}
 PIPELINE_IMPORTS = {
     "parametric.py": {"dual"},
-    "levelset.py": {"parametric.ChartPoint", "parametric.chart_map"},
-    "helicoidal.py": {"parametric.ChartPoint", "parametric.chart_map"},
+    "levelset.py": set(),
+    "helicoidal.py": set(),
     "pseudo.py": {"parametric.MAX_DRAWS", "parametric.ChartPoint",
                   "parametric.chart_second_derivatives",
                   "parametric.sample_chart_point"},
@@ -345,6 +346,59 @@ def test_one_stream_constructor():
                   for name in sorted(elsewhere & STREAM_MAKERS)]
     assert home & STREAM_MAKERS, "the check no longer sees derived_rng"
     assert not named, f"random streams built outside derived_rng: {named}"
+
+
+# linalg's definitions that only the determinant routes read
+JET_DEFS = {"ConstraintJet", "ProjectedTraces", "gradient_projector"}
+ROUTE_STEPS = {"levelset", "complex"}
+
+
+def _route_definitions():
+    """(file, node) of each top-level definition of the determinant routes:
+    all of levelset.py and kahler.py, linalg's ``JET_DEFS`` and the steps
+    sweep.py declares for the ``ROUTE_STEPS`` pipelines."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in tree.body:
+            steps = [dec.args[0].value for dec in
+                     getattr(node, "decorator_list", ())
+                     if isinstance(dec, ast.Call)
+                     and getattr(dec.func, "id", None) == "_step"]
+            if (path.name in ("levelset.py", "kahler.py")
+                    or (path.name == "linalg.py"
+                        and getattr(node, "name", None) in JET_DEFS)
+                    or (path.name == "sweep.py"
+                        and set(steps) & ROUTE_STEPS)):
+                yield path.name, node
+
+
+def _floors(node):
+    """Lines of each ``max(..)`` or ``*.maximum(..)`` call with an operand
+    of 1."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Call)
+                and (getattr(sub.func, "id", None) == "max"
+                     or getattr(sub.func, "attr", None) == "maximum")
+                and any(isinstance(arg, ast.Constant) and arg.value == 1
+                        for arg in sub.args)):
+            yield sub.lineno
+
+
+def test_the_determinant_routes_take_their_scale_from_the_jet():
+    # their constraints are homogeneous, so every residual is an error over
+    # the jet's norms of its own degree; a floor at 1 leaves a residual
+    # absolute wherever those norms fall below 1, that is at small |x|
+    definitions = list(_route_definitions())
+    seen = {name for name, _ in definitions}
+    assert seen == {"levelset.py", "kahler.py", "linalg.py", "sweep.py"}
+    floors = [f"{name}:{line}" for name, node in definitions
+              for line in _floors(node)]
+    assert not floors, f"residual scales floored at 1: {floors}"
+    # an absolute floor under the gradient Gram was the routes' one
+    # absolute guard; its condition number alone decides
+    named = [path.name for path in SOURCES
+             if "GRAM_SCALE_FLOOR" in path.read_text("utf-8")]
+    assert not named, f"GRAM_SCALE_FLOOR is back in {named}"
 
 
 def test_hypothesis_draws_deterministically():

@@ -4,6 +4,8 @@ Each determinant route once formed its own gradient/Hessian contractions,
 one entry at a time, on separate gradient and Hessian arrays.  Those
 expressions are kept here as the reference: every table the jet caches,
 and every report the routes build from it, must equal them bit for bit.
+Each residual is divided by the plain product of norms of its own degree,
+never by that product floored at 1.
 """
 
 from itertools import product
@@ -42,7 +44,7 @@ def _per_entry(jet):
     scale = np.empty((k, k, k))
     for a, b, c in product(range(k), repeat=3):
         sandwiches[a, b, c] = g[a] @ h[b] @ g[c]
-        scale[a, b, c] = max(1.0, gnorm[a] * hnorm[b] * gnorm[c])
+        scale[a, b, c] = gnorm[a] * hnorm[b] * gnorm[c]
     return {"grad_gram": grad_gram, "grad_norms": np.array(gnorm),
             "hessian_norms": np.array(hnorm),
             "laplacians": np.array([float(np.trace(m)) for m in h]),
@@ -66,7 +68,7 @@ def _levelset_reference(jet, n):
     hnorm = [np.linalg.norm(m) for m in h]
 
     def rel(err, al, be, ga):
-        return abs(err) / max(1.0, gnorm[al] * hnorm[be] * gnorm[ga])
+        return abs(err) / (gnorm[al] * hnorm[be] * gnorm[ga])
 
     square = np.array([
         rel(g[k] @ h[k] @ g[k] - 0.5 * chi[k] * (h[k] * h[k]).sum(), k, k, k)
@@ -77,7 +79,7 @@ def _levelset_reference(jet, n):
 
     lhs = float(g[1] @ h[0] @ g[0])
     tr11, tr22 = float((h[0] * h[0]).sum()), float((h[1] * h[1]).sum())
-    den = max(1.0, gnorm[0] * gnorm[1] * hnorm[0])
+    den = gnorm[1] * hnorm[0] * gnorm[0]
     printed = abs(lhs - (0.25 * chi[1] * tr12 + 0.25 * chi[0] * tr22)) / den
     swapped = abs(lhs - (0.25 * chi[1] * tr11 + 0.25 * chi[0] * tr12)) / den
 
@@ -121,11 +123,9 @@ def _twin_reference(jet):
     """The twin suite's residuals by its expectations loop, the table
     indexed [a, b, c] like the sandwiches (0 for u, 1 for v)."""
     (u, v), (gu, gv), (hu, hv) = _separate(jet)
-    gn = np.linalg.norm(gu)
-    scale2 = max(1.0, gn * gn)
-    hn = max(np.linalg.norm(hu), 1.0)
-    pair_vector = max_abs(gu @ hu - gv @ hv) / max(1.0, gn * hn)
-    pair_cross = max_abs(gu @ hv + gv @ hu) / max(1.0, gn * hn)
+    gn, hn = np.linalg.norm(gu), np.linalg.norm(hu)
+    pair_vector = max_abs(gu @ hu - gv @ hv) / (gn * hn)
+    pair_cross = max_abs(gu @ hv + gv @ hu) / (gn * hn)
     rho = float(gu @ hu @ gu) / u
     rho_alt = float(gv @ hv @ gv) / v
     g, h = (gu, gv), (hu, hv)
@@ -135,11 +135,13 @@ def _twin_reference(jet):
         ((0, 1, 0), -rho * v), ((1, 0, 0), rho * v),
         ((1, 0, 1), -rho * u), ((0, 1, 1), rho * u),
     ]
-    den = max(1.0, gn * gn * hn)
+    gnorm = [gn, np.linalg.norm(gv)]
+    hnorm = [hn, np.linalg.norm(hv)]
     table = np.empty((2, 2, 2))
     for (a, b, c), want in expectations:
-        table[a, b, c] = abs(float(g[a] @ h[b] @ g[c]) - want) / den
-    return (abs(gu @ gu - gv @ gv) / scale2, abs(gu @ gv) / scale2,
+        table[a, b, c] = (abs(float(g[a] @ h[b] @ g[c]) - want)
+                          / (gnorm[a] * hnorm[b] * gnorm[c]))
+    return (abs(gu @ gu - gv @ gv) / (gu @ gu), abs(gu @ gv) / (gu @ gu),
             pair_vector, pair_cross, table, rho, rho_alt)
 
 
