@@ -68,7 +68,7 @@ print(f"  n = 2: rho = {rho_value(pair2, point2):.15f}")
 
 # --- the zero locus --------------------------------------------------------
 
-zm = zeta_minimality(pair.evaluate(sample_zeta_point(pair, rng)))
+zm = zeta_minimality(sample_zeta_point(pair, rng))
 print(f"\ndet = 0 locus, complex rank n - 1 point:")
 print(f"  gram conformality        {zm.gram_conformality:.2e}")
 print(f"  max |tr(P d2)| residual  {zm.max_residual:.2e}")

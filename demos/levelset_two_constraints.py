@@ -22,9 +22,10 @@ rng = derived_rng(11)
 n = 3
 system = ConstraintSystem(n)
 
-a = sample_on_variety(system, rng)
-# values, cofactor gradients and Hessians of both minors, evaluated once
-jet = system.evaluate(a)
+# values, cofactor gradients and Hessians of both minors, evaluated once,
+# at a point the sampler verified on the variety against those gradients
+jet = sample_on_variety(system, rng)
+a = jet.point
 print(f"n = {n}: ambient dimension {(n + 1) * n}, "
       f"constraint values ({jet.values[0]:.1e}, {jet.values[1]:.1e})")
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (column_reflection, declared_rank, max_abs,
-                     numerical_rank, reflection_residuals, reversal,
-                     stratum_bases)
+                     numerical_rank, reflection_residuals, relative,
+                     reversal, stratum_bases)
 
 
 def reflection(x_rank):
@@ -62,10 +62,10 @@ def isometry_check(a, q, rng):
 
 
 def off_span(basis, y):
-    """Relative norm of the part of ``y`` outside the span of ``basis``."""
+    """Norm of the part of ``y`` outside the span of ``basis``, over |y|."""
     v = np.asarray(y, dtype=float).ravel()
-    return float(np.linalg.norm(v - basis @ (basis.T @ v))
-                 / max(1.0, np.linalg.norm(v)))
+    return float(relative(np.linalg.norm(v - basis @ (basis.T @ v)),
+                          np.linalg.norm(v)))
 
 
 def tangent_family(x_rank, rng, kind):

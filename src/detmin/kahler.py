@@ -20,8 +20,8 @@ common zero set u = v = 0 those contractions vanish, which is exactly the
 minimality of the complex hypersurface det = 0 as a real submanifold of
 codimension two.  :meth:`TwinHarmonicPair.evaluate` returns the pair at a
 point as one ``ConstraintJet`` (linalg), whose norms, g.H products and
-sandwiches the suite and the locus read, with the scales of their residuals
-and guards (see ``ConstraintJet``); only their closed forms live here.
+sandwiches the suite and the locus read, as residual scales and in zero
+tests (see ``relative``, ``near_zero``); only their closed forms live here.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidChartPoint, SingularGram
 from .linalg import (ConstraintJet, ProjectedTraces, cofactors, fill_blocks,
-                     gradient_projector, max_abs, numerical_rank,
+                     gradient_projector, max_abs, near_zero, numerical_rank,
                      second_cofactors, svd_rank)
 
 # Draws each sampler below makes before giving up.
@@ -265,14 +265,9 @@ class TwinHarmonicReport:
     rho_alt: float
 
 
-def _near_zero_set(values, point, grads):
-    """Some |c| <= 1e-12 |x| |grad c|: degree 0, as x . grad c = n c."""
-    return (np.abs(values) <= 1e-12 * np.linalg.norm(point) * grads).any()
-
-
 def twin_harmonic_suite(jet):
     u, v = jet.values
-    if _near_zero_set(jet.values, jet.point, jet.grad_norms):
+    if near_zero(jet.values, jet.point, jet.grad_norms).any():
         raise SingularGram("rho is defined only away from u = 0 = v")
     gram, gh, s = jet.grad_gram, jet.products, jet.sandwiches
     gn, hn = jet.grad_norms[0], jet.hessian_norms[0]
@@ -301,7 +296,7 @@ def rho_value(pair, point):
     """
     u, _ = pair.values(point)
     w = unflatten(pair.n, pair.gradients(point)[0])
-    if _near_zero_set(u, point, np.linalg.norm(w)):
+    if near_zero(u, point, np.linalg.norm(w)):
         raise SingularGram("rho undefined where u vanishes")
     z = unflatten(pair.n, point)
     i, k = np.triu_indices(pair.n, 1)
@@ -334,16 +329,16 @@ def zeta_minimality(jet):
 
 
 def sample_zeta_point(pair, rng):
-    """Unit-norm flat point with det = 0 and complex rank exactly n - 1."""
+    """The jet of a unit-norm flat point of complex rank exactly n - 1, whose
+    u and v are ``near_zero`` (linalg) against the jet's gradients."""
     n = pair.n
     for _ in range(MAX_DRAWS):
         a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
         lam = rng.normal(size=(n - 1,)) + 1j * rng.normal(size=(n - 1,))
         z = np.concatenate([a, (a @ lam)[:, None]], axis=1)
         z = z / np.linalg.norm(z)
-        point = flatten(z)
-        u, v = pair.values(point)
-        if (abs(u) <= 1e-12 and abs(v) <= 1e-12
-                and numerical_rank(z) == n - 1):
-            return point
+        if numerical_rank(z) == n - 1:
+            jet = pair.evaluate(flatten(z))
+            if near_zero(jet.values, jet.point, jet.grad_norms).all():
+                return jet
     raise InvalidChartPoint(f"no admissible det = 0 point for n = {n}")

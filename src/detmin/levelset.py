@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConventionFailure, InvalidChartPoint
 from .linalg import (ConstraintJet, ProjectedTraces, cofactors,
-                     gradient_projector, max_abs, numerical_rank,
+                     gradient_projector, max_abs, near_zero, numerical_rank,
                      second_cofactors)
 
 # Draws each sampler below makes before giving up.
@@ -89,12 +89,12 @@ class ConstraintSystem:
 
 
 def sample_on_variety(system, rng):
-    """Rank-(n-1) point (a, a lam), rescaled to unit norm.
+    """The jet of a rank-(n-1) point (a, a lam), rescaled to unit norm.
 
-    The constructed matrix is verified on-variety (both constraint values
-    below 1e-12 after normalisation) rather than projected there, and its
-    first and last rows are kept away from zero so the row-coefficient
-    conventions are realisable.
+    The constructed matrix is verified on-variety rather than projected
+    there: both constraint values are ``near_zero`` (linalg) against the
+    jet's gradients.  Its first and last rows are kept away from zero so the
+    row-coefficient conventions are realisable.
     """
     n = system.n
     for _ in range(MAX_DRAWS):
@@ -102,12 +102,11 @@ def sample_on_variety(system, rng):
         a = np.concatenate([a, a @ rng.uniform(-2.0, 2.0, size=(n - 1, 1))],
                            axis=1)
         a = a / np.linalg.norm(a)
-        chi1, chi2 = system.values(a)
         rows_ok = (np.linalg.norm(a[0]) > 0.05 and np.linalg.norm(a[-1]) > 0.05)
-        middle = a[1:n, :]
-        if (abs(chi1) <= 1e-12 and abs(chi2) <= 1e-12 and rows_ok
-                and numerical_rank(middle) == n - 1):
-            return a
+        if rows_ok and numerical_rank(a[1:n, :]) == n - 1:
+            jet = system.evaluate(a)
+            if near_zero(jet.values, a, jet.grad_norms).all():
+                return jet
     raise InvalidChartPoint(f"no admissible on-variety point for n={n} "
                             f"after {MAX_DRAWS} draws")
 

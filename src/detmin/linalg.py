@@ -8,17 +8,18 @@ Every pipeline routes its rank questions through :func:`svd_rank`, or
 through :func:`numerical_rank` where only the count is read (of one matrix
 or of each matrix in a stack); both threshold the singular values with the
 one expression in ``_rank_tolerance``, so a single tolerance policy governs
-the whole package.  :func:`block_inverse` estimates no condition number:
-its caller decides whether a matrix may be inverted, for the chart metric
-once, in closed form (``ChartPoint.invertible_metric``).  Matrices assembled
-from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and identity
-operands come from :func:`identity`, one cached read-only array per size.
-Cofactors, the codimension-k trace tr(P d2 chi) and
+the whole package.  So does one scale rule, :func:`relative`: an error over
+a norm of its own inputs, never floored, and a zero test of degree 0 in the
+point, :func:`near_zero`.  :func:`block_inverse` estimates no condition
+number: its caller decides whether a matrix may be inverted, for the chart
+metric once, in closed form (``ChartPoint.invertible_metric``).  Matrices
+assembled from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and
+identity operands come from :func:`identity`, one cached read-only array
+per size.  Cofactors, the codimension-k trace tr(P d2 chi) and
 :class:`ConstraintJet`, the one record of a constraint system at a point
-whose contractions and norms, the scales of their residuals, both
-determinant routes read, live here as substrate only; each pipeline keeps
-its own closed forms.  Every exact derivative of
-a determinant is a signed minor of the input: :func:`cofactors` takes the
+that both determinant routes read, live here as substrate only; each
+pipeline keeps its own closed forms.  Every exact derivative of a
+determinant is a signed minor of the input: :func:`cofactors` takes the
 (n-1)-minors and :func:`second_cofactors` the (n-2)-minors, each in one
 batched determinant call indexed by one table cached per n.
 """
@@ -261,20 +262,20 @@ def reflection_residuals(b, signs, x):
     """Invariant residuals of B as a reflection of S = diag(signs) fixing x.
 
     ``isometry`` is ||B^T S B - S||_max and ``involution`` ||B B - I||_max,
-    both divided by max(1, ||B||_2^2), and ``fixes_point`` is
-    ||B x - x||_max / max(1, ||x||_max) divided by max(1, ||B||_2).  That
-    makes all three backward errors: a B with B^T S B = S has
-    cond_2(B) = ||B||_2^2 (Higham, SIAM Rev. 45, 2003), so rounding alone
-    leaves raw residuals of that size times eps, and rounding in B x alone
-    is about ||B||_2 ||x|| eps.  All ones in ``signs`` make ``isometry``
-    the euclidean orthogonality residual.
+    both :func:`relative` to ||B||_2^2, and ``fixes_point`` is
+    ||B x - x||_max relative to ||x||_max ||B||_2.  That makes all three
+    backward errors: a B with B^T S B = S has cond_2(B) = ||B||_2^2
+    (Higham, SIAM Rev. 45, 2003), so rounding alone leaves raw residuals of
+    that size times eps, and rounding in B x alone is about
+    ||B||_2 ||x|| eps.  All ones in ``signs`` make ``isometry`` the
+    euclidean orthogonality residual.
     """
-    norm = max(1.0, float(np.linalg.svd(b, compute_uv=False)[0]))
-    scale = norm ** 2
+    norm = float(np.linalg.svd(b, compute_uv=False)[0])
+    isometry = max_abs((b.T * signs) @ b - np.diag(signs))
     return {
-        "isometry": max_abs((b.T * signs) @ b - np.diag(signs)) / scale,
-        "involution": max_abs(b @ b - identity(b.shape[0])) / scale,
-        "fixes_point": max_abs(b @ x - x) / (max(1.0, max_abs(x)) * norm),
+        "isometry": relative(isometry, norm ** 2),
+        "involution": relative(max_abs(b @ b - identity(len(b))), norm ** 2),
+        "fixes_point": relative(max_abs(b @ x - x), max_abs(x) * norm),
     }
 
 
@@ -335,6 +336,22 @@ def block_inverse(g, b, d, pivot):
     top_right = -gp_inv @ di_bt.T
     bottom_right = di + di_bt @ gp_inv @ di_bt.T
     return fill_blocks(gp_inv, top_right, top_right.T, bottom_right)
+
+
+def relative(err, scale):
+    """``err / scale``, the package's one residual scale rule: ``scale`` is
+    a norm of the residual's own inputs, never floored, so the ratio is a
+    normwise backward error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, ch. 1-2) that reads the same at x and t x.
+    An exact 0 reads 0 at any scale, as at the vertex x = 0 of a rank-0
+    stratum; any other error over a zero scale reads ``inf``."""
+    return err / scale if scale else (0.0 if err == 0 else np.inf)
+
+
+def near_zero(values, point, grad_norms):
+    """|c| <= 1e-12 |x| |grad c| per constraint value c at ``point``: of
+    degree 0 for a homogeneous c, as x . grad c = (deg c) c."""
+    return np.abs(values) <= 1e-12 * np.linalg.norm(point) * grad_norms
 
 
 def max_abs(m):
@@ -444,13 +461,8 @@ def gradient_projector(grads):
 class ConstraintJet:
     """Values (k,), gradients (k, N) and Hessians (k, N, N) of k constraints
     in the flat coordinates of ``point``; each contraction the determinant
-    routes read is a cached property, formed once per point.
-
-    The routes' constraints are homogeneous, so each residual is an error
-    over norms below (or the point's) of its own degree in the point: a
-    normwise backward error (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, ch. 1-2) that reads the same at x and t x.
-    No scale is floored at 1 and no guard is an absolute threshold.
+    routes read is a cached property, formed once per point.  Its norms (or
+    the point's) scale their residuals, by :func:`relative`'s rule.
     """
 
     point: np.ndarray

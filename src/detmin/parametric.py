@@ -38,7 +38,8 @@ import numpy as np
 from . import dual
 from .errors import DegenerateMetric, InvalidChartPoint
 from .linalg import (COND_LIMIT, block_inverse, declared_rank, fill_blocks,
-                     identity, kron, max_abs, numerical_rank, svd_rank)
+                     identity, kron, max_abs, numerical_rank, relative,
+                     svd_rank)
 
 
 # Sampler limits: sample_chart_point keeps cond(a^T a) <= A_COND_LIMIT and
@@ -393,14 +394,13 @@ class MetricInverse:
                 for name, m in self.routes().items()}
 
     def pairwise_disagreement(self):
-        """Largest relative entrywise gap between any two routes."""
+        """Largest entrywise gap of two routes, over their largest entry."""
         mats = list(self.routes().values())
-        scale = max(1.0, *(max_abs(m) for m in mats))
         worst = 0.0
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 worst = max(worst, max_abs(mats[i] - mats[j]))
-        return worst / scale
+        return relative(worst, max(max_abs(m) for m in mats))
 
 
 def metric_inverse(cp):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateMetric, InvalidChartPoint
 from .linalg import (COND_LIMIT, column_reflection, inertia, max_abs,
-                     reversal, stratum_bases)
+                     relative, reversal, stratum_bases)
 from .parametric import (MAX_DRAWS, ChartPoint, chart_second_derivatives,
                          sample_chart_point)
 
@@ -292,7 +292,7 @@ class PseudoMinimality:
         """Idempotence of Pi: ||Pi J - J||max, relative to J."""
         jac = self._jacobian
         pi_j = jac @ (self._ginv @ self._gram)
-        return max_abs(pi_j - jac) / max(1.0, max_abs(jac))
+        return relative(max_abs(pi_j - jac), max_abs(jac))
 
 
 def pseudo_minimality(cp, eta, zeta):

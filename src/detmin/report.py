@@ -111,8 +111,9 @@ class VerificationReport:
         for rec in self.records:
             counts[rec.verdict] += 1
             if rec.verdict in ("PASS", "FAIL"):
-                prev = worst.get(rec.check, float("-inf"))
-                if rec.residual > prev:
+                prev = worst.get(rec.check, -_INF)
+                # a NaN is the worst value of its check, compared or not
+                if rec.residual != rec.residual or rec.residual > prev:
                     worst[rec.check] = rec.residual
         return {
             "counts": counts,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -83,9 +84,9 @@ def _step(pipeline, *rows):
 
 
 def _integer(value):
-    # true and false are ints to Python, not counts, seeds, grid entries or
-    # tolerances
-    return isinstance(value, int) and not isinstance(value, bool)
+    # numpy's integers count; true and false are ints to Python (numpy's
+    # bools are not Integral), not counts, seeds, grid entries or tolerances
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,16 @@ class RunConfig:
                 f"got {self.samples!r}")
         if not _integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        checked_seed(self.seed)
+        # integers are stored as Python ints, which json writes
+        object.__setattr__(self, "seed", checked_seed(self.seed))
+        object.__setattr__(self, "samples", int(self.samples))
         for name in ("p_values", "q_values", "r_values"):
             values = getattr(self, name)
             if values is not None and not all(_integer(v) for v in values):
                 raise ValueError(f"{name[0]} grid entries must be "
                                  f"integers, got {list(values)!r}")
+            if values is not None:
+                object.__setattr__(self, name, tuple(map(int, values)))
         tolerances = {}
         for name, value in self.tolerances.items():
             if name not in CHECKS:
@@ -292,13 +297,13 @@ def _parametric_point(p, q, r, rng):
 
 def _generic_point(values, shape, floor, rng):
     """A standard-normal draw of ``shape`` whose two constraint values both
-    exceed ``floor`` in modulus; ``SingularGram`` after 50 draws."""
+    exceed ``floor`` in modulus; ``InvalidChartPoint`` after 50 draws."""
     for _ in range(50):
         pt = rng.normal(size=shape)
         u, v = values(pt)
         if min(abs(u), abs(v)) > floor:
             return pt
-    raise SingularGram(f"no draw with both constraint values above {floor}")
+    raise InvalidChartPoint(f"no draw with both values above {floor}")
 
 
 def run_levelset(report, cells):
@@ -325,12 +330,11 @@ def _levelset_cells(config):
         "pinned row coefficients and gradient proportionality"))
 def _levelset_on(system, rng):
     n = system.n
-    on = levelset.sample_on_variety(system, rng)
-    jet = system.evaluate(on)
+    jet = levelset.sample_on_variety(system, rng)
     proj = levelset.tangent_projector(jet)
     minim = levelset.levelset_mean_curvature(jet, proj)
     contr = levelset.on_variety_contractions(jet)
-    rows = levelset.row_coefficients(on)
+    rows = levelset.row_coefficients(jet.point)
     grads = levelset.gradient_proportionality(jet, rows)
     return (minim.max_residual,
             _flag(proj.rank == n * n + n - 2),
@@ -463,8 +467,7 @@ def _complex_rho_quadratic(pair, rng):
        ("conformal-gram", "gradient-gram-conformal", 1e-12, True,
         "the two constraint gradients stay conformal on the locus"))
 def _complex_locus(pair, rng):
-    zm = kahler.zeta_minimality(
-        pair.evaluate(kahler.sample_zeta_point(pair, rng)))
+    zm = kahler.zeta_minimality(kahler.sample_zeta_point(pair, rng))
     return (zm.max_residual, zm.gram_conformality)
 
 

@@ -1,6 +1,15 @@
 """Helpers shared by the test modules, and the one hypothesis profile."""
 
+import os
+from pathlib import Path
+
 from hypothesis import settings
+
+# the tests import detmin from src/ (pyproject's pytest pythonpath), and the
+# python processes they start find it there too
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 # every run draws the same examples and no failure is replayed from a local
 # example database, so the suite is deterministic

@@ -253,7 +253,7 @@ def test_criterion_10_cross_pipeline_agreement():
         rng = derived_rng(100 + n)
         system = ConstraintSystem(n)
         for _ in range(10):
-            x = sample_on_variety(system, rng)
+            x = sample_on_variety(system, rng).point
             # chart over the leading n - 1 columns, which span the column
             # space here; the chart must reproduce the sampled matrix
             lead = x[:, :n - 1]

@@ -14,7 +14,7 @@ from detmin.kahler import (ComplexChartPoint, TwinHarmonicPair,
                            rho_value, sample_complex_chart_point,
                            sample_zeta_point, twin_harmonic_suite, unflatten,
                            zeta_minimality)
-from detmin.linalg import derived_rng, max_abs
+from detmin.linalg import derived_rng, max_abs, near_zero
 from detmin.sweep import RunConfig, run_sweep
 
 
@@ -271,18 +271,32 @@ class TestZetaLocus:
     def test_sample_contract(self, n):
         rng = derived_rng(30 + n)
         pair = TwinHarmonicPair(n)
-        point = sample_zeta_point(pair, rng)
+        point = sample_zeta_point(pair, rng).point
         u, v = pair.values(point)
         assert abs(u) < 1e-12 and abs(v) < 1e-12
         assert np.linalg.norm(point) == pytest.approx(1.0)
         assert np.linalg.matrix_rank(unflatten(n, point)) == n - 1
+
+    def test_generic_draws_are_refused_at_n_16(self):
+        # u and v have degree 16, so at unit norm they fall below 1e-12 off
+        # the locus too: a test on |u|, |v| alone accepted all 50 of these
+        pair = TwinHarmonicPair(16)
+        rng = derived_rng(5)
+        for _ in range(50):
+            z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            point = flatten(z / np.linalg.norm(z))
+            grad_norms = np.linalg.norm(pair.gradients(point), axis=1)
+            assert max(map(abs, pair.values(point))) <= 1e-12
+            assert not near_zero(pair.values(point), point, grad_norms).all()
+        jet = sample_zeta_point(pair, rng)
+        assert near_zero(jet.values, jet.point, jet.grad_norms).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_minimality_and_conformality(self, n):
         rng = derived_rng(34 + n)
         pair = TwinHarmonicPair(n)
         for _ in range(5):
-            zm = zeta_minimality(pair.evaluate(sample_zeta_point(pair, rng)))
+            zm = zeta_minimality(sample_zeta_point(pair, rng))
             assert zm.max_residual < 1e-10
             assert zm.gram_conformality < 1e-12
 

@@ -15,7 +15,8 @@ from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              on_variety_contractions, row_coefficients,
                              sample_on_variety, sample_singular_matrix,
                              tangent_projector)
-from detmin.linalg import derived_rng, gradient_projector, max_abs
+from detmin.linalg import (derived_rng, gradient_projector, max_abs,
+                           near_zero)
 
 
 def _det_generic(m):
@@ -117,7 +118,7 @@ def test_minimality_on_variety(n):
     rng = derived_rng(20 + n)
     system = ConstraintSystem(n)
     for _ in range(10):
-        jet = system.evaluate(sample_on_variety(system, rng))
+        jet = sample_on_variety(system, rng)
         proj = tangent_projector(jet)
         assert levelset_mean_curvature(jet, proj).max_residual < 1e-9
         assert proj.rank == n * n + n - 2
@@ -133,8 +134,7 @@ def test_identities_everywhere_and_on_variety(n):
     assert rep.mixed.max() < 1e-10
     assert max_abs(rep.harmonicity) == 0.0
 
-    on = sample_on_variety(system, rng)
-    rep_on = on_variety_contractions(system.evaluate(on))
+    rep_on = on_variety_contractions(sample_on_variety(system, rng))
     assert rep_on.contractions.max() < 1e-9
     assert rep_on.four_term.max() < 1e-9
 
@@ -144,8 +144,8 @@ def test_gradient_proportionality_on_variety(n):
     rng = derived_rng(40 + n)
     system = ConstraintSystem(n)
     for _ in range(5):
-        a = sample_on_variety(system, rng)
-        rep = gradient_proportionality(system.evaluate(a), row_coefficients(a))
+        jet = sample_on_variety(system, rng)
+        rep = gradient_proportionality(jet, row_coefficients(jet.point))
         assert max(rep.values()) < 1e-9
 
 
@@ -260,8 +260,24 @@ def test_sample_on_variety_contract():
     rng = derived_rng(81)
     for n in (2, 3, 4):
         system = ConstraintSystem(n)
-        a = sample_on_variety(system, rng)
+        a = sample_on_variety(system, rng).point
         chi1, chi2 = system.values(a)
         assert abs(chi1) < 1e-12 and abs(chi2) < 1e-12
         assert np.linalg.norm(a) == pytest.approx(1.0)
         assert np.linalg.matrix_rank(a) == n - 1
+
+
+def test_the_on_variety_test_refuses_generic_draws_at_n_16():
+    # the values have degree 16, so at unit norm they fall below 1e-12 off
+    # the variety too: a test on |chi| alone accepted all 200 of these
+    system = ConstraintSystem(16)
+    rng = derived_rng(5)
+    for _ in range(200):
+        a = rng.normal(size=(17, 16))
+        a /= np.linalg.norm(a)
+        grad_norms = np.linalg.norm(system.gradients(a).reshape(2, -1),
+                                    axis=1)
+        assert max(map(abs, system.values(a))) <= 1e-12
+        assert not near_zero(system.values(a), a, grad_norms).all()
+    jet = sample_on_variety(system, rng)
+    assert near_zero(jet.values, jet.point, jet.grad_norms).all()

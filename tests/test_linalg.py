@@ -14,7 +14,8 @@ from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import (block_inverse, cofactors, column_reflection,
                            declared_rank, derived_rng, fill_blocks, identity,
                            kron, max_abs, numerical_rank,
-                           reflection_residuals, require_finite, reversal,
+                           reflection_residuals, relative, require_finite,
+                           reversal,
                            second_cofactors, stratum_bases, svd_rank)
 
 
@@ -237,6 +238,18 @@ def test_fixes_point_is_scaled_by_the_norm():
     assert max_abs(b @ x - x) / max(1.0, max_abs(x)) > 1e-12
     res = reflection_residuals(b, signs, x)
     assert max(res.values()) <= 1e-12, res
+
+
+def test_relative_has_no_floor():
+    # a scale below 1 divides too, and an exact 0 reads 0 even over a zero
+    # scale, as at the vertex x = 0 of a rank-0 stratum
+    assert relative(2.0 ** -60, 2.0 ** -10) == 2.0 ** -50
+    assert relative(0.0, 0.0) == 0.0
+    assert relative(2.0 ** -1000, 0.0) == math.inf
+    # the reflection through the zero column space fixes x = 0 exactly
+    b = column_reflection(svd_rank(np.zeros((3, 2))), np.ones(3))
+    assert reflection_residuals(b, np.ones(3), np.zeros((3, 2))) == {
+        "isometry": 0.0, "involution": 0.0, "fixes_point": 0.0}
 
 
 @pytest.mark.parametrize("p,q,m", [(3, 2, 4), (4, 3, 1), (2, 2, 0)])

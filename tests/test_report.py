@@ -60,6 +60,19 @@ def test_exit_status_and_summary():
     assert green.exit_status() == 0  # evidence never gates
 
 
+@pytest.mark.parametrize("residuals", [(1e-20, math.nan), (math.nan, 1e-20),
+                                       (math.nan,)],
+                         ids=["pass-then-nan", "nan-then-pass", "nan-only"])
+def test_a_nan_residual_is_the_worst_of_its_check(residuals):
+    # a NaN compares false with every bound, so it FAILs; the summary used
+    # to keep the PASS beside it, and to drop a check with a NaN alone
+    rep = VerificationReport(records=[
+        record("alpha.check", "anchor-a", f"i={i}", residual, 1e-9, gate=True)
+        for i, residual in enumerate(residuals)])
+    worst = rep.summary()["worst_residual"]
+    assert list(worst) == ["alpha.check"] and math.isnan(worst["alpha.check"])
+
+
 def test_json_round_trip():
     rep = VerificationReport(meta={"seed": 7})
     rep.records.extend(_recs())

@@ -1,6 +1,7 @@
 """Check registry consistency and whole-sweep behavior."""
 
 import hashlib
+import json
 import re
 from collections import Counter
 from functools import cached_property
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detmin import kahler, levelset, parametric, pseudo, sweep
-from detmin.errors import DegenerateMetric
+from detmin.errors import DegenerateMetric, InvalidChartPoint
 from detmin.linalg import derived_rng
 from detmin.parametric import ChartPoint, chart_map
 from detmin.report import VERDICTS
@@ -105,6 +106,38 @@ def test_an_iterator_grid_is_read_once():
     assert run_sweep(config).records_json() == run_sweep(RunConfig(
         pipeline="parametric", p_values=(2, 3), q_values=(2,),
         samples=1)).records_json()
+
+
+@pytest.mark.parametrize("field, value, stored", [
+    ("seed", np.int64(3), 3), ("samples", np.int64(2), 2),
+    ("p_values", np.arange(2, 4), (2, 3)),
+    ("tolerances", {"parametric.dimension": np.int64(1)},
+     {"parametric.dimension": 1.0})],
+    ids=["seed", "samples", "p_values", "tolerance"])
+def test_numpy_integers_are_accepted_and_stored_as_python_numbers(
+        field, value, stored):
+    config = RunConfig(pipeline="parametric", q_values=(2,),
+                       **{"samples": 1, field: value})
+    assert getattr(config, field) == stored
+    # the meta block serialises, which numpy integers would refuse
+    meta = run_sweep(config).meta
+    assert json.loads(json.dumps(meta)) == meta
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", np.True_), ("samples", np.True_), ("p_values", (np.True_, 3)),
+    ("tolerances", {"parametric.dimension": np.True_})],
+    ids=["seed", "samples", "p_values", "tolerance"])
+def test_numpy_bools_are_no_integers(field, value):
+    # numpy's bools are not Integral, as Python's are; neither is a count
+    with pytest.raises(ValueError, match="True"):
+        RunConfig(pipeline="parametric", q_values=(2,), **{field: value})
+
+
+def test_a_generic_point_that_runs_out_of_draws_is_an_invalid_point():
+    # the sampler found no draw; no Gram matrix was ever formed
+    with pytest.raises(InvalidChartPoint, match="no draw"):
+        sweep._generic_point(lambda pt: (0.0, 1.0), 4, 0.5, derived_rng(1))
 
 
 def test_a_form_given_twice_as_lists_is_refused():
@@ -336,8 +369,9 @@ def test_off_variety_levelset_samples_fail(monkeypatch):
     sample = levelset.sample_on_variety
 
     def off_variety(system, rng):
-        a = sample(system, rng)
-        return a + 1e-6 * derived_rng(system.n).normal(size=a.shape)
+        a = sample(system, rng).point
+        return system.evaluate(
+            a + 1e-6 * derived_rng(system.n).normal(size=a.shape))
 
     monkeypatch.setattr(levelset, "sample_on_variety", off_variety)
     monkeypatch.setattr(sweep, "_can_fork", lambda: False)
