@@ -19,9 +19,10 @@ rho(x), homogeneous of degree 2n - 4 (identically 2 for n = 2).  On the
 common zero set u = v = 0 those contractions vanish, which is exactly the
 minimality of the complex hypersurface det = 0 as a real submanifold of
 codimension two.  :meth:`TwinHarmonicPair.evaluate` returns the pair at a
-point as one ``ConstraintJet`` (linalg), whose norms, g.H products and
-sandwiches the suite and the locus read, as residual scales and in zero
-tests (see ``relative``, ``near_zero``); only their closed forms live here.
+point as one ``ConstraintJet`` (linalg), whose norms, g.H products,
+sandwiches, gradient Gram and tangent projector the suite and the locus
+read, as residual scales, in zero tests and as the minimality trace (see
+``relative``, ``near_zero``); only their closed forms live here.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidChartPoint, SingularGram
-from .linalg import (ConstraintJet, ProjectedTraces, cofactors, fill_blocks,
-                     gradient_projector, max_abs, near_zero, numerical_rank,
-                     second_cofactors, svd_rank)
+from .linalg import (ConstraintJet, cofactors, fill_blocks, max_abs,
+                     near_zero, numerical_rank, second_cofactors, svd_rank)
 
 # Draws each sampler below makes before giving up.
 MAX_DRAWS = 100
@@ -307,25 +307,18 @@ def rho_value(pair, point):
     return 2.0 * float(np.linalg.det(polar).sum().real) / u
 
 
-@dataclass(frozen=True)
-class ZetaMinimality(ProjectedTraces):
-    """Minimality residuals of the det = 0 locus as a real submanifold."""
-
-    gram_conformality: float
-
-
 def zeta_minimality(jet):
-    """tr(P d2 u) and tr(P d2 v) at a point of the realified det = 0 locus.
+    """The jet's trace residual, max |tr(P d2 u)|, |tr(P d2 v)| over the
+    Hessian norms, and the conformality of its gradient Gram, at a point
+    of the realified det = 0 locus.
 
-    P projects off the two constraint gradients.  Their Gram matrix is
-    conformal on the nose (an ambient identity), and its conformality
-    residual is reported; on deeper strata the gradients collapse and
-    :class:`SingularGram` is raised.
+    The Gram is conformal on the nose (an ambient identity); on deeper
+    strata the gradients collapse and :class:`SingularGram` is raised.
     """
-    proj, gram = gradient_projector(jet.grads)
-    conf = (max(abs(gram[0, 1]), abs(gram[0, 0] - gram[1, 1]))
-            / max(gram[0, 0], gram[1, 1]))
-    return ZetaMinimality(jet.tangent_traces(proj), jet.hessian_norms, conf)
+    # the residual first: it raises before a collapsed Gram is divided
+    residual, gram = jet.trace_residual, jet.grad_gram
+    return residual, (max(abs(gram[0, 1]), abs(gram[0, 0] - gram[1, 1]))
+                      / max(gram[0, 0], gram[1, 1]))
 
 
 def sample_zeta_point(pair, rng):

@@ -22,11 +22,12 @@ only the closed forms they are compared against live here.
 
 Minimality of the stratum is the statement tr(P d2chi_alpha) = 0 on the
 variety, with P the orthoprojector onto the common tangent space of the two
-level sets.  The module also exposes the curvature-free contraction
-identities relating gradients and Hessians of the pair, the row-coefficient
-conventions, the rank-one structure of cofactor matrices on the singular
-locus, and an evidence-only probe of a conjectured mixed contraction
-identity (it never gates a verdict; see :func:`conjecture_evidence`).
+level sets, which the jet reads (``ConstraintJet.trace_residual``).  The
+module also exposes the curvature-free contraction identities relating
+gradients and Hessians of the pair, the row-coefficient conventions, the
+rank-one structure of cofactor matrices on the singular locus, and an
+evidence-only probe of a conjectured mixed contraction identity (it never
+gates a verdict; see :func:`conjecture_evidence`).
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionFailure, InvalidChartPoint
-from .linalg import (ConstraintJet, ProjectedTraces, cofactors,
-                     gradient_projector, max_abs, near_zero, numerical_rank,
-                     second_cofactors)
+from .linalg import (ConstraintJet, cofactors, max_abs, near_zero,
+                     numerical_rank, second_cofactors)
 
 # Draws each sampler below makes before giving up.
 MAX_DRAWS = 100
@@ -111,32 +111,17 @@ def sample_on_variety(system, rng):
                             f"after {MAX_DRAWS} draws")
 
 
-@dataclass(frozen=True)
-class GramProjector:
-    """Orthoprojector onto the intersection of the two tangent hyperplanes."""
-
-    projector: np.ndarray
-    rank: int
-
-
 def tangent_projector(jet):
-    """P = I - grad_alpha (M^{-1})^{alpha beta} grad_beta at the on-variety
-    point of ``jet``."""
-    p, _ = gradient_projector(jet.grads)
+    """Rank of the jet's tangent projector, n^2 + n - 2 on the variety."""
     # for an idempotent matrix the eigenvalues cluster at 0 and 1, so the
     # robust rank is the count above 1/2; a raw singular-value cutoff can
     # miscount when the Gram solve leaves noise above machine precision
-    rank = int((np.linalg.eigvalsh(p) > 0.5).sum())
-    return GramProjector(p, rank)
+    return int((np.linalg.eigvalsh(jet.projector) > 0.5).sum())
 
 
-def levelset_mean_curvature(jet, proj):
-    """Minimality residuals of both constraints at an on-variety point.
-
-    ``proj`` is the :func:`tangent_projector` built from the same ``jet``.
-    """
-    return ProjectedTraces(jet.tangent_traces(proj.projector),
-                           jet.hessian_norms)
+def levelset_mean_curvature(jet):
+    """max_alpha |tr(P d2chi_alpha)| / |d2chi_alpha| at the jet's point."""
+    return jet.trace_residual
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,7 @@
 """Shared numerical substrate: rank decisions, block inversion, Kronecker
-products, cofactor determinants, constraint projectors, stratum
-tangent/normal bases, column-space reflections and their invariant
-residuals, inertia, and the one seeded stream constructor,
-:func:`derived_rng`.
+products, cofactor determinants, constraint jets, stratum tangent/normal
+bases, column-space reflections and their invariant residuals, inertia,
+and the one seeded stream constructor, :func:`derived_rng`.
 
 Every pipeline routes its rank questions through :func:`svd_rank`, or
 through :func:`numerical_rank` where only the count is read (of one matrix
@@ -15,13 +14,14 @@ number: its caller decides whether a matrix may be inverted, for the chart
 metric once, in closed form (``ChartPoint.invertible_metric``).  Matrices
 assembled from 2 x 2 blocks are filled in place by :func:`fill_blocks`, and
 identity operands come from :func:`identity`, one cached read-only array
-per size.  Cofactors, the codimension-k trace tr(P d2 chi) and
-:class:`ConstraintJet`, the one record of a constraint system at a point
-that both determinant routes read, live here as substrate only; each
-pipeline keeps its own closed forms.  Every exact derivative of a
-determinant is a signed minor of the input: :func:`cofactors` takes the
-(n-1)-minors and :func:`second_cofactors` the (n-2)-minors, each in one
-batched determinant call indexed by one table cached per n.
+per size.  Cofactors and :class:`ConstraintJet`, the one record of a
+constraint system at a point that both determinant routes read (its one
+gradient Gram gives the tangent projector P and the codimension-k trace
+tr(P d2 chi)), live here as substrate only; each pipeline keeps its own
+closed forms.  Every exact derivative of a determinant is a signed minor
+of the input: :func:`cofactors` takes the (n-1)-minors and
+:func:`second_cofactors` the (n-2)-minors, each in one batched
+determinant call indexed by one table cached per n.
 """
 
 from __future__ import annotations
@@ -443,20 +443,6 @@ def second_cofactors(m):
     return c2.reshape((n,) * 4)
 
 
-def gradient_projector(grads):
-    """Orthoprojector off the rows of ``grads``, and their Gram matrix.
-
-    P = I - grads^T (grads grads^T)^{-1} grads projects onto the common
-    tangent space of the level sets whose gradients are the rows.  Raises
-    :class:`SingularGram` when the Gram's condition exceeds GRAM_COND_LIMIT.
-    """
-    gram = grads @ grads.T
-    if np.linalg.cond(gram) > GRAM_COND_LIMIT:
-        raise SingularGram("constraint-gradient Gram is numerically singular")
-    proj = np.eye(grads.shape[1]) - grads.T @ np.linalg.solve(gram, grads)
-    return proj, gram
-
-
 @dataclass(frozen=True)
 class ConstraintJet:
     """Values (k,), gradients (k, N) and Hessians (k, N, N) of k constraints
@@ -472,7 +458,7 @@ class ConstraintJet:
 
     @cached_property
     def grad_gram(self):
-        """(k, k): [a, b] is g_a . g_b."""
+        """(k, k): [a, b] is g_a . g_b, the package's one gradient Gram."""
         return np.array([[ga @ gb for gb in self.grads] for ga in self.grads])
 
     @cached_property
@@ -510,18 +496,23 @@ class ConstraintJet:
         g, h = self.grad_norms, self.hessian_norms
         return g[:, None, None] * h[:, None] * g
 
-    def tangent_traces(self, proj):
-        """tr(P H_a) per constraint, P the tangent projector ``proj``."""
-        return np.array([float((proj * h).sum()) for h in self.hessians])
+    @cached_property
+    def gram_cond(self):
+        """2-norm condition number of ``grad_gram``."""
+        return float(np.linalg.cond(self.grad_gram))
 
+    @cached_property
+    def projector(self):
+        """P = I - G^T M^-1 G onto the common tangent space of the level
+        sets, G the gradients and M ``grad_gram``; :class:`SingularGram`
+        when ``gram_cond`` exceeds GRAM_COND_LIMIT."""
+        if self.gram_cond > GRAM_COND_LIMIT:
+            raise SingularGram("gradient Gram is numerically singular")
+        return (identity(self.grads.shape[1])
+                - self.grads.T @ np.linalg.solve(self.grad_gram, self.grads))
 
-@dataclass(frozen=True)
-class ProjectedTraces:
-    """tr(P d2chi_alpha) per constraint, normalised by the Hessian norms."""
-
-    traces: np.ndarray
-    hessian_norms: np.ndarray
-
-    @property
-    def max_residual(self):
-        return float((np.abs(self.traces) / self.hessian_norms).max())
+    @cached_property
+    def trace_residual(self):
+        """max_a |tr(P H_a)| / |H_a|, 0 where the level set is minimal."""
+        traces = np.array([(self.projector * h).sum() for h in self.hessians])
+        return float((np.abs(traces) / self.hessian_norms).max())

@@ -143,7 +143,8 @@ class RunConfig:
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r} in tolerances")
             # residuals are norms or 0/1 flags: a negative bound fails all
-            if (not (_integer(value) or isinstance(value, float))
+            # numpy floats of any width are Real, numpy bools are not
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
                     or not math.isfinite(value) or value < 0):
                 raise ValueError(f"tolerance of {name!r} must be a finite, "
                                  f"non-negative number, got {value!r}")
@@ -153,11 +154,12 @@ class RunConfig:
         shapes = {(p, q) for p, q, _ in shape_triples(self)}
         # levelset and complex list a cell per n, the others one per
         # (p, q, r) and pseudo its signature block when it has a shape
-        if not any(n_values(self) if name in ("levelset", "complex")
-                   else shapes for name in names):
+        empty = [name for name in names if not (
+            n_values(self) if name in ("levelset", "complex") else shapes)]
+        if empty:
             r = None if self.r_values is None else list(self.r_values)
             raise ValueError(
-                f"no parameter cell for pipeline {self.pipeline!r}: "
+                f"no parameter cell for pipeline {', '.join(empty)}: "
                 f"p={list(self.p_values)} q={list(self.q_values)} r={r} "
                 f"(cells need q <= p and 0 <= r < q, or n >= 2 from q for "
                 f"levelset and complex)")
@@ -331,13 +333,13 @@ def _levelset_cells(config):
 def _levelset_on(system, rng):
     n = system.n
     jet = levelset.sample_on_variety(system, rng)
-    proj = levelset.tangent_projector(jet)
-    minim = levelset.levelset_mean_curvature(jet, proj)
+    rank = levelset.tangent_projector(jet)
+    minim = levelset.levelset_mean_curvature(jet)
     contr = levelset.on_variety_contractions(jet)
     rows = levelset.row_coefficients(jet.point)
     grads = levelset.gradient_proportionality(jet, rows)
-    return (minim.max_residual,
-            _flag(proj.rank == n * n + n - 2),
+    return (minim,
+            _flag(rank == n * n + n - 2),
             max(contr.contractions.max(), contr.four_term.max()),
             max(float(rows.residuals.max()), max(grads.values())))
 
@@ -467,8 +469,7 @@ def _complex_rho_quadratic(pair, rng):
        ("conformal-gram", "gradient-gram-conformal", 1e-12, True,
         "the two constraint gradients stay conformal on the locus"))
 def _complex_locus(pair, rng):
-    zm = kahler.zeta_minimality(kahler.sample_zeta_point(pair, rng))
-    return (zm.max_residual, zm.gram_conformality)
+    return kahler.zeta_minimality(kahler.sample_zeta_point(pair, rng))
 
 
 @lru_cache(maxsize=256)

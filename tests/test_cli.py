@@ -209,7 +209,12 @@ def test_list_checks_prints_in_record_order(capsys):
     ["verify", "parametric", "--p", "3", "--q", "3", "--r", "5"],  # r >= q
     ["verify", "pseudo", "--p", "2", "--q", "3"],
     ["verify", "levelset", "--q", "1"],                 # n >= 2 only
-], ids=["q-above-p", "r-above-q", "pseudo-q-above-p", "levelset-n-1"])
+    # levelset and complex have cells; the shape pipelines, which have
+    # none, were once dropped from an exit-0 run
+    ["verify", "all", "--q", "2..3", "--r", "5"],
+    ["verify", "all", "--p", "2", "--q", "3"],
+], ids=["q-above-p", "r-above-q", "pseudo-q-above-p", "levelset-n-1",
+        "all-r-above-q", "all-q-above-p"])
 def test_a_grid_without_cells_is_a_config_error(argv, capsys):
     # a run that certifies nothing must not exit 0
     with pytest.raises(ValueError, match="no parameter cell"):

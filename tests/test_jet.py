@@ -13,11 +13,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from detmin.errors import SingularGram
 from detmin.kahler import TwinHarmonicPair, twin_harmonic_suite
 from detmin.levelset import (ConstraintSystem, conjecture_evidence,
                              identity_suite, on_variety_contractions,
                              sample_on_variety)
-from detmin.linalg import ConstraintJet, derived_rng, max_abs
+from detmin.linalg import (GRAM_COND_LIMIT, ConstraintJet, derived_rng,
+                           max_abs)
 
 
 def _separate(jet):
@@ -182,3 +184,34 @@ def test_a_jet_of_three_constraints():
     assert np.allclose(jet.sandwiches, jet.sandwiches.transpose(2, 1, 0))
     assert np.array_equal(jet.grad_gram, jet.grad_gram.T)
     assert np.array_equal(jet.hessian_products, jet.hessian_products.T)
+
+
+def test_the_projector_solves_against_the_jet_gram():
+    # P = I - G^T M^-1 G with M the cached grad_gram itself, and the trace
+    # residual max_a |tr(P H_a)| / |H_a| read entry by entry from that P
+    rng = derived_rng(921)
+    k, dim = 3, 7
+    grads, sym = rng.normal(size=(k, dim)), rng.normal(size=(k, dim, dim))
+    hessians = sym + sym.transpose(0, 2, 1)
+    jet = ConstraintJet(rng.normal(size=dim), rng.normal(size=k), grads,
+                        hessians)
+    assert jet.gram_cond == np.linalg.cond(jet.grad_gram) < GRAM_COND_LIMIT
+    want = np.eye(dim) - grads.T @ np.linalg.solve(jet.grad_gram, grads)
+    assert np.array_equal(jet.projector, want)
+    assert max_abs(jet.projector @ jet.projector - jet.projector) < 1e-14
+    assert max_abs(jet.projector @ grads.T) < 1e-14
+    traces = [abs((want * h).sum()) / np.linalg.norm(h) for h in hessians]
+    assert jet.trace_residual == max(traces)
+
+
+def test_the_projector_refuses_a_singular_gram():
+    # the third gradient repeats the first: M has a null direction
+    rng = derived_rng(922)
+    grads = rng.normal(size=(3, 5))
+    grads[2] = grads[0]
+    jet = ConstraintJet(rng.normal(size=5), np.zeros(3), grads,
+                        np.zeros((3, 5, 5)))
+    assert jet.gram_cond > GRAM_COND_LIMIT
+    for name in ("projector", "trace_residual"):
+        with pytest.raises(SingularGram):
+            getattr(jet, name)

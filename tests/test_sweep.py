@@ -134,6 +134,39 @@ def test_numpy_bools_are_no_integers(field, value):
         RunConfig(pipeline="parametric", q_values=(2,), **{field: value})
 
 
+@pytest.mark.parametrize("value", [np.float32(1e-9), np.float16(1),
+                                   np.float64(0.5), np.longdouble(2)],
+                         ids=["float32", "float16", "float64", "longdouble"])
+def test_numpy_floating_tolerances_are_stored_as_python_floats(value):
+    config = RunConfig(pipeline="parametric", q_values=(2,),
+                       tolerances={"parametric.mean-curvature": value})
+    stored = config.tolerances["parametric.mean-curvature"]
+    assert type(stored) is float and stored == float(value)
+
+
+@pytest.mark.parametrize("value", [np.float32("nan"), np.float16("inf"),
+                                   np.float32(-1)])
+def test_numpy_floating_tolerances_must_be_finite_and_non_negative(value):
+    with pytest.raises(ValueError, match="tolerance of"):
+        RunConfig(pipeline="parametric", q_values=(2,),
+                  tolerances={"parametric.mean-curvature": value})
+
+
+@pytest.mark.parametrize("grid, empty", [
+    (dict(q_values=(2, 3), r_values=(5,)),
+     ["parametric", "helicoidal", "pseudo"]),
+    (dict(p_values=(2,), q_values=(3,)),
+     ["parametric", "helicoidal", "pseudo"]),
+    (dict(q_values=(1,)), ["levelset", "complex"])])
+def test_all_refuses_a_grid_with_no_cell_for_some_pipeline(grid, empty):
+    # each pipeline without a cell would write no record, so "all" would
+    # certify fewer pipelines than it names
+    with pytest.raises(ValueError, match="no parameter cell") as refused:
+        RunConfig(**grid)
+    named = str(refused.value).split(":")[0]
+    assert [p for p in PIPELINES if p in named] == empty
+
+
 def test_a_generic_point_that_runs_out_of_draws_is_an_invalid_point():
     # the sampler found no draw; no Gram matrix was ever formed
     with pytest.raises(InvalidChartPoint, match="no draw"):
