@@ -240,8 +240,12 @@ def sample_chart_point(p, q, r, rng):
 
     Rejection keeps cond(a^T a) <= A_COND_LIMIT and the assembled metric's
     condition below METRIC_COND_LIMIT.  The metric bound sits a decade
-    under the evaluation guard COND_LIMIT: inverse residuals scale like
-    eps * cond, and 1e5 keeps them clear of the 1e-10 identity tolerance.
+    under the evaluation guard COND_LIMIT.  It bounds the condition number
+    of the metric the point inverts, and so the eps * cond scale of its
+    inverse residuals, not the residuals themselves: at the 9,405th draw of
+    ``sample_chart_point(6, 6, 5, derived_rng(99, 6, 6, 5))``, metric_cond
+    8.1e4, the inverse-routes residual reads 1.06e-10, about 6 eps * cond
+    and past the 1e-10 identity tolerance.
     cond(a^T a) is (sigma_1 / sigma_r)^2 of the point's own rank decision
     on ``a``, and the metric's condition is a closed form in those singular
     values and lam's (:attr:`ChartPoint.metric_cond`), so a draw costs one

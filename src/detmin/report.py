@@ -19,10 +19,20 @@ Verdicts:
     the sample landed where the check's hypotheses fail (degenerate
     induced metric, collapsed gradients); reported, does not gate.
 
-The JSON writer renders each record from one template, strings through
-json's own ASCII escaper and floats as json writes them (``repr``, and
-``NaN``/``Infinity``/``-Infinity``), then splices the records into
-``json.dumps(indent=2)`` of the rest of the payload.  Its output equals
+The JSON writer renders the records in one pass, appending pieces to one
+list that ends in one ``"".join``: a prefix per (check, anchor), a fragment
+per point, the residual, and a suffix per (tolerance, verdict).  Each
+prefix, fragment and suffix is formatted the first time it is met, into
+dicts that live for that one call; the residual, unique to its record, is
+formatted every time.  Fields are json scalars, formatted as json writes
+them: strings through json's own ASCII escaper, floats as ``repr`` and
+``NaN``/``Infinity``/``-Infinity``.  Two fields share a memo entry only when
+json spells them alike: a string is its own key, and any other value is
+keyed with its type and the sign of a zero (``_memo_key``), so ``1``,
+``1.0``, ``True`` and ``np.float64(1.0)`` never share one, and neither do
+``0.0`` and ``-0.0``.  A verdict is one of ``VERDICTS`` and is its own key.
+The records are spliced into ``json.dumps(indent=2)`` of the rest of the
+payload.  The output equals
 ``json.dumps(payload, indent=2, allow_nan=True) + "\n"`` byte for byte, as
 ``tests/test_report.py::test_json_writer_equals_json_dumps`` pins; a
 payload with ``indent`` would otherwise go through json's pure-Python
@@ -35,6 +45,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -43,10 +54,14 @@ SCHEMA_VERSION = "1"
 
 _INF = float("inf")
 
-# one record as json.dumps(indent=2) lays it out inside the records list
-_RECORD = ('    {{\n      "check": {},\n      "anchor": {},\n'
-           '      "point": {},\n      "residual": {},\n'
-           '      "tolerance": {},\n      "verdict": {}\n    }}')
+# one record as json.dumps(indent=2) lays it out inside the records list,
+# after the separator from the record before it: a prefix per (check,
+# anchor), a fragment per point, the residual, a suffix per (tolerance,
+# verdict)
+_SEPARATOR = ",\n"
+_PREFIX = _SEPARATOR + '    {{\n      "check": {},\n      "anchor": {},\n'
+_FRAGMENT = '      "point": {},\n      "residual": '
+_SUFFIX = ',\n      "tolerance": {},\n      "verdict": {}\n    }}'
 # the records key as json.dumps(indent=2) writes it at the top level, the
 # only place a line starts with it: strings inside escape their newlines
 _EMPTY_RECORDS = '\n  "records": []'
@@ -65,6 +80,13 @@ def _json_value(v):
             return "-Infinity"
         return float.__repr__(v)
     return json.dumps(v)
+
+
+def _memo_key(v):
+    """A dict key two record fields share only when json spells them alike."""
+    if type(v) is str:
+        return v
+    return type(v), v, math.copysign(1.0, v) if v == 0 else None
 
 
 @dataclass(frozen=True)
@@ -128,7 +150,7 @@ class VerificationReport:
     # -- serialization ----------------------------------------------------
 
     def _dumps(self, with_meta):
-        """``json.dumps(payload, indent=2)`` and a newline, from a template."""
+        """``json.dumps(payload, indent=2)`` and a newline, in one pass."""
         payload = {"schema_version": SCHEMA_VERSION}
         if with_meta:
             payload["meta"] = dict(self.meta)
@@ -137,13 +159,34 @@ class VerificationReport:
         text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
         if not self.records:
             return text
-        fmt, val = _RECORD.format, _json_value
-        body = ",\n".join([
-            fmt(val(r.check), val(r.anchor), val(r.point), val(r.residual),
-                val(r.tolerance), val(r.verdict))
-            for r in self.records])
         head, tail = text.split(_EMPTY_RECORDS, 1)
-        return head + '\n  "records": [\n' + body + "\n  ]" + tail
+        val, key = _json_value, _memo_key
+        prefixes, fragments, suffixes = {}, {}, {}
+        pieces = [head + '\n  "records": [\n']
+        add = pieces.append
+        for r in self.records:
+            k = key(r.check), key(r.anchor)
+            piece = prefixes.get(k)
+            if piece is None:
+                piece = prefixes[k] = _PREFIX.format(val(r.check),
+                                                     val(r.anchor))
+            add(piece)
+            k = key(r.point)
+            piece = fragments.get(k)
+            if piece is None:
+                piece = fragments[k] = _FRAGMENT.format(val(r.point))
+            add(piece)
+            add(val(r.residual))
+            k = key(r.tolerance), r.verdict
+            piece = suffixes.get(k)
+            if piece is None:
+                piece = suffixes[k] = _SUFFIX.format(val(r.tolerance),
+                                                     val(r.verdict))
+            add(piece)
+        # the first record follows the list's bracket, not a record
+        pieces[1] = pieces[1][len(_SEPARATOR):]
+        add("\n  ]" + tail)
+        return "".join(pieces)
 
     def to_json(self):
         return self._dumps(with_meta=True)

@@ -1,5 +1,5 @@
 """Fault table: each row plants one fault in the program and names the run
-and the check that must catch it, at every point of that run.
+and the checks that must catch it, at every point of that run.
 
 Rows are only ever added.  A row records a fault the sweep is known to
 catch; a change that stops a check from catching it turns the row red.
@@ -11,14 +11,28 @@ the jet builds from its gradient Gram, so the one fault fails the minimality
 check of both.  Smaller sizes are caught less: at 1e-8 this noise fails 4
 of the 15 levelset points and 3 of the 15 complex points on q 2..4 at
 seed 0, and at 1e-9 none of either.
+
+``cofactor-noise`` scales the cofactor matrix entrywise by 1 + s N, N a
+standard-normal matrix drawn from ``derived_rng(0, n)``, where the levelset
+and complex routes import ``cofactors``.  On q 2..4 at seed 0:
+
+- levelset, s = 1e-9: ``identities``, ``minor-inverse`` and ``rank-one``
+  fail at all 15 points, ``minimality`` at only 3.  At 1e-10 those three
+  fail at 1, 12 and 10 points, and at 1e-11 the run exits 0.
+- complex, s = 1e-7: ``contractions`` fails at all 15 points; at 1e-8 at
+  12.  ``complex.rho-quadratic`` (5 records, n = 2 only) fails down to
+  1e-12 and the run exits 0 at 1e-13.  ``complex.zeta-minimality`` fails
+  nowhere from 1e-6 down to 1e-11, though the jet's gradients, and so its
+  projector, are built from the noisy cofactors.
 """
 
 from functools import partial
 
 import pytest
 
+from detmin import kahler, levelset
 from detmin.cli import main
-from detmin.linalg import ConstraintJet, derived_rng
+from detmin.linalg import ConstraintJet, cofactors, derived_rng
 from detmin.report import VerificationReport
 
 
@@ -33,27 +47,47 @@ def _noisy_projector(monkeypatch, size):
     monkeypatch.setattr(ConstraintJet, "projector", property(noisy))
 
 
-# (fault, command, the check that must fail at every point of the run)
+def _noisy_cofactors(monkeypatch, size):
+    def noisy(m):
+        cof = cofactors(m)
+        a = derived_rng(0, len(cof)).normal(size=cof.shape)
+        return cof * (1.0 + size * a)
+
+    for module in (levelset, kahler):
+        monkeypatch.setattr(module, "cofactors", noisy)
+
+
+# (fault, command, the checks that must fail at every point of the run)
 ROWS = {
     "projector-noise-levelset": (
         partial(_noisy_projector, size=1e-7),
         ["verify", "levelset", "--q", "2..4", "--seed", "0"],
-        "levelset.minimality"),
+        ("levelset.minimality",)),
     "projector-noise-complex": (
         partial(_noisy_projector, size=1e-7),
         ["verify", "complex", "--q", "2..4", "--seed", "0"],
-        "complex.zeta-minimality"),
+        ("complex.zeta-minimality",)),
+    "cofactor-noise-levelset": (
+        partial(_noisy_cofactors, size=1e-9),
+        ["verify", "levelset", "--q", "2..4", "--seed", "0"],
+        ("levelset.identities", "levelset.minor-inverse",
+         "levelset.rank-one")),
+    "cofactor-noise-complex": (
+        partial(_noisy_cofactors, size=1e-7),
+        ["verify", "complex", "--q", "2..4", "--seed", "0"],
+        ("complex.contractions",)),
 }
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_a_planted_fault_fails_its_check_everywhere(row, monkeypatch,
                                                     tmp_path):
-    plant, argv, check = ROWS[row]
+    plant, argv, checks = ROWS[row]
     plant(monkeypatch)
     out = tmp_path / "report.json"
     assert main([*argv, "--format", "json", "--out", str(out)]) == 1
-    records = [r for r in VerificationReport.from_json(out.read_text()).records
-               if r.check == check]
-    assert len(records) == 15
-    assert all(r.verdict == "FAIL" for r in records), records
+    report = VerificationReport.from_json(out.read_text())
+    for check in checks:
+        records = [r for r in report.records if r.check == check]
+        assert len(records) == 15, check
+        assert all(r.verdict == "FAIL" for r in records), records

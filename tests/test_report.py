@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import random
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from detmin.report import (SCHEMA_VERSION, CheckRecord, VerificationReport,
                            record, skipped)
+from detmin.sweep import RunConfig, run_sweep
 
 
 def _recs():
@@ -154,6 +157,30 @@ AWKWARD_POINTS = ["p=2 q=2 r=1 i=0", "caf\u00e9 \u6f22 \U0001f600",
                   'quote " inside', "back\\slash \\n",
                   "ctl \x00\x1f\t\n\r\x7f", "sep \u2028\u2029", "",
                   '\n  "records": []']
+_NAN = float("nan")
+# fields the renderer formats once per call: tolerances that compare equal
+# but json writes apart (1, 1.0, True; 0.0, -0.0), NaNs that compare unequal
+# to themselves, and texts that records share
+MEMO_COLLISIONS = [
+    *(CheckRecord("eps.check", "anchor-e", "i=0", 0.5, tol, "PASS")
+      for tol in (1, 1.0, True, np.float64(1.0), 1.0, True, 1)),
+    *(CheckRecord("eps.check", "anchor-e", "i=1", 0.0, tol, "PASS")
+      for tol in (0.0, -0.0, 0.0, 0, -0.0, np.float64(-0.0), False)),
+    *(CheckRecord("eps.check", "anchor-e", "i=2", 0.5, tol, "FAIL")
+      for tol in (_NAN, float("nan"), _NAN, float("inf"), -float("inf"),
+                  np.float64("nan"), float("inf"))),
+    # one point string shared by two checks, one check under two anchors
+    CheckRecord("zeta.check", "anchor-z", "shared", -0.0, 1e-9, "PASS"),
+    CheckRecord("eta.check", "anchor-z", "shared", 0.0, 1e-9, "EVIDENCE"),
+    CheckRecord("zeta.check", "anchor-y", "shared", 1e-9, 1e-9, "PASS"),
+    CheckRecord("zeta.check", "anchor-z", "i=3", 1e-9, 1e-9, "PASS"),
+    # checks, anchors and points the program writes as strings, here as
+    # other json scalars, as records built by hand or read back can carry
+    # (evidence, so no check enters the summary's sorted worst residuals)
+    *(CheckRecord(c, a, c, 0.5, 1e-9, "EVIDENCE")
+      for c in (1, True, 1.0, np.float64(1.0), 0.0, -0.0, 0, False, "1")
+      for a in (1, True, -0.0, 0.0, "1")),
+]
 
 
 @pytest.mark.parametrize("with_meta", [True, False])
@@ -174,6 +201,33 @@ def test_json_writer_equals_json_dumps(with_meta):
                         "PASS"))
     rep.add(CheckRecord("delta.check", "anchor-d", "i", np.float64("nan"),
                         np.float64("-inf"), "PASS"))
+    rep.records.extend(MEMO_COLLISIONS)
     for report in (rep, VerificationReport(meta={"seed": 1})):
         got = report.to_json() if with_meta else report.records_json()
         assert got == _json_dumps_reference(report, with_meta)
+
+
+def test_json_writer_equals_json_dumps_on_a_full_run():
+    # every pipeline on p, q 2..6: about 7,000 records, as the bench renders
+    report = run_sweep(RunConfig(p_values=range(2, 7), q_values=range(2, 7),
+                                 seed=1))
+    assert len(report.records) > 6000
+    assert report.to_json() == _json_dumps_reference(report, with_meta=True)
+
+
+def test_json_writer_peak_memory_stays_below_twice_the_output():
+    # 4,000 records shaped like a verify-all run's: eight checks at each of
+    # 500 points, every residual a distinct float
+    rng = random.Random(0)
+    rep = VerificationReport(records=[
+        record(f"pipeline.check-{c}", f"anchor-of-the-claim-{c}",
+               f"p={2 + i % 5} q={2 + i // 5 % 5} r=1 i={i}",
+               rng.random() * 1e-15, 1e-9, gate=c % 4 != 3)
+        for i in range(500) for c in range(8)])
+    tracemalloc.start()
+    try:
+        text = rep.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), peak / len(text)
