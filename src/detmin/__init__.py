@@ -8,7 +8,18 @@ the square-minor variety, reflection symmetries that force the mean
 curvature to vanish, the realified complex determinant, and indefinite
 ambient forms.  Every route reports residuals against pinned tolerances;
 ``detmin verify all`` runs the lot.
+
+Importing the package before numpy pins BLAS to one thread: threaded BLAS
+sums in another order, so the records would depend on the host's CPU
+count.  A thread count already set in the environment is kept.
 """
+
+import os
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable
 
 from .errors import (ConventionFailure, DegenerateMetric, InvalidChartPoint,
                      SingularGram)

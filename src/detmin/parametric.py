@@ -114,6 +114,12 @@ class ChartPoint:
         return {}
 
     @cached_property
+    def coordinates(self):
+        """The chart coordinates (a, lam) as one flat vector, a then lam,
+        each row-major: the order of the Jacobian's columns."""
+        return _read_only(np.concatenate([self.a.ravel(), self.lam.ravel()]))
+
+    @cached_property
     def a_gram_inv(self):
         return np.linalg.inv(self.a.T @ self.a)
 
@@ -224,13 +230,16 @@ def normal_fields(kernel, lam):
     """
     points, r, q_r = lam.shape
     p, p_r = kernel.shape[1:]
-    kernel_t = np.swapaxes(kernel, 1, 2)
+    kernel_t = kernel.swapaxes(1, 2)
     gamma = 1.0 / np.sqrt(1.0 + (lam ** 2).sum(axis=1))
     fields = np.zeros((points, q_r, p_r, p, r + q_r))
     fields[..., :r] = (kernel_t[:, None, :, :, None]
-                       * np.swapaxes(lam, 1, 2)[:, :, None, None, :])
-    trailing = np.arange(q_r)
-    fields[:, trailing, :, :, r + trailing] = -kernel_t
+                       * lam.swapaxes(1, 2)[:, :, None, None, :])
+    # one plain slice per trailing column: cheaper than an index-array
+    # assignment for the few columns a chart has
+    negated = -kernel_t
+    for s in range(q_r):
+        fields[:, s, :, :, r + s] = negated
     fields *= gamma[:, :, None, None, None]
     return fields.reshape(points, q_r * p_r, p, r + q_r), gamma
 
@@ -324,7 +333,7 @@ def _second_derivatives(p, q, r):
 def chart_hessian_autodiff(cp):
     """Chart second derivatives via dual numbers (oracle route)."""
     p, q, r = cp.p, cp.q, cp.r
-    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
+    x0 = cp.coordinates
 
     def flat_chart(vec):
         a = np.asarray(vec[:p * r]).reshape(p, r)

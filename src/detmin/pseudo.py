@@ -82,7 +82,7 @@ class IndefiniteForm:
 
 def ambient_gram(eta, zeta):
     """Gram diagonal of tr(zeta A^T eta B) in row-major flat coordinates."""
-    return np.outer(eta.signs, zeta.signs).ravel()
+    return (eta.signs[:, None] * zeta.signs).ravel()
 
 
 def signature_adjudication(eta, zeta):

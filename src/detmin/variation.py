@@ -26,6 +26,16 @@ determinant.  Stacked numpy linear algebra runs the same LAPACK and BLAS
 routine on every slice, and the elementwise steps are the same operations
 in the same order, so every slice carries the same float operations as a
 point evaluated alone.
+
+The stencils are small (chart dimension at most 15 for p, q <= 4), so
+their cost is the number of numpy calls more than the arithmetic, and each
+array is built once: the step h is the factor cbrt(eps), taken once at
+import, times the point's scale; the chart points are one copy of the
+point's coordinates per stencil point, with +h and -h added through two
+strided views; the 1 + 2 (frame size) deformation steps 0, +h, -h, +h, ...
+are one array made from a list; and the fields are one zeros array, the
+transported frame written into its odd and its even steps by two slice
+assignments.
 """
 
 from __future__ import annotations
@@ -36,16 +46,19 @@ from .errors import InvalidChartPoint
 from .linalg import COND_LIMIT, _rank_tolerance
 from .parametric import normal_fields, normal_frame
 
+# the central-difference step per unit of the point's scale
+_STEP = np.cbrt(np.finfo(float).eps)
+
 
 def _transported_kernel(a, base_kernel):
     """The base kernel basis moved to ker(a^T) at ``a``, a p x r matrix or a
     stack of them; each slice is projected and sign-fixed QR'd alone."""
-    a_t = np.swapaxes(a, -1, -2)
+    a_t = a.swapaxes(-1, -2)
     gram_inv = (np.linalg.inv(a_t @ a) if a.shape[-1]
                 else np.zeros(a.shape[:-2] + (0, 0)))
     proj = base_kernel - a @ (gram_inv @ (a_t @ base_kernel))
     q, r = np.linalg.qr(proj)
-    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    sign = np.sign(r.diagonal(0, -2, -1))
     sign[sign == 0] = 1.0
     return q * sign[..., None, :]
 
@@ -54,7 +67,10 @@ def _offsets(cp, h):
     """Chart coordinates x0 + h e_k and x0 - h e_k for each chart coordinate k.
 
     Returns the stacks of a, shape (2 dim, p, r), and lam, shape
-    (2 dim, r, q - r), in the order k = 0, 1, ..., +h before -h.
+    (2 dim, r, q - r), in the order k = 0, 1, ..., +h before -h: views of
+    one (2 dim, dim) array holding the point's ``coordinates`` in every
+    row, with h added to entry k of row 2k and subtracted from entry k of
+    row 2k + 1.
 
     The stencil is guarded in closed form, from the singular values
     s_1 >= ... >= s_r the point's ``a_rank`` already holds.  A step moves
@@ -85,12 +101,15 @@ def _offsets(cp, h):
             raise InvalidChartPoint(
                 f"a difference step of {h:.3e} may leave a column-rank "
                 f"deficient or ill-conditioned (singular values {s})")
-    x0 = np.concatenate([cp.a.ravel(), cp.lam.ravel()])
+    x0 = cp.coordinates
     dim = x0.size
-    vecs = np.repeat(x0[None, :], 2 * dim, axis=0)
-    k = np.arange(dim)
-    vecs[2 * k, k] += h
-    vecs[2 * k + 1, k] -= h
+    vecs = np.empty((2 * dim, dim))
+    vecs[:] = x0
+    # entry (2k, k) of the flat array sits at k (2 dim + 1), and entry
+    # (2k + 1, k) dim places later: two strided views, no index arrays
+    flat = vecs.reshape(-1)
+    flat[::2 * dim + 1] += h
+    flat[dim::2 * dim + 1] -= h
     return (vecs[:, :p * r].reshape(2 * dim, p, r),
             vecs[:, p * r:].reshape(2 * dim, r, q - r))
 
@@ -107,7 +126,7 @@ def _densities(x, fields, steps, h):
     values = (x + steps[:, None, None, None] * fields).reshape(
         count, points // 2, 2, p * q)
     jac_t = (values[:, :, 0] - values[:, :, 1]) / (2.0 * h)
-    return np.sqrt(np.linalg.det(jac_t @ np.swapaxes(jac_t, 1, 2)))
+    return np.sqrt(np.linalg.det(jac_t @ jac_t.swapaxes(1, 2)))
 
 
 def volume_variation(cp):
@@ -117,19 +136,22 @@ def volume_variation(cp):
     (d/dt) log A for the deformation along frame element alpha; up to the
     finite-difference error this equals minus the mean-curvature component
     against that element, so on a minimal stratum every entry is ~0.
+
+    One step h = cbrt(eps) (1 + max |coordinate|) serves the differences in
+    u and in t.  Step 0 deforms by the zero field, giving A itself; steps
+    2 alpha + 1 and 2 alpha + 2 deform by +h and -h along frame element
+    alpha, transported to every stencil point.
     """
-    scale = 1.0 + max(np.abs(cp.a).max(initial=0.0), np.abs(cp.lam).max(initial=0.0))
-    # one central-difference step, in chart coordinates and along normals
-    h = np.cbrt(np.finfo(float).eps) * scale
+    h = _STEP * (1.0 + np.abs(cp.coordinates).max(initial=0.0))
     frame = normal_frame(cp)
     a, lam = _offsets(cp, h)
     x = np.concatenate([a, a @ lam], axis=2)
     normals, _ = normal_fields(
         _transported_kernel(a, frame.kernel_basis), lam)
-    n = np.moveaxis(normals, 1, 0)
-    # the undeformed immersion, then +h and -h along each frame element
-    steps = np.concatenate([[0.0], np.tile([h, -h], frame.frame_size)])
-    fields = np.concatenate([np.zeros((1,) + x.shape),
-                             np.repeat(n, 2, axis=0)])
+    steps = np.array([0.0] + [h, -h] * frame.frame_size)
+    fields = np.zeros(steps.shape + x.shape)
+    per_step = normals.swapaxes(0, 1)
+    fields[1::2] = per_step
+    fields[2::2] = per_step
     dens = _densities(x, fields, steps, h)
     return (dens[1::2] - dens[2::2]) / (2.0 * h * dens[0])

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from detmin.cli import _config_from_args, build_parser, main
+from detmin.report import VerificationReport
 from detmin.sweep import (CHECKS, RunConfig, config_from_mapping, load_config,
                           parse_range, run_sweep)
 
@@ -164,6 +165,27 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert "parametric.mean-curvature" in proc.stdout
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_records_do_not_depend_on_the_blas_threads_setting(tmp_path):
+    # detmin pins BLAS to one thread when it loads before numpy; without the
+    # pin, threaded OpenBLAS 0.3.31 on a two-CPU host wrote other records
+    # (digest 0b4954fad590 against 7395e5c5d5b2 with one thread)
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    digests = []
+    for name, env in (("unset", unset),
+                      ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / f"{name}.json"
+        subprocess.run([sys.executable, "-m", "detmin", "verify", "complex",
+                        "--q", "8", "--seed", "1", "--format", "json",
+                        "--out", str(out)],
+                       env=env, timeout=300, check=True)
+        digests.append(
+            VerificationReport.from_json(out.read_text()).records_digest())
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("argv, status", [

@@ -24,15 +24,30 @@ and complex routes import ``cofactors``.  On q 2..4 at seed 0:
   1e-12 and the run exits 0 at 1e-13.  ``complex.zeta-minimality`` fails
   nowhere from 1e-6 down to 1e-11, though the jet's gradients, and so its
   projector, are built from the noisy cofactors.
+
+``metric-inverse-noise`` replaces the chart's inverse metric g^-1 with
+g^-1 (1 + s (N + N^T) / 2), N a standard-normal matrix drawn from
+``derived_rng(0, dim)``.  The pseudo pipeline inverts its own G-hat and
+never reads the chart's inverse, while the euclidean reduction compares its
+trace with the parametric one, which does.  On ``verify pseudo --p 4
+--q 2..4 --r 1 --seed 0``, ``pseudo.euclidean-reduction`` fails at all 15
+points at s = 1e-9, 1e-10 and 1e-11, at 2 at 1e-12, and the run exits 0
+at 1e-13.  The row turns red if pseudo's trace contraction reads the
+chart's inverse: a copy of pseudo changed that way exits 0 on this run at
+every size from 1e-9 to 1e-13.  ``verify parametric`` on the same grid
+catches less: at 1e-9 ``o-p-structure`` fails at 11 points and
+``tangency`` at 5, at 1e-10 ``o-p-structure`` at 1, and at 1e-11 the run
+exits 0; ``mean-curvature`` fails at none of these sizes.
 """
 
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 
 from detmin import kahler, levelset
 from detmin.cli import main
 from detmin.linalg import ConstraintJet, cofactors, derived_rng
+from detmin.parametric import ChartPoint
 from detmin.report import VerificationReport
 
 
@@ -57,6 +72,21 @@ def _noisy_cofactors(monkeypatch, size):
         monkeypatch.setattr(module, "cofactors", noisy)
 
 
+def _noisy_metric_inverse(monkeypatch, size):
+    exact = ChartPoint.metric_inv.func
+
+    def noisy(cp):
+        ginv = exact(cp)
+        a = derived_rng(0, len(ginv)).normal(size=ginv.shape)
+        ginv = ginv * (1.0 + size * (a + a.T) / 2)
+        ginv.setflags(write=False)
+        return ginv
+
+    prop = cached_property(noisy)
+    prop.__set_name__(ChartPoint, "metric_inv")
+    monkeypatch.setattr(ChartPoint, "metric_inv", prop)
+
+
 # (fault, command, the checks that must fail at every point of the run)
 ROWS = {
     "projector-noise-levelset": (
@@ -76,6 +106,11 @@ ROWS = {
         partial(_noisy_cofactors, size=1e-7),
         ["verify", "complex", "--q", "2..4", "--seed", "0"],
         ("complex.contractions",)),
+    "metric-inverse-noise": (
+        partial(_noisy_metric_inverse, size=1e-11),
+        ["verify", "pseudo", "--p", "4", "--q", "2..4", "--r", "1",
+         "--seed", "0"],
+        ("pseudo.euclidean-reduction",)),
 }
 
 
